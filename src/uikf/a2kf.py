@@ -9,12 +9,12 @@ measurement noise cannot explain) is mapped back through (C E_d)^+.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Optional, Tuple
+from dataclasses import dataclass
+from typing import Tuple
 
 import numpy as np
 
-from .errors import IllConditionedError
+from . import r4skf
 from .model import DiscretizedModel, SystemModel, discretize, moore_penrose_pinv
 
 
@@ -25,6 +25,10 @@ class A2KFConfig:
     qd_init: float = 1e-6             # initial Q^d = qd_init * I
     rescale_by_dt: bool = False       # optional 1/dt scaling of the estimate
     negative_check: str = "post"      # "post": diagonal of Q^d; "pre": entries of C_gamma0
+
+    def __post_init__(self):
+        if self.window < 1:
+            raise ValueError(f"window must be at least 1, got {self.window}")
 
 
 @dataclass(frozen=True)
@@ -187,17 +191,11 @@ def a2kf_step(
 
     x_pred = A_da @ state.x_a + B_da @ u
     P_pred = A_da @ state.P_a @ A_da.T + Qproc
-    S = am.C_a @ P_pred @ am.C_a.T + np.asarray(model.R(k1), dtype=float)
-    S = 0.5 * (S + S.T)
-    if 1.0 / np.linalg.cond(S) < 1e-14:
-        raise IllConditionedError("augmented innovation covariance is singular")
-    K = np.linalg.solve(S, am.C_a @ P_pred).T
+    R = np.asarray(model.R(k1), dtype=float)
+    K = r4skf.kalman_gain(P_pred, am.C_a, R)
     gamma = y - am.C_a @ x_pred
     x_new = x_pred + K @ gamma
-    ImKC = np.eye(n_a) - K @ am.C_a
-    R = np.asarray(model.R(k1), dtype=float)
-    P_new = ImKC @ P_pred @ ImKC.T + K @ R @ K.T
-    P_new = 0.5 * (P_new + P_new.T)
+    P_new = r4skf.joseph_update(P_pred, K, am.C_a, R)
 
     window = (state.innov_window + (gamma,))[-cfg.window:]
     dm = discretize(model, t)

@@ -7,7 +7,11 @@ covariance propagation uses the compensated Euler rule
        = (I + F dt) P (I + F dt)^T + G Q G^T dt
 
 so on a linear plant with Euler integration the recursion coincides with
-the linear four-step filter.
+the linear four-step filter. The pieces that do not depend on the
+linearization are r4skf's own: the rank-checked extraction gain
+(unknown_input_gain), the Kalman gain with its singular-S check
+(kalman_gain), the Joseph update (joseph_update), the unknown-input error
+covariance and the stability matrices.
 """
 
 from __future__ import annotations
@@ -17,8 +21,8 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .errors import RankConditionError
-from .model import DiscretizedModel, moore_penrose_pinv, numerical_rank
+# moore_penrose_pinv stays importable from this module as part of its namespace
+from .model import DiscretizedModel, moore_penrose_pinv  # noqa: F401
 from . import r4skf
 from .r4skf import FilterState, StepReport
 
@@ -142,23 +146,17 @@ def cd_four_step(
     zero_d = np.zeros(n_d)
     x_star = propagate_state(state.x_hat, u, zero_d, model, method=method, t=t)
     C = model.jac_h(x_star)
-    if numerical_rank(C @ dm.E_d) < n_d:
-        raise RankConditionError("rank(H E_d) < n_d at the linearization point")
+    F_d = r4skf.unknown_input_gain(C, dm.E_d)
     gamma = y - np.asarray(model.h(x_star), dtype=float)
-    F_d = moore_penrose_pinv(C @ dm.E_d)
     d_hat = F_d @ gamma
     x_pred = x_star + dm.E_d @ d_hat
 
     P_pred = propagate_covariance(state.P, F_k, G, Q, dt)
-    S = C @ P_pred @ C.T + R
-    S = 0.5 * (S + S.T)
-    K = np.linalg.solve(S, C @ P_pred).T
+    K = r4skf.kalman_gain(P_pred, C, R)
     L = K + (np.eye(n_x) - K @ C) @ dm.E_d @ F_d
     innov = y - np.asarray(model.h(x_pred), dtype=float)
     x_hat = x_pred + K @ innov
-    ImLC = np.eye(n_x) - L @ C
-    P_post = ImLC @ P_pred @ ImLC.T + L @ R @ L.T
-    P_post = 0.5 * (P_post + P_post.T)
+    P_post = r4skf.joseph_update(P_pred, L, C, R)
     Pd = r4skf.unknown_input_error_cov(state.P, dm, C, Q, R, F_d, G=G)
     A_bar, A_tilde, *_ = r4skf.stability_matrices(dm, C, F_d, K)
 

@@ -14,7 +14,7 @@ from . import a2kf, onestep, r4skf, uio
 from .a2kf import A2KFConfig
 from .benchmark import benchmark_model
 from .model import SystemModel, discretize, moore_penrose_pinv
-from .sim import cov_factor
+from .sim import simulate
 
 
 @dataclass(frozen=True)
@@ -46,24 +46,10 @@ def square_test_model(dt: float = 0.01) -> SystemModel:
 
 
 def _simulate_square(model: SystemModel, steps: int, seed: int):
-    """Random truth/measurement stream for the square test system."""
+    """Measurements of the square test system driven by a white unknown input."""
     rng = np.random.default_rng(seed)
-    dt = model.dt
-    fq = cov_factor(np.asarray(model.Q(0.0), dtype=float) / dt)
-    fr = cov_factor(np.asarray(model.R(0), dtype=float))
-    x = np.zeros(model.n_x)
-    ys = np.zeros((steps, model.n_y))
-    for k in range(steps):
-        t = k * dt
-        A = np.asarray(model.A(t), dtype=float)
-        E = np.asarray(model.E(t), dtype=float)
-        G = np.asarray(model.G(t), dtype=float)
-        d = rng.standard_normal(model.n_d)
-        w = fq @ rng.standard_normal(model.n_w)
-        x = x + dt * (A @ x + E @ d) + G @ w * dt
-        C = np.asarray(model.C(k + 1), dtype=float)
-        ys[k] = C @ x + fr @ rng.standard_normal(model.n_y)
-    return ys
+    d = rng.standard_normal((steps, model.n_d))
+    return simulate(model, np.zeros(model.n_x), d, rng)[1]
 
 
 def check_gain_irrelevance(steps: int = 500, seed: int = 0, x0_offset: float = 100.0) -> List[CheckResult]:

@@ -64,6 +64,22 @@ def _write_outputs(out: Path, tag: str, result: sim.ScenarioResult) -> None:
     sim.write_summary_csv(out / f"{tag}_summary.csv", {tag: result})
 
 
+def _run(cfg: sim.ScenarioConfig, out: Optional[str], tag: str) -> int:
+    """Run a scenario, write its CSVs and print the RMSE summary."""
+    try:
+        result = sim.run_scenario(cfg)
+    except (RankConditionError, IllConditionedError, FloatingPointError) as exc:
+        print(f"estimator failure: {exc}", file=sys.stderr)
+        return EXIT_ESTIMATOR
+    try:
+        _write_outputs(_out_dir(out), tag, result)
+    except OSError as exc:
+        print(f"i/o failure: {exc}", file=sys.stderr)
+        return EXIT_IO
+    _print_summary(tag, result)
+    return EXIT_OK
+
+
 def cmd_reproduce(args) -> int:
     try:
         cfg = benchmark.benchmark_case(
@@ -75,19 +91,7 @@ def cmd_reproduce(args) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        result = sim.run_scenario(cfg)
-    except (RankConditionError, IllConditionedError, FloatingPointError) as exc:
-        print(f"estimator failure: {exc}", file=sys.stderr)
-        return EXIT_ESTIMATOR
-    tag = f"case{args.case}"
-    try:
-        _write_outputs(_out_dir(args.out), tag, result)
-    except OSError as exc:
-        print(f"i/o failure: {exc}", file=sys.stderr)
-        return EXIT_IO
-    _print_summary(tag, result)
-    return EXIT_OK
+    return _run(cfg, args.out, f"case{args.case}")
 
 
 def cmd_simulate(args) -> int:
@@ -100,18 +104,7 @@ def cmd_simulate(args) -> int:
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    try:
-        result = sim.run_scenario(cfg)
-    except (RankConditionError, IllConditionedError, FloatingPointError) as exc:
-        print(f"estimator failure: {exc}", file=sys.stderr)
-        return EXIT_ESTIMATOR
-    try:
-        _write_outputs(_out_dir(args.out), "scenario", result)
-    except OSError as exc:
-        print(f"i/o failure: {exc}", file=sys.stderr)
-        return EXIT_IO
-    _print_summary("scenario", result)
-    return EXIT_OK
+    return _run(cfg, args.out, "scenario")
 
 
 def cmd_check(args) -> int:

@@ -13,7 +13,7 @@ structural condition rank(C E) = rank(E) = n_d.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable, Tuple, Union
 
 import numpy as np
 
@@ -22,24 +22,14 @@ from .errors import DimensionError
 MatrixLike = Union[np.ndarray, Callable[[float], np.ndarray]]
 
 
-def _wrap_time(M, name):
-    """Normalize a constant array or callable-of-time to a callable."""
+def _wrap(M, name):
+    """Normalize a constant array or callable (of time or step index) to a callable."""
     if callable(M):
         return M
     arr = np.asarray(M, dtype=float)
     if arr.ndim != 2:
         raise DimensionError(f"{name} must be a 2-D matrix, got shape {arr.shape}")
-    return lambda _t, _arr=arr: _arr
-
-
-def _wrap_step(M, name):
-    """Normalize a constant array or callable-of-step-index to a callable."""
-    if callable(M):
-        return M
-    arr = np.asarray(M, dtype=float)
-    if arr.ndim != 2:
-        raise DimensionError(f"{name} must be a 2-D matrix, got shape {arr.shape}")
-    return lambda _k, _arr=arr: _arr
+    return lambda _arg, _arr=arr: _arr
 
 
 @dataclass(frozen=True)
@@ -68,13 +58,8 @@ class SystemModel:
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        object.__setattr__(self, "A", _wrap_time(self.A, "A"))
-        object.__setattr__(self, "B", _wrap_time(self.B, "B"))
-        object.__setattr__(self, "E", _wrap_time(self.E, "E"))
-        object.__setattr__(self, "G", _wrap_time(self.G, "G"))
-        object.__setattr__(self, "Q", _wrap_time(self.Q, "Q"))
-        object.__setattr__(self, "C", _wrap_step(self.C, "C"))
-        object.__setattr__(self, "R", _wrap_step(self.R, "R"))
+        for name in ("A", "B", "E", "G", "Q", "C", "R"):
+            object.__setattr__(self, name, _wrap(getattr(self, name), name))
 
         A0 = np.asarray(self.A(0.0), dtype=float)
         B0 = np.asarray(self.B(0.0), dtype=float)
@@ -145,25 +130,28 @@ def discretize(model: SystemModel, t: float) -> DiscretizedModel:
     )
 
 
-def moore_penrose_pinv(M: np.ndarray, tol: float = 1e-10) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse via SVD.
+def pinv_and_rank(M: np.ndarray, tol: float = 1e-10) -> Tuple[np.ndarray, int]:
+    """Moore-Penrose pseudo-inverse and numerical rank from one SVD.
 
     Singular values below tol * sigma_max are treated as zero.
     """
     M = np.asarray(M, dtype=float)
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
-        return np.zeros((M.shape[1], M.shape[0]))
-    inv = np.where(s > tol * s[0], 1.0 / np.where(s > 0, s, 1.0), 0.0)
-    return (Vt.T * inv) @ U.T
+        return np.zeros((M.shape[1], M.shape[0])), 0
+    kept = s > tol * s[0]
+    inv = np.where(kept, 1.0 / np.where(s > 0, s, 1.0), 0.0)
+    return (Vt.T * inv) @ U.T, int(np.sum(kept))
+
+
+def moore_penrose_pinv(M: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """Moore-Penrose pseudo-inverse via SVD (see pinv_and_rank)."""
+    return pinv_and_rank(M, tol)[0]
 
 
 def numerical_rank(M: np.ndarray, tol: float = 1e-10) -> int:
     """Rank by counting singular values above tol * sigma_max."""
-    s = np.linalg.svd(np.asarray(M, dtype=float), compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    return int(np.sum(s > tol * s[0]))
+    return pinv_and_rank(M, tol)[1]
 
 
 def check_rank_condition(C: np.ndarray, E: np.ndarray, tol: float = 1e-10) -> bool:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import IllConditionedError
-from . import r4skf
+from . import r4skf, sim
 from .model import SystemModel
 
 COND_LIMIT = 1e12
@@ -71,29 +71,16 @@ def equivalence_check(
     if not (model.n_x == model.n_y == model.n_d):
         raise ValueError("equivalence_check requires n_x = n_y = n_d")
     rng = np.random.default_rng(seed)
-    n_x, n_u, n_d = model.n_x, model.n_u, model.n_d
-    x = np.zeros(n_x)
+    d = d_scale * rng.standard_normal((steps, model.n_d))
+    _, ys = sim.simulate(model, np.zeros(model.n_x), d, rng)
     state = r4skf.initial_state(
-        model, np.zeros(n_x) if x0_hat is None else np.asarray(x0_hat, dtype=float)
+        model, np.zeros(model.n_x) if x0_hat is None else np.asarray(x0_hat, dtype=float)
     )
-    dt = model.dt
+    u = np.zeros(model.n_u)
     worst = 0.0
     for k in range(steps):
-        t = k * dt
-        A = np.asarray(model.A(t), dtype=float)
-        E = np.asarray(model.E(t), dtype=float)
-        G = np.asarray(model.G(t), dtype=float)
-        Q = np.asarray(model.Q(t), dtype=float)
-        C = np.asarray(model.C(k + 1), dtype=float)
-        R = np.asarray(model.R(k + 1), dtype=float)
-        u = np.zeros(n_u)
-        d = d_scale * rng.standard_normal(n_d)
-        w = rng.multivariate_normal(np.zeros(Q.shape[0]), Q / dt)
-        x = x + dt * (A @ x + E @ d) + G @ w * dt
-        v = rng.multivariate_normal(np.zeros(model.n_y), R)
-        y = C @ x + v
-        state, _ = r4skf.step(state, u, y, model)
-        ref = one_step_estimate(y, C)
+        state, _ = r4skf.step(state, u, ys[k], model)
+        ref = one_step_estimate(ys[k], np.asarray(model.C(k + 1), dtype=float))
         dev = np.linalg.norm(state.x_hat - ref) / (1.0 + np.linalg.norm(ref))
         worst = max(worst, dev)
     return worst

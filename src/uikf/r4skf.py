@@ -20,7 +20,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import DimensionError, IllConditionedError, RankConditionError
-from .model import DiscretizedModel, SystemModel, discretize, moore_penrose_pinv, numerical_rank
+from .model import DiscretizedModel, SystemModel, discretize, pinv_and_rank
 
 RCOND_FLOOR = 1e-14
 DEFAULT_P0_SCALE = 10.0
@@ -77,6 +77,18 @@ def predict_no_input(x_hat: np.ndarray, u: np.ndarray, dm: DiscretizedModel) -> 
         raise DimensionError("u does not match B_d")
     return dm.A_d @ x_hat + dm.B_d @ u
 
+def unknown_input_gain(C: np.ndarray, E_d: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+    """F_d = (C E_d)^+, after checking rank(C E_d) = n_d on the same SVD."""
+    F_d, rank = pinv_and_rank(C @ E_d, tol)
+    n_d = E_d.shape[1]
+    if rank < n_d:
+        raise RankConditionError(
+            f"rank(C E_d) = {rank} < n_d = {n_d}; "
+            "unknown-input extraction is infeasible at this step"
+        )
+    return F_d
+
+
 def estimate_unknown_input(
     y: np.ndarray,
     x_star: np.ndarray,
@@ -88,15 +100,8 @@ def estimate_unknown_input(
 
     Returns (d_hat, F_d, gamma) with F_d = (C E_d)^+ and gamma = y - C x*.
     """
-    CEd = C @ dm.E_d
-    n_d = dm.E_d.shape[1]
-    if numerical_rank(CEd, tol) < n_d:
-        raise RankConditionError(
-            f"rank(C E_d) = {numerical_rank(CEd, tol)} < n_d = {n_d}; "
-            "unknown-input extraction is infeasible at this step"
-        )
+    F_d = unknown_input_gain(C, dm.E_d, tol)
     gamma = y - C @ x_star
-    F_d = moore_penrose_pinv(CEd, tol)
     return F_d @ gamma, F_d, gamma
 
 
@@ -122,19 +127,27 @@ def gain_and_covariance(
     if G is None:
         G = dm.G_d / dm.dt
     P_pred = dm.A_d @ P_prev @ dm.A_d.T + G @ Q @ G.T * dm.dt
+    K = kalman_gain(P_pred, C, R)
+    L = K + (np.eye(P_prev.shape[0]) - K @ C) @ dm.E_d @ F_d
+    return P_pred, K, L, joseph_update(P_pred, L, C, R)
+
+
+def kalman_gain(P_pred: np.ndarray, C: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """K = P C^T S^{-1} with S = C P C^T + R, refused when S is numerically singular."""
     S = C @ P_pred @ C.T + R
     S = 0.5 * (S + S.T)
     if 1.0 / np.linalg.cond(S) < RCOND_FLOOR:
         raise IllConditionedError(
             "innovation covariance C P C^T + R is numerically singular"
         )
-    K = np.linalg.solve(S, C @ P_pred).T
-    n_x = P_prev.shape[0]
-    L = K + (np.eye(n_x) - K @ C) @ dm.E_d @ F_d
-    ImLC = np.eye(n_x) - L @ C
+    return np.linalg.solve(S, C @ P_pred).T
+
+
+def joseph_update(P_pred: np.ndarray, L: np.ndarray, C: np.ndarray, R: np.ndarray) -> np.ndarray:
+    """Joseph-form update (I - L C) P (I - L C)^T + L R L^T, symmetric PSD for any gain L."""
+    ImLC = np.eye(P_pred.shape[0]) - L @ C
     P_post = ImLC @ P_pred @ ImLC.T + L @ R @ L.T
-    P_post = 0.5 * (P_post + P_post.T)
-    return P_pred, K, L, P_post
+    return 0.5 * (P_post + P_post.T)
 
 
 def update(x_pred: np.ndarray, y: np.ndarray, K: np.ndarray, C: np.ndarray) -> np.ndarray:

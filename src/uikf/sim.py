@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -68,12 +68,21 @@ class ScenarioConfig:
     def __post_init__(self):
         if self.duration <= 0:
             raise ConfigError("scenario.duration: must be positive")
+        if self.n_steps == 0:
+            raise ConfigError(
+                f"scenario.duration: {self.duration} is shorter than one step (dt = {self.model.dt})"
+            )
         if len(self.seeds) == 0:
             raise ConfigError("scenario.seeds: at least one seed required")
         if len(self.signals) != self.model.n_d:
             raise ConfigError(
                 f"scenario.signals: expected {self.model.n_d} entries, got {len(self.signals)}"
             )
+        for j, spec in enumerate(self.signals):
+            if spec.kind == "custom" and spec.samples is not None and len(spec.samples) < self.n_steps:
+                raise ConfigError(
+                    f"scenario.signals[{j}].samples: {len(spec.samples)} samples for {self.n_steps} steps"
+                )
         for name in self.estimators:
             if name not in KNOWN_ESTIMATORS:
                 raise ConfigError(f"scenario.estimators: unknown estimator {name!r}")
@@ -151,21 +160,23 @@ def cov_factor(M: np.ndarray) -> np.ndarray:
         return V * np.sqrt(np.clip(w, 0.0, None))
 
 
-def generate_truth(config: ScenarioConfig, seed: int) -> TruthTrajectory:
-    """Euler-Maruyama forward simulation with w ~ N(0, Q/dt), so the
-    discrete process-noise covariance is G Q G^T dt."""
-    model = config.model
-    K = config.n_steps
-    dt = model.dt
-    n_x, n_u, n_y = model.n_x, model.n_u, model.n_y
-    rng = np.random.default_rng(seed)
+def simulate(
+    model: SystemModel, x0, d: np.ndarray, rng: np.random.Generator, u: Optional[np.ndarray] = None
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Euler-Maruyama forward simulation over len(d) steps with
+    w ~ N(0, Q/dt), so the discrete process-noise covariance is G Q G^T dt.
 
-    d = sample_signals(config)
-    u = np.zeros((K, n_u))
-    t_grid = np.arange(K + 1) * dt
-    x = np.zeros((K + 1, n_x))
-    x[0] = np.asarray(config.x0_true, dtype=float)
-    y = np.zeros((K, n_y))
+    d[k] and u[k] (zero when omitted) drive the step from t_k to t_{k+1}.
+    Returns the states x (K+1, n_x), starting at x0, and the measurements
+    y (K, n_y), y[k] taken at t_{k+1}.
+    """
+    K = d.shape[0]
+    dt = model.dt
+    if u is None:
+        u = np.zeros((K, model.n_u))
+    x = np.zeros((K + 1, model.n_x))
+    x[0] = np.asarray(x0, dtype=float)
+    y = np.zeros((K, model.n_y))
 
     # keep the keyed array alive so id() stays a valid cache key
     factors: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
@@ -192,94 +203,77 @@ def generate_truth(config: ScenarioConfig, seed: int) -> TruthTrajectory:
             )
         C = np.asarray(model.C(k + 1), dtype=float)
         R = np.asarray(model.R(k + 1), dtype=float)
-        v = factor_of(R) @ rng.standard_normal(n_y)
+        v = factor_of(R) @ rng.standard_normal(model.n_y)
         y[k] = C @ x[k + 1] + v
-    return TruthTrajectory(t=t_grid, x=x, d=d, y=y, u=u)
+    return x, y
 
 
-def _run_r4skf(config: ScenarioConfig, truth: TruthTrajectory) -> EstimatorRun:
+def generate_truth(config: ScenarioConfig, seed: int) -> TruthTrajectory:
+    """Truth trajectory of the scenario's signals, simulated from x0_true."""
     model = config.model
-    K = config.n_steps
-    state = r4skf.initial_state(model, config.x0_hat)
-    x_hat = np.zeros((K, model.n_x))
-    d_hat = np.zeros((K, model.n_d))
-    gamma = np.zeros((K, model.n_y))
-    Pd_diag = np.zeros((K, model.n_d))
-    for k in range(K):
-        state, _ = r4skf.step(state, truth.u[k], truth.y[k], model)
-        x_hat[k] = state.x_hat
-        d_hat[k] = state.d_hat
-        gamma[k] = state.gamma
-        Pd_diag[k] = np.diag(state.Pd)
-    return EstimatorRun(x_hat=x_hat, d_hat=d_hat, gamma=gamma, Pd_diag=Pd_diag)
+    d = sample_signals(config)
+    u = np.zeros((config.n_steps, model.n_u))
+    x, y = simulate(model, config.x0_true, d, np.random.default_rng(seed), u)
+    return TruthTrajectory(t=np.arange(config.n_steps + 1) * model.dt, x=x, d=d, y=y, u=u)
 
 
-def _run_a2kf(config: ScenarioConfig, truth: TruthTrajectory) -> EstimatorRun:
+# Per-estimator steps: (config, state, k, u_k, y_k) -> (state, row), where row
+# is (x_hat, d_hat, gamma[, per-step covariance diagonal]) after step k + 1.
+def _r4skf_step(config, state, k, u, y):
+    state, _ = r4skf.step(state, u, y, config.model)
+    return state, (state.x_hat, state.d_hat, state.gamma, np.diag(state.Pd))
+
+
+def _a2kf_step(config, state, k, u, y):
+    state, report = a2kf.a2kf_step(state, u, y, config.model, config.a2kf_config)
+    return state, (state.x_hat, state.d_hat, report.gamma, np.diag(state.Qd_hat))
+
+
+def _onestep_step(config, x_prev, k, u, y):
     model = config.model
-    K = config.n_steps
-    cfg = config.a2kf_config
-    state = a2kf.initial_state(model, config.x0_hat, cfg=cfg)
-    x_hat = np.zeros((K, model.n_x))
-    d_hat = np.zeros((K, model.n_d))
-    gamma = np.zeros((K, model.n_y))
-    Qd_diag = np.zeros((K, model.n_d))
-    for k in range(K):
-        state, report = a2kf.a2kf_step(state, truth.u[k], truth.y[k], model, cfg)
-        x_hat[k] = state.x_hat
-        d_hat[k] = state.d_hat
-        gamma[k] = report.gamma
-        Qd_diag[k] = np.diag(state.Qd_hat)
-    return EstimatorRun(x_hat=x_hat, d_hat=d_hat, gamma=gamma, Qd_diag=Qd_diag)
+    dm = discretize(model, k * model.dt)
+    C = np.asarray(model.C(k + 1), dtype=float)
+    d_hat, _, gamma = r4skf.estimate_unknown_input(y, r4skf.predict_no_input(x_prev, u, dm), dm, C)
+    x_hat = onestep.one_step_estimate(y, C)
+    return x_hat, (x_hat, d_hat, gamma)
 
 
-def _run_onestep(config: ScenarioConfig, truth: TruthTrajectory) -> EstimatorRun:
+def _uio_init(config):
+    L = config.uio_gain
+    if L is None:
+        L = moore_penrose_pinv(np.asarray(config.model.C(0), dtype=float))
+    return uio.initial_observer_state(config.x0_hat, config.model.n_d), np.asarray(L, dtype=float)
+
+
+def _uio_step(config, state, k, u, y):
+    obs, L = state
     model = config.model
-    K = config.n_steps
-    x_hat = np.zeros((K, model.n_x))
-    d_hat = np.zeros((K, model.n_d))
-    gamma = np.zeros((K, model.n_y))
-    x_prev = np.asarray(config.x0_hat, dtype=float)
-    for k in range(K):
-        t = k * model.dt
-        dm = discretize(model, t)
-        C = np.asarray(model.C(k + 1), dtype=float)
-        x_star = dm.A_d @ x_prev + dm.B_d @ truth.u[k]
-        g = truth.y[k] - C @ x_star
-        d_hat[k] = moore_penrose_pinv(C @ dm.E_d) @ g
-        gamma[k] = g
-        x_hat[k] = onestep.one_step_estimate(truth.y[k], C)
-        x_prev = x_hat[k]
-    return EstimatorRun(x_hat=x_hat, d_hat=d_hat, gamma=gamma)
+    C = np.asarray(model.C(k + 1), dtype=float)
+    obs = uio.observer_step(obs, y, u, discretize(model, k * model.dt), C, L)
+    return (obs, L), (obs.x_hat, obs.d_hat, y - C @ obs.w)
 
 
-def _run_uio(config: ScenarioConfig, truth: TruthTrajectory) -> EstimatorRun:
-    model = config.model
-    K = config.n_steps
-    if config.uio_gain is not None:
-        L = np.asarray(config.uio_gain, dtype=float)
-    else:
-        L = moore_penrose_pinv(np.asarray(model.C(0), dtype=float))
-    state = uio.initial_observer_state(config.x0_hat, model.n_d)
-    x_hat = np.zeros((K, model.n_x))
-    d_hat = np.zeros((K, model.n_d))
-    gamma = np.zeros((K, model.n_y))
-    for k in range(K):
-        t = k * model.dt
-        dm = discretize(model, t)
-        C = np.asarray(model.C(k + 1), dtype=float)
-        gamma[k] = truth.y[k] - C @ (dm.A_d @ state.x_hat + dm.B_d @ truth.u[k])
-        state = uio.observer_step(state, truth.y[k], truth.u[k], dm, C, L)
-        x_hat[k] = state.x_hat
-        d_hat[k] = state.d_hat
-    return EstimatorRun(x_hat=x_hat, d_hat=d_hat, gamma=gamma)
-
-
-_RUNNERS = {
-    "r4skf": _run_r4skf,
-    "a2kf": _run_a2kf,
-    "onestep": _run_onestep,
-    "uio": _run_uio,
+# estimator -> (initial state from the config, step, EstimatorRun field of the diagonal)
+_ESTIMATORS = {
+    "r4skf": (lambda c: r4skf.initial_state(c.model, c.x0_hat), _r4skf_step, "Pd_diag"),
+    "a2kf": (lambda c: a2kf.initial_state(c.model, c.x0_hat, cfg=c.a2kf_config), _a2kf_step, "Qd_diag"),
+    "onestep": (lambda c: np.asarray(c.x0_hat, dtype=float), _onestep_step, None),
+    "uio": (_uio_init, _uio_step, None),
 }
+
+
+def _run_estimator(name: str, config: ScenarioConfig, truth: TruthTrajectory) -> EstimatorRun:
+    """Feed the truth's measurements one by one to an estimator and record its outputs."""
+    init, step, diag_field = _ESTIMATORS[name]
+    model, K = config.model, config.n_steps
+    cols = [np.zeros((K, n)) for n in (model.n_x, model.n_d, model.n_y, model.n_d)]
+    state = init(config)
+    for k in range(K):
+        state, row = step(config, state, k, truth.u[k], truth.y[k])
+        for col, value in zip(cols, row):
+            col[k] = value
+    extra = {diag_field: cols[3]} if diag_field else {}
+    return EstimatorRun(x_hat=cols[0], d_hat=cols[1], gamma=cols[2], **extra)
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
@@ -298,7 +292,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         runs[seed] = {}
         rmse_per_seed[seed] = {}
         for name in config.estimators:
-            run = _RUNNERS[name](config, truth)
+            run = _run_estimator(name, config, truth)
             runs[seed][name] = run
             rmse_per_seed[seed][name] = {
                 "x": rmse(run.x_hat[skip:], truth.x[1:][skip:]),

@@ -9,17 +9,19 @@ Discrete recursion (same first-order discretization as the filter):
     x̂_k  = z_k + L (y_k - C z_k)
 
 No covariance is computed. With L = C^{-1} in the square case the observer
-output equals C^{-1} y exactly.
+output equals C^{-1} y exactly. F_d comes from r4skf.unknown_input_gain, so
+the observer refuses the same rank-deficient steps as the filter, and the
+stability check reads (I - L C) Ā from r4skf.stability_matrices.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 
-from .model import DiscretizedModel, moore_penrose_pinv
+from . import r4skf
+from .model import DiscretizedModel
 
 
 @dataclass(frozen=True)
@@ -43,11 +45,9 @@ def observer_step(
     dm: DiscretizedModel,
     C: np.ndarray,
     L: np.ndarray,
-    F_d: Optional[np.ndarray] = None,
 ) -> ObserverState:
-    """One observer step; F_d defaults to (C E_d)^+."""
-    if F_d is None:
-        F_d = moore_penrose_pinv(C @ dm.E_d)
+    """One observer step with F_d = (C E_d)^+."""
+    F_d = r4skf.unknown_input_gain(C, dm.E_d)
     w = dm.A_d @ state.x_hat + dm.B_d @ np.asarray(u, dtype=float)
     d_hat = F_d @ (y - C @ w)
     z = w + dm.E_d @ d_hat
@@ -60,7 +60,5 @@ def verify_observer_stability(
 ) -> float:
     """Spectral radius of (I - L C) Ā; the observer error dynamics are
     asymptotically stable iff this is below one (constant system)."""
-    n_x = dm.A_d.shape[0]
-    A_bar = (np.eye(n_x) - dm.E_d @ F_d @ C) @ dm.A_d
-    M = (np.eye(n_x) - L @ C) @ A_bar
-    return float(np.max(np.abs(np.linalg.eigvals(M))))
+    _, A_tilde, *_ = r4skf.stability_matrices(dm, C, F_d, L)
+    return float(np.max(np.abs(np.linalg.eigvals(A_tilde))))

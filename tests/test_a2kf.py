@@ -202,3 +202,19 @@ class TestA2KFStep:
         quiescent = np.median(q11[(t > 0.5) & (t < 2.0)])
         peak = q11[np.abs(t - 3.0) <= 0.2].max()
         assert quiescent <= 0.02 * peak
+
+
+class TestConfigValidation:
+    def test_window_below_one_rejected(self):
+        # a zero window used to slice with [-0:] and keep every innovation
+        with pytest.raises(ValueError, match="window"):
+            A2KFConfig(window=0)
+
+    def test_window_of_one_keeps_the_latest_innovation(self):
+        model = scalar_model()
+        cfg = A2KFConfig(window=1)
+        state = a2kf.initial_state(model, np.zeros(1), cfg=cfg)
+        for k in range(5):
+            state, report = a2kf.a2kf_step(state, np.zeros(1), np.array([0.1 * k]), model, cfg)
+        assert len(state.innov_window) == 1
+        assert np.array_equal(state.innov_window[0], report.gamma)

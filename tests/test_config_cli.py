@@ -260,3 +260,22 @@ class TestCliCheck:
         path = write_doc(tmp_path, MINIMAL_DOC)
         assert cli.main(["check", "stability", "--config", path]) == 0
         assert "user" in capsys.readouterr().out
+
+
+class TestRejectedScenarios:
+    def test_a2kf_window_below_one(self):
+        doc = deep_update(MINIMAL_DOC, ("a2kf",), {"window": 0})
+        with pytest.raises(ConfigError, match=r"a2kf\.window"):
+            config.parse_scenario(doc)
+
+    def test_custom_signal_shorter_than_run(self):
+        doc = deep_update(MINIMAL_DOC, ("scenario", "signals"),
+                          [{"kind": "custom", "samples": [1.0, 2.0]}])
+        with pytest.raises(ConfigError, match=r"scenario\.signals\[0\]\.samples"):
+            config.parse_scenario(doc)
+
+    def test_simulate_with_duration_below_dt_exits_1(self, tmp_path, capsys):
+        path = write_doc(tmp_path, deep_update(MINIMAL_DOC, ("scenario", "duration"), 0.004))
+        assert cli.main(["simulate", "--config", path, "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert "config error" in err and "scenario.duration" in err

@@ -261,3 +261,20 @@ class TestCsvOutput:
         cell = path.read_text().strip().splitlines()[5].split(",")[1]
         mantissa = cell.lstrip("-0.").replace(".", "").split("e")[0]
         assert len(mantissa) <= 6
+
+
+class TestScenarioLength:
+    def test_duration_shorter_than_dt_rejected(self):
+        with pytest.raises(ConfigError, match=r"scenario\.duration"):
+            small_config(duration=0.004)
+
+    def test_custom_signal_shorter_than_run_rejected(self):
+        # two samples over ten steps used to hold the last one: [1, 2, 2, ...]
+        spec = SignalSpec(kind="custom", samples=np.array([1.0, 2.0]))
+        with pytest.raises(ConfigError, match=r"scenario\.signals\[0\]\.samples"):
+            small_config(signals=(spec,), duration=0.1)
+
+    def test_custom_signal_with_one_sample_per_step(self):
+        samples = np.arange(10.0)
+        cfg = small_config(signals=(SignalSpec(kind="custom", samples=samples),), duration=0.1)
+        assert np.array_equal(sim.generate_truth(cfg, 0).d[:, 0], samples)
