@@ -72,11 +72,7 @@ class A2KFStepReport:
 def augment(model: SystemModel, t: float = 0.0, k: int = 0, Qd=None) -> AugmentedModel:
     """Assemble the augmented blocks A_a=[A E; 0 0], B_a=[B; 0],
     G_a=[G 0; 0 I], C_a=[C 0], Q_a=blkdiag(Q, Q^d) at time t / step k."""
-    A = np.asarray(model.A(t), dtype=float)
-    B = np.asarray(model.B(t), dtype=float)
-    E = np.asarray(model.E(t), dtype=float)
-    G = np.asarray(model.G(t), dtype=float)
-    Q = np.asarray(model.Q(t), dtype=float)
+    A, B, E, G, Q = [np.asarray(M(t), dtype=float) for M in (model.A, model.B, model.E, model.G, model.Q)]
     C = np.asarray(model.C(k), dtype=float)
     n_x, n_d, n_w, n_y = model.n_x, model.n_d, model.n_w, model.n_y
     if Qd is None:
@@ -123,6 +119,39 @@ def innovation_covariance(innov_window) -> np.ndarray:
     return G.T @ G / len(window)
 
 
+@dataclass
+class StepBlocks:
+    """What one a2kf step reads from the model; constant for a time-invariant
+    model. Q_a is a template whose Q^d block each step overwrites."""
+
+    A_da: np.ndarray                  # I + A_a dt
+    B_da: np.ndarray                  # B_a dt
+    G_a: np.ndarray
+    Q_a: np.ndarray
+    C_a: np.ndarray
+    R: np.ndarray
+    CGQGC: np.ndarray                 # C G Q G^T C^T dt
+    M: np.ndarray                     # (C E_d)^+
+    dt: float
+
+
+def _qd_terms(dm: DiscretizedModel, C: np.ndarray, Q: np.ndarray, G: np.ndarray):
+    """The model terms of the Q^d estimate: C G Q G^T C^T dt and (C E_d)^+."""
+    return C @ G @ Q @ G.T @ C.T * dm.dt, moore_penrose_pinv(C @ dm.E_d)
+
+
+def step_blocks(model: SystemModel, t: float, k: int) -> StepBlocks:
+    """Evaluate the model for the step from time t to measurement k."""
+    am = augment(model, t=t, k=k)
+    dm = discretize(model, t)
+    C = np.asarray(model.C(k), dtype=float)
+    Q = np.asarray(model.Q(t), dtype=float)
+    G = np.asarray(model.G(t), dtype=float)
+    R = np.asarray(model.R(k), dtype=float)
+    A_da = np.eye(model.n_x + model.n_d) + am.A_a * dm.dt
+    return StepBlocks(A_da, am.B_a * dm.dt, am.G_a, am.Q_a, am.C_a, R, *_qd_terms(dm, C, Q, G), dm.dt)
+
+
 def estimate_Qd(
     Cgamma: np.ndarray,
     dm: DiscretizedModel,
@@ -143,8 +172,12 @@ def estimate_Qd(
     C_gamma0 in "pre" mode) only the main diagonal is kept; the diagonal is
     always clamped from below at qd_floor.
     """
-    Cg0 = Cgamma - C @ G @ Q @ G.T @ C.T * dm.dt - R
-    M = moore_penrose_pinv(C @ dm.E_d)
+    return _project_Qd(Cgamma, *_qd_terms(dm, C, Q, G), R, dm.dt, cfg)
+
+
+def _project_Qd(Cgamma, CGQGC, M, R, dt, cfg) -> np.ndarray:
+    """estimate_Qd on precomputed model terms."""
+    Cg0 = Cgamma - CGQGC - R
     Qd = M @ Cg0 @ M.T
     Qd = 0.5 * (Qd + Qd.T)
     if cfg.negative_check == "pre":
@@ -161,7 +194,7 @@ def estimate_Qd(
     lift = np.clip(cfg.qd_floor - d, 0.0, None)
     Qd = Qd + np.diag(lift)
     if cfg.rescale_by_dt:
-        Qd = Qd / dm.dt
+        Qd = Qd / dt
     return Qd
 
 
@@ -175,35 +208,29 @@ def a2kf_step(
     """One predict/update on the augmented system with the current Q^d,
     then a causal refresh of Q^d from the innovation window (the refreshed
     value is first used at the next step)."""
-    k1 = state.k + 1
-    t = state.k * model.dt
-    dt = model.dt
-    n_x, n_d = model.n_x, model.n_d
+    return advance(state, u, y, step_blocks(model, state.k * model.dt, state.k + 1), cfg)
 
-    am = augment(model, t=t, k=k1, Qd=state.Qd_hat)
-    n_a = n_x + n_d
-    A_da = np.eye(n_a) + am.A_a * dt
-    B_da = am.B_a * dt
-    Qproc = am.G_a @ am.Q_a @ am.G_a.T * dt
+
+def advance(
+    state: A2KFState, u: np.ndarray, y: np.ndarray, b: StepBlocks, cfg: A2KFConfig = A2KFConfig()
+) -> Tuple[A2KFState, A2KFStepReport]:
+    """a2kf_step on model blocks b evaluated beforehand (see step_blocks)."""
+    b.Q_a[-len(state.Qd_hat):, -len(state.Qd_hat):] = state.Qd_hat
+    Qproc = b.G_a @ b.Q_a @ b.G_a.T * b.dt
 
     u = np.asarray(u, dtype=float)
     y = np.asarray(y, dtype=float)
 
-    x_pred = A_da @ state.x_a + B_da @ u
-    P_pred = A_da @ state.P_a @ A_da.T + Qproc
-    R = np.asarray(model.R(k1), dtype=float)
-    K = r4skf.kalman_gain(P_pred, am.C_a, R)
-    gamma = y - am.C_a @ x_pred
+    x_pred = b.A_da @ state.x_a + b.B_da @ u
+    P_pred = b.A_da @ state.P_a @ b.A_da.T + Qproc
+    K = r4skf.kalman_gain(P_pred, b.C_a, b.R)
+    gamma = y - b.C_a @ x_pred
     x_new = x_pred + K @ gamma
-    P_new = r4skf.joseph_update(P_pred, K, am.C_a, R)
+    P_new = r4skf.joseph_update(P_pred, K, b.C_a, b.R)
 
     window = (state.innov_window + (gamma,))[-cfg.window:]
-    dm = discretize(model, t)
-    C = np.asarray(model.C(k1), dtype=float)
-    Q = np.asarray(model.Q(t), dtype=float)
-    G = np.asarray(model.G(t), dtype=float)
-    Qd_next = estimate_Qd(innovation_covariance(window), dm, C, Q, G, R, cfg)
+    Qd_next = _project_Qd(innovation_covariance(window), b.CGQGC, b.M, b.R, b.dt, cfg)
 
-    new_state = A2KFState(x_a=x_new, P_a=P_new, innov_window=window, Qd_hat=Qd_next, k=k1)
+    new_state = A2KFState(x_a=x_new, P_a=P_new, innov_window=window, Qd_hat=Qd_next, k=state.k + 1)
     report = A2KFStepReport(gamma=gamma, K=K, Qd_used=state.Qd_hat, x_pred=x_pred)
     return new_state, report

@@ -22,6 +22,19 @@ from .errors import DimensionError
 MatrixLike = Union[np.ndarray, Callable[[float], np.ndarray]]
 
 
+_MATRICES = ("A", "B", "E", "G", "Q", "C", "R")
+
+
+class _Constant:
+    """A matrix given as an array, called like a matrix of time or step index."""
+
+    def __init__(self, arr: np.ndarray):
+        self.arr = arr
+
+    def __call__(self, _arg) -> np.ndarray:
+        return self.arr
+
+
 def _wrap(M, name):
     """Normalize a constant array or callable (of time or step index) to a callable."""
     if callable(M):
@@ -29,7 +42,7 @@ def _wrap(M, name):
     arr = np.asarray(M, dtype=float)
     if arr.ndim != 2:
         raise DimensionError(f"{name} must be a 2-D matrix, got shape {arr.shape}")
-    return lambda _arg, _arr=arr: _arr
+    return _Constant(arr)
 
 
 @dataclass(frozen=True)
@@ -39,6 +52,7 @@ class SystemModel:
     A, B, E, G, Q are callables of continuous time t (constant matrices are
     wrapped automatically); C and R are callables of the measurement step
     index k. All evaluated matrices are treated as immutable.
+    time_invariant is True when every matrix was given as an array.
     """
 
     A: MatrixLike
@@ -58,16 +72,11 @@ class SystemModel:
     def __post_init__(self):
         if self.dt <= 0:
             raise ValueError(f"dt must be positive, got {self.dt}")
-        for name in ("A", "B", "E", "G", "Q", "C", "R"):
+        for name in _MATRICES:
             object.__setattr__(self, name, _wrap(getattr(self, name), name))
 
-        A0 = np.asarray(self.A(0.0), dtype=float)
-        B0 = np.asarray(self.B(0.0), dtype=float)
-        E0 = np.asarray(self.E(0.0), dtype=float)
-        G0 = np.asarray(self.G(0.0), dtype=float)
-        Q0 = np.asarray(self.Q(0.0), dtype=float)
-        C0 = np.asarray(self.C(0), dtype=float)
-        R0 = np.asarray(self.R(0), dtype=float)
+        A0, B0, E0, G0, Q0 = (np.asarray(M(0.0), dtype=float) for M in (self.A, self.B, self.E, self.G, self.Q))
+        C0, R0 = (np.asarray(M(0), dtype=float) for M in (self.C, self.R))
 
         n_x = A0.shape[0]
         if A0.shape != (n_x, n_x):
@@ -102,6 +111,10 @@ class SystemModel:
         object.__setattr__(self, "n_d", n_d)
         object.__setattr__(self, "n_y", n_y)
         object.__setattr__(self, "n_w", n_w)
+
+    @property
+    def time_invariant(self) -> bool:
+        return all(isinstance(getattr(self, name), _Constant) for name in _MATRICES)
 
 
 @dataclass(frozen=True)

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import a2kf, onestep, r4skf, uio
 from .a2kf import A2KFConfig
-from .errors import ConfigError
+from .errors import ConfigError, IllConditionedError, RankConditionError
 from .model import SystemModel, discretize, moore_penrose_pinv
 
 KNOWN_ESTIMATORS = ("r4skf", "a2kf", "onestep", "uio")
@@ -78,6 +78,10 @@ class ScenarioConfig:
             raise ConfigError(
                 f"scenario.signals: expected {self.model.n_d} entries, got {len(self.signals)}"
             )
+        for name in ("x0_true", "x0_hat"):
+            shape = np.shape(getattr(self, name))
+            if shape != (self.model.n_x,):
+                raise ConfigError(f"scenario.{name}: expected {self.model.n_x} values, got shape {shape}")
         for j, spec in enumerate(self.signals):
             if spec.kind == "custom" and spec.samples is not None and len(spec.samples) < self.n_steps:
                 raise ConfigError(
@@ -217,61 +221,108 @@ def generate_truth(config: ScenarioConfig, seed: int) -> TruthTrajectory:
     return TruthTrajectory(t=np.arange(config.n_steps + 1) * model.dt, x=x, d=d, y=y, u=u)
 
 
-# Per-estimator steps: (config, state, k, u_k, y_k) -> (state, row), where row
-# is (x_hat, d_hat, gamma[, per-step covariance diagonal]) after step k + 1.
-def _r4skf_step(config, state, k, u, y):
-    state, _ = r4skf.step(state, u, y, config.model)
-    return state, (state.x_hat, state.d_hat, state.gamma, np.diag(state.Pd))
-
-
-def _a2kf_step(config, state, k, u, y):
-    state, report = a2kf.a2kf_step(state, u, y, config.model, config.a2kf_config)
-    return state, (state.x_hat, state.d_hat, report.gamma, np.diag(state.Qd_hat))
-
-
-def _onestep_step(config, x_prev, k, u, y):
+# Estimator runners, built once per scenario: runner(config) -> (init, step); init() is a
+# seed's initial state, step(state, k, u_k, y_k) -> (state, row) with row = (x_hat, d_hat,
+# gamma[, per-step covariance diagonal]) after step k + 1. On a time-invariant model r4skf
+# and a2kf evaluate the model once; r4skf's covariance and gain sequence, which no
+# measurement enters, is computed once for all seeds.
+def _r4skf_runner(config):
     model = config.model
-    dm = discretize(model, k * model.dt)
-    C = np.asarray(model.C(k + 1), dtype=float)
-    d_hat, _, gamma = r4skf.estimate_unknown_input(y, r4skf.predict_no_input(x_prev, u, dm), dm, C)
-    x_hat = onestep.one_step_estimate(y, C)
-    return x_hat, (x_hat, d_hat, gamma)
+    init = lambda: r4skf.initial_state(model, config.x0_hat)
+    if not model.time_invariant:
+        def step(state, k, u, y):
+            state, _ = r4skf.step(state, u, y, model)
+            return state, (state.x_hat, state.d_hat, state.gamma, np.diag(state.Pd))
+
+        return init, step
+
+    dm = discretize(model, 0.0)
+    C, R, Q, G = (np.asarray(M(0), dtype=float) for M in (model.C, model.R, model.Q, model.G))
+    P, gains, Pd_diags, k = init().P, [], [], 0
+    try:
+        F_d = r4skf.unknown_input_gain(C, dm.E_d)
+        for k in range(config.n_steps):
+            Pd = r4skf.unknown_input_error_cov(P, dm, C, Q, R, F_d, G=G)
+            _, K, _, P = r4skf.gain_and_covariance(P, dm, C, Q, R, F_d, G=G)
+            gains.append(K)
+            Pd_diags.append(np.diag(Pd))
+    except (RankConditionError, IllConditionedError) as exc:
+        raise type(exc)(f"r4skf, step {k + 1}, all seeds (shared covariance sequence): {exc}") from exc
+
+    def step(x_hat, k, u, y):
+        x_star = r4skf.predict_no_input(x_hat, u, dm)
+        gamma = y - C @ x_star
+        d_hat = F_d @ gamma
+        x_hat = r4skf.update(r4skf.predict_with_input(x_star, d_hat, dm), y, gains[k], C)
+        return x_hat, (x_hat, d_hat, gamma, Pd_diags[k])
+
+    return (lambda: init().x_hat), step
 
 
-def _uio_init(config):
+def _a2kf_runner(config):
+    model, cfg = config.model, config.a2kf_config
+    if model.time_invariant:
+        blocks = a2kf.step_blocks(model, 0.0, 1)
+        advance = lambda state, u, y: a2kf.advance(state, u, y, blocks, cfg)
+    else:
+        advance = lambda state, u, y: a2kf.a2kf_step(state, u, y, model, cfg)
+
+    def step(state, k, u, y):
+        state, report = advance(state, u, y)
+        return state, (state.x_hat, state.d_hat, report.gamma, np.diag(state.Qd_hat))
+
+    return (lambda: a2kf.initial_state(model, config.x0_hat, cfg=cfg)), step
+
+
+def _onestep_runner(config):
+    model = config.model
+
+    def step(x_prev, k, u, y):
+        dm = discretize(model, k * model.dt)
+        C = np.asarray(model.C(k + 1), dtype=float)
+        d_hat, _, gamma = r4skf.estimate_unknown_input(y, r4skf.predict_no_input(x_prev, u, dm), dm, C)
+        x_hat = onestep.one_step_estimate(y, C)
+        return x_hat, (x_hat, d_hat, gamma)
+
+    return (lambda: np.asarray(config.x0_hat, dtype=float)), step
+
+
+def _uio_runner(config):
+    model = config.model
     L = config.uio_gain
-    if L is None:
-        L = moore_penrose_pinv(np.asarray(config.model.C(0), dtype=float))
-    return uio.initial_observer_state(config.x0_hat, config.model.n_d), np.asarray(L, dtype=float)
+    L = np.asarray(moore_penrose_pinv(np.asarray(model.C(0), dtype=float)) if L is None else L, dtype=float)
+
+    def step(obs, k, u, y):
+        C = np.asarray(model.C(k + 1), dtype=float)
+        obs = uio.observer_step(obs, y, u, discretize(model, k * model.dt), C, L)
+        return obs, (obs.x_hat, obs.d_hat, y - C @ obs.w)
+
+    return (lambda: uio.initial_observer_state(config.x0_hat, model.n_d)), step
 
 
-def _uio_step(config, state, k, u, y):
-    obs, L = state
-    model = config.model
-    C = np.asarray(model.C(k + 1), dtype=float)
-    obs = uio.observer_step(obs, y, u, discretize(model, k * model.dt), C, L)
-    return (obs, L), (obs.x_hat, obs.d_hat, y - C @ obs.w)
-
-
-# estimator -> (initial state from the config, step, EstimatorRun field of the diagonal)
+# estimator -> (runner, EstimatorRun field of the per-step diagonal)
 _ESTIMATORS = {
-    "r4skf": (lambda c: r4skf.initial_state(c.model, c.x0_hat), _r4skf_step, "Pd_diag"),
-    "a2kf": (lambda c: a2kf.initial_state(c.model, c.x0_hat, cfg=c.a2kf_config), _a2kf_step, "Qd_diag"),
-    "onestep": (lambda c: np.asarray(c.x0_hat, dtype=float), _onestep_step, None),
-    "uio": (_uio_init, _uio_step, None),
+    "r4skf": (_r4skf_runner, "Pd_diag"),
+    "a2kf": (_a2kf_runner, "Qd_diag"),
+    "onestep": (_onestep_runner, None),
+    "uio": (_uio_runner, None),
 }
 
 
-def _run_estimator(name: str, config: ScenarioConfig, truth: TruthTrajectory) -> EstimatorRun:
+def _run_estimator(name: str, runner, config: ScenarioConfig, truth: TruthTrajectory, seed: int) -> EstimatorRun:
     """Feed the truth's measurements one by one to an estimator and record its outputs."""
-    init, step, diag_field = _ESTIMATORS[name]
+    init, step = runner
     model, K = config.model, config.n_steps
     cols = [np.zeros((K, n)) for n in (model.n_x, model.n_d, model.n_y, model.n_d)]
-    state = init(config)
-    for k in range(K):
-        state, row = step(config, state, k, truth.u[k], truth.y[k])
-        for col, value in zip(cols, row):
-            col[k] = value
+    state = init()
+    try:
+        for k in range(K):
+            state, row = step(state, k, truth.u[k], truth.y[k])
+            for col, value in zip(cols, row):
+                col[k] = value
+    except (RankConditionError, IllConditionedError) as exc:
+        raise type(exc)(f"{name}, seed {seed}, step {k + 1}: {exc}") from exc
+    diag_field = _ESTIMATORS[name][1]
     extra = {diag_field: cols[3]} if diag_field else {}
     return EstimatorRun(x_hat=cols[0], d_hat=cols[1], gamma=cols[2], **extra)
 
@@ -282,6 +333,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     model = config.model
     # keep at least one sample when the horizon is shorter than the burn-in
     skip = min(int(round(config.rmse_skip / model.dt)), config.n_steps - 1)
+    runners = {name: _ESTIMATORS[name][0](config) for name in config.estimators}
     truths: Dict[int, TruthTrajectory] = {}
     runs: Dict[int, Dict[str, EstimatorRun]] = {}
     rmse_per_seed: Dict[int, Dict[str, Dict[str, np.ndarray]]] = {}
@@ -292,7 +344,7 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
         runs[seed] = {}
         rmse_per_seed[seed] = {}
         for name in config.estimators:
-            run = _run_estimator(name, config, truth)
+            run = _run_estimator(name, runners[name], config, truth, seed)
             runs[seed][name] = run
             rmse_per_seed[seed][name] = {
                 "x": rmse(run.x_hat[skip:], truth.x[1:][skip:]),
