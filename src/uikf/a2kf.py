@@ -15,7 +15,8 @@ from typing import Tuple
 import numpy as np
 
 from . import r4skf
-from .model import DiscretizedModel, SystemModel, discretize, moore_penrose_pinv
+# discretize stays importable from this module as part of its namespace
+from .model import DiscretizedModel, SystemModel, discretize, moore_penrose_pinv  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -74,18 +75,21 @@ def augment(model: SystemModel, t: float = 0.0, k: int = 0, Qd=None) -> Augmente
     G_a=[G 0; 0 I], C_a=[C 0], Q_a=blkdiag(Q, Q^d) at time t / step k."""
     A, B, E, G, Q = [np.asarray(M(t), dtype=float) for M in (model.A, model.B, model.E, model.G, model.Q)]
     C = np.asarray(model.C(k), dtype=float)
-    n_x, n_d, n_w, n_y = model.n_x, model.n_d, model.n_w, model.n_y
-    if Qd is None:
-        Qd = np.zeros((n_d, n_d))
-    A_a = np.block([[A, E], [np.zeros((n_d, n_x)), np.zeros((n_d, n_d))]])
-    B_a = np.vstack([B, np.zeros((n_d, model.n_u))])
-    G_a = np.block(
-        [[G, np.zeros((n_x, n_d))], [np.zeros((n_d, n_w)), np.eye(n_d)]]
-    )
-    C_a = np.hstack([C, np.zeros((n_y, n_d))])
-    Q_a = np.block(
-        [[Q, np.zeros((n_w, n_d))], [np.zeros((n_d, n_w)), np.asarray(Qd, dtype=float)]]
-    )
+    n_x, n_d, n_w = model.n_x, model.n_d, model.n_w
+    A_a = np.zeros((n_x + n_d, n_x + n_d))
+    A_a[:n_x, :n_x] = A
+    A_a[:n_x, n_x:] = E
+    B_a = np.zeros((n_x + n_d, model.n_u))
+    B_a[:n_x] = B
+    G_a = np.zeros((n_x + n_d, n_w + n_d))
+    G_a[:n_x, :n_w] = G
+    G_a[n_x:, n_w:] = np.eye(n_d)
+    C_a = np.zeros((model.n_y, n_x + n_d))
+    C_a[:, :n_x] = C
+    Q_a = np.zeros((n_w + n_d, n_w + n_d))
+    Q_a[:n_w, :n_w] = Q
+    if Qd is not None:
+        Q_a[n_w:, n_w:] = Qd
     return AugmentedModel(A_a=A_a, B_a=B_a, G_a=G_a, C_a=C_a, Q_a=Q_a)
 
 
@@ -135,21 +139,20 @@ class StepBlocks:
     dt: float
 
 
-def _qd_terms(dm: DiscretizedModel, C: np.ndarray, Q: np.ndarray, G: np.ndarray):
+def _qd_terms(C: np.ndarray, E_d: np.ndarray, Q: np.ndarray, G: np.ndarray, dt: float):
     """The model terms of the Q^d estimate: C G Q G^T C^T dt and (C E_d)^+."""
-    return C @ G @ Q @ G.T @ C.T * dm.dt, moore_penrose_pinv(C @ dm.E_d)
+    return C @ G @ Q @ G.T @ C.T * dt, moore_penrose_pinv(C @ E_d)
 
 
 def step_blocks(model: SystemModel, t: float, k: int) -> StepBlocks:
-    """Evaluate the model for the step from time t to measurement k."""
+    """Evaluate the model once for the step from time t to measurement k;
+    E_d, C, G and Q are read back from the augmented blocks."""
+    n_x, n_w, dt = model.n_x, model.n_w, model.dt
     am = augment(model, t=t, k=k)
-    dm = discretize(model, t)
-    C = np.asarray(model.C(k), dtype=float)
-    Q = np.asarray(model.Q(t), dtype=float)
-    G = np.asarray(model.G(t), dtype=float)
+    A_da = np.eye(n_x + model.n_d) + am.A_a * dt
+    E_d, C, G, Q = A_da[:n_x, n_x:], am.C_a[:, :n_x], am.G_a[:n_x, :n_w], am.Q_a[:n_w, :n_w]
     R = np.asarray(model.R(k), dtype=float)
-    A_da = np.eye(model.n_x + model.n_d) + am.A_a * dm.dt
-    return StepBlocks(A_da, am.B_a * dm.dt, am.G_a, am.Q_a, am.C_a, R, *_qd_terms(dm, C, Q, G), dm.dt)
+    return StepBlocks(A_da, am.B_a * dt, am.G_a, am.Q_a, am.C_a, R, *_qd_terms(C, E_d, Q, G, dt), dt)
 
 
 def estimate_Qd(
@@ -172,7 +175,7 @@ def estimate_Qd(
     C_gamma0 in "pre" mode) only the main diagonal is kept; the diagonal is
     always clamped from below at qd_floor.
     """
-    return _project_Qd(Cgamma, *_qd_terms(dm, C, Q, G), R, dm.dt, cfg)
+    return _project_Qd(Cgamma, *_qd_terms(C, dm.E_d, Q, G, dm.dt), R, dm.dt, cfg)
 
 
 def _project_Qd(Cgamma, CGQGC, M, R, dt, cfg) -> np.ndarray:

@@ -11,7 +11,8 @@ the linear four-step filter. The pieces that do not depend on the
 linearization are r4skf's own: the rank-checked extraction gain
 (unknown_input_gain), the Kalman gain with its singular-S check
 (kalman_gain), the Joseph update (joseph_update), the unknown-input error
-covariance and the stability matrices.
+covariance and the stability matrices (computed when the report's A_bar /
+A_tilde is read).
 """
 
 from __future__ import annotations
@@ -158,17 +159,7 @@ def cd_four_step(
     x_hat = x_pred + K @ innov
     P_post = r4skf.joseph_update(P_pred, L, C, R)
     Pd = r4skf.unknown_input_error_cov(state.P, dm, C, Q, R, F_d, G=G)
-    A_bar, A_tilde, *_ = r4skf.stability_matrices(dm, C, F_d, K)
 
     new_state = FilterState(x_hat=x_hat, P=P_post, d_hat=d_hat, Pd=Pd, gamma=gamma, k=state.k + 1)
-    report = StepReport(
-        x_star=x_star,
-        x_pred=x_pred,
-        d_hat=d_hat,
-        F_d=F_d,
-        K=K,
-        L=L,
-        A_bar=A_bar,
-        A_tilde=A_tilde,
-    )
+    report = StepReport(x_star=x_star, x_pred=x_pred, d_hat=d_hat, F_d=F_d, K=K, L=L, dm=dm, C=C)
     return new_state, report

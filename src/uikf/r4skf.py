@@ -40,7 +40,9 @@ class FilterState:
 
 @dataclass(frozen=True)
 class StepReport:
-    """Intermediate quantities of one filter step, for diagnostics."""
+    """Intermediate quantities of one filter step, for diagnostics. The
+    error-dynamics matrices Ā and Ã are computed from dm, C, F_d and K
+    only when they are read."""
 
     x_star: np.ndarray
     x_pred: np.ndarray
@@ -48,8 +50,16 @@ class StepReport:
     F_d: np.ndarray
     K: np.ndarray
     L: np.ndarray
-    A_bar: np.ndarray
-    A_tilde: np.ndarray
+    dm: DiscretizedModel
+    C: np.ndarray
+
+    @property
+    def A_bar(self) -> np.ndarray:
+        return stability_matrices(self.dm, self.C, self.F_d, self.K)[0]
+
+    @property
+    def A_tilde(self) -> np.ndarray:
+        return stability_matrices(self.dm, self.C, self.F_d, self.K)[1]
 
 
 def initial_state(model: SystemModel, x0_hat, P0=None, Pd0=None) -> FilterState:
@@ -136,7 +146,12 @@ def kalman_gain(P_pred: np.ndarray, C: np.ndarray, R: np.ndarray) -> np.ndarray:
     """K = P C^T S^{-1} with S = C P C^T + R, refused when S is numerically singular."""
     S = C @ P_pred @ C.T + R
     S = 0.5 * (S + S.T)
-    if 1.0 / np.linalg.cond(S) < RCOND_FLOOR:
+    # the |eigenvalues| of the symmetric S are its singular values, so this is
+    # the 2-norm test 1 / cond(S) > RCOND_FLOOR without an SVD
+    w = np.abs(np.linalg.eigvalsh(S))
+    if not w.min() > RCOND_FLOOR * w.max():
+        if np.isnan(S).any():
+            raise np.linalg.LinAlgError("innovation covariance C P C^T + R contains NaN")
         raise IllConditionedError(
             "innovation covariance C P C^T + R is numerically singular"
         )
@@ -234,17 +249,7 @@ def step(
     _, K, L, P_post = gain_and_covariance(state.P, dm, C, Q, R, F_d, G=G)
     K_used = K if gain_override is None else np.asarray(gain_override, dtype=float)
     x_hat = update(x_pred, y, K_used, C)
-    A_bar, A_tilde, *_ = stability_matrices(dm, C, F_d, K_used)
 
     new_state = FilterState(x_hat=x_hat, P=P_post, d_hat=d_hat, Pd=Pd, gamma=gamma, k=k1)
-    report = StepReport(
-        x_star=x_star,
-        x_pred=x_pred,
-        d_hat=d_hat,
-        F_d=F_d,
-        K=K_used,
-        L=L,
-        A_bar=A_bar,
-        A_tilde=A_tilde,
-    )
+    report = StepReport(x_star=x_star, x_pred=x_pred, d_hat=d_hat, F_d=F_d, K=K_used, L=L, dm=dm, C=C)
     return new_state, report

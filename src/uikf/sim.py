@@ -82,6 +82,10 @@ class ScenarioConfig:
             shape = np.shape(getattr(self, name))
             if shape != (self.model.n_x,):
                 raise ConfigError(f"scenario.{name}: expected {self.model.n_x} values, got shape {shape}")
+        if self.uio_gain is not None and np.shape(self.uio_gain) != (self.model.n_x, self.model.n_y):
+            raise ConfigError(
+                f"uio.gain: expected shape ({self.model.n_x}, {self.model.n_y}), got {np.shape(self.uio_gain)}"
+            )
         for j, spec in enumerate(self.signals):
             if spec.kind == "custom" and spec.samples is not None and len(spec.samples) < self.n_steps:
                 raise ConfigError(
@@ -182,14 +186,16 @@ def simulate(
     x[0] = np.asarray(x0, dtype=float)
     y = np.zeros((K, model.n_y))
 
-    # keep the keyed array alive so id() stays a valid cache key
-    factors: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
+    # the last (matrix, factor) pair of Q and of R: refactored only when the model
+    # returns a different array object than at the previous step
+    last = {"Q": (None, None), "R": (None, None)}
 
-    def factor_of(M: np.ndarray) -> np.ndarray:
-        key = id(M)
-        if key not in factors:
-            factors[key] = (M, cov_factor(M))
-        return factors[key][1]
+    def factor_of(name: str, M: np.ndarray) -> np.ndarray:
+        prev, factor = last[name]
+        if M is not prev:
+            factor = cov_factor(M)
+            last[name] = (M, factor)
+        return factor
 
     for k in range(K):
         t = k * dt
@@ -198,7 +204,7 @@ def simulate(
         E = np.asarray(model.E(t), dtype=float)
         G = np.asarray(model.G(t), dtype=float)
         Q = np.asarray(model.Q(t), dtype=float)
-        w = factor_of(Q) @ rng.standard_normal(model.n_w) / math.sqrt(dt)
+        w = factor_of("Q", Q) @ rng.standard_normal(model.n_w) / math.sqrt(dt)
         drift = A @ x[k] + B @ u[k] + E @ d[k]
         x[k + 1] = x[k] + dt * drift + G @ w * dt
         if not np.all(np.isfinite(x[k + 1])):
@@ -207,7 +213,7 @@ def simulate(
             )
         C = np.asarray(model.C(k + 1), dtype=float)
         R = np.asarray(model.R(k + 1), dtype=float)
-        v = factor_of(R) @ rng.standard_normal(model.n_y)
+        v = factor_of("R", R) @ rng.standard_normal(model.n_y)
         y[k] = C @ x[k + 1] + v
     return x, y
 
