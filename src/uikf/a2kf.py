@@ -5,6 +5,10 @@ covariance Q^d and appended to the state. A standard Kalman filter runs on
 the augmented system while Q^d is re-estimated every step from a short
 window of innovations: the excess innovation covariance (what process and
 measurement noise cannot explain) is mapped back through (C E_d)^+.
+
+advance, innovation_covariance and the Q^d projection also run on states
+stacked along leading axes (one row per seed): x_a (S, n_a), P_a
+(S, n_a, n_a), the innovation window (S, N, n_y) and Q^d (S, n_d, n_d).
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ from typing import Tuple
 import numpy as np
 
 from . import r4skf
+from .r4skf import matvec
 # discretize stays importable from this module as part of its namespace
 from .model import DiscretizedModel, SystemModel, discretize, moore_penrose_pinv  # noqa: F401
 
@@ -47,19 +52,19 @@ class AugmentedModel:
 class A2KFState:
     x_a: np.ndarray                   # [x; d]
     P_a: np.ndarray
-    innov_window: Tuple[np.ndarray, ...]
+    innov_window: np.ndarray          # (N, n_y), the last N innovations, oldest first
     Qd_hat: np.ndarray
     k: int
 
     @property
     def d_hat(self) -> np.ndarray:
-        n_d = self.Qd_hat.shape[0]
-        return self.x_a[-n_d:]
+        n_d = self.Qd_hat.shape[-1]
+        return self.x_a[..., -n_d:]
 
     @property
     def x_hat(self) -> np.ndarray:
-        n_d = self.Qd_hat.shape[0]
-        return self.x_a[:-n_d]
+        n_d = self.Qd_hat.shape[-1]
+        return self.x_a[..., :-n_d]
 
 
 @dataclass(frozen=True)
@@ -108,25 +113,26 @@ def initial_state(model: SystemModel, x0_hat, P0=None, cfg: A2KFConfig = A2KFCon
     return A2KFState(
         x_a=x_a,
         P_a=P_a,
-        innov_window=(),
+        innov_window=np.zeros((0, model.n_y)),
         Qd_hat=cfg.qd_init * np.eye(n_d),
         k=0,
     )
 
 
 def innovation_covariance(innov_window) -> np.ndarray:
-    """Sample second moment (1/N) sum gamma gamma^T over the window."""
-    window = tuple(innov_window)
-    if len(window) == 0:
+    """Sample second moment (1/N) sum gamma gamma^T over the window: a
+    sequence of N innovations or an array (..., N, n_y)."""
+    G = np.asarray(innov_window, dtype=float)
+    if G.size == 0:
         raise ValueError("innovation window is empty")
-    G = np.stack(window)
-    return G.T @ G / len(window)
+    # G^T G on a swapped view of G is one syrk per window
+    return G.swapaxes(-1, -2) @ G / G.shape[-2]
 
 
 @dataclass
 class StepBlocks:
     """What one a2kf step reads from the model; constant for a time-invariant
-    model. Q_a is a template whose Q^d block each step overwrites."""
+    model. Q_a has a zero Q^d block; each step fills a copy with its Q^d."""
 
     A_da: np.ndarray                  # I + A_a dt
     B_da: np.ndarray                  # B_a dt
@@ -179,23 +185,28 @@ def estimate_Qd(
 
 
 def _project_Qd(Cgamma, CGQGC, M, R, dt, cfg) -> np.ndarray:
-    """estimate_Qd on precomputed model terms."""
+    """estimate_Qd on precomputed model terms; Cgamma may be a stack
+    (..., n_y, n_y), and the diagonal fallback is decided per matrix."""
     Cg0 = Cgamma - CGQGC - R
     Qd = M @ Cg0 @ M.T
-    Qd = 0.5 * (Qd + Qd.T)
+    Qd = 0.5 * (Qd + Qd.swapaxes(-1, -2))
+    n_d = Qd.shape[-1]
     if cfg.negative_check == "pre":
-        triggered = bool((Cg0 < 0).any())
+        triggered = (Cg0 < 0).any(axis=(-2, -1))
     else:
-        triggered = bool((np.diag(Qd) < 0).any())
-    if not triggered and Qd.shape[0] > 1:
+        triggered = (Qd.diagonal(0, -2, -1) < 0).any(axis=-1)
+    if n_d > 1 and not triggered.all():
         # off-diagonal dominance can leave an indefinite matrix even with a
-        # non-negative diagonal; fall back to the diagonal to stay PSD
-        triggered = bool(np.linalg.eigvalsh(Qd).min() < 0)
-    if triggered:
-        Qd = np.diag(np.diag(Qd))
-    d = np.diag(Qd).copy()
-    lift = np.clip(cfg.qd_floor - d, 0.0, None)
-    Qd = Qd + np.diag(lift)
+        # non-negative diagonal; fall back to the diagonal to stay PSD;
+        # eigvalsh runs only on the matrices not caught above
+        rest = ~triggered
+        triggered = np.array(triggered)
+        triggered[rest] = np.linalg.eigvalsh(Qd[rest]).min(axis=-1) < 0
+    eye = np.eye(n_d)
+    if triggered.any():
+        Qd = np.where(triggered[..., None, None] & (eye == 0.0), 0.0, Qd)
+    lift = np.clip(cfg.qd_floor - Qd.diagonal(0, -2, -1), 0.0, None)
+    Qd = Qd + lift[..., None] * eye
     if cfg.rescale_by_dt:
         Qd = Qd / dt
     return Qd
@@ -217,21 +228,26 @@ def a2kf_step(
 def advance(
     state: A2KFState, u: np.ndarray, y: np.ndarray, b: StepBlocks, cfg: A2KFConfig = A2KFConfig()
 ) -> Tuple[A2KFState, A2KFStepReport]:
-    """a2kf_step on model blocks b evaluated beforehand (see step_blocks)."""
-    b.Q_a[-len(state.Qd_hat):, -len(state.Qd_hat):] = state.Qd_hat
-    Qproc = b.G_a @ b.Q_a @ b.G_a.T * b.dt
+    """a2kf_step on model blocks b evaluated beforehand (see step_blocks).
+    The state may be a stack along leading axes; u and y then carry the
+    same leading axes."""
+    n_d = state.Qd_hat.shape[-1]
+    Q_a = np.empty(state.Qd_hat.shape[:-2] + b.Q_a.shape)
+    Q_a[...] = b.Q_a
+    Q_a[..., -n_d:, -n_d:] = state.Qd_hat
+    Qproc = b.G_a @ Q_a @ b.G_a.T * b.dt
 
     u = np.asarray(u, dtype=float)
     y = np.asarray(y, dtype=float)
 
-    x_pred = b.A_da @ state.x_a + b.B_da @ u
+    x_pred = matvec(b.A_da, state.x_a) + matvec(b.B_da, u)
     P_pred = b.A_da @ state.P_a @ b.A_da.T + Qproc
     K = r4skf.kalman_gain(P_pred, b.C_a, b.R)
-    gamma = y - b.C_a @ x_pred
-    x_new = x_pred + K @ gamma
+    gamma = y - matvec(b.C_a, x_pred)
+    x_new = x_pred + matvec(K, gamma)
     P_new = r4skf.joseph_update(P_pred, K, b.C_a, b.R)
 
-    window = (state.innov_window + (gamma,))[-cfg.window:]
+    window = np.concatenate([state.innov_window, gamma[..., None, :]], axis=-2)[..., -cfg.window:, :]
     Qd_next = _project_Qd(innovation_covariance(window), b.CGQGC, b.M, b.R, b.dt, cfg)
 
     new_state = A2KFState(x_a=x_new, P_a=P_new, innov_window=window, Qd_hat=Qd_next, k=state.k + 1)

@@ -10,6 +10,12 @@ Per measurement the filter runs:
 
 with a Joseph-form covariance update built on the combined gain
 L = K + (I - K C) E_d F_d, which keeps P symmetric PSD for any gain.
+
+The state-recursion pieces (predict_no_input, predict_with_input, update,
+kalman_gain, joseph_update) also take stacks with leading axes, e.g. one
+row per Monte-Carlo seed. Every product in a stack is the same BLAS call
+(gemv, gemm, syrk) as for a single problem, so each row is bitwise equal to
+the unstacked result; see matvec.
 """
 
 from __future__ import annotations
@@ -79,13 +85,21 @@ def initial_state(model: SystemModel, x0_hat, P0=None, Pd0=None) -> FilterState:
     )
 
 
+def matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """M x over the leading axes of x (and of M): one gemv per row, as for a
+    single vector. X @ M.T would be one gemm over all rows, which rounds
+    differently."""
+    return M @ x if x.ndim == 1 else (M @ x[..., None])[..., 0]
+
+
 def predict_no_input(x_hat: np.ndarray, u: np.ndarray, dm: DiscretizedModel) -> np.ndarray:
     """Step 1: propagate the estimate assuming d = 0."""
-    if x_hat.shape[0] != dm.A_d.shape[0]:
+    if x_hat.shape[-1] != dm.A_d.shape[0]:
         raise DimensionError("x_hat does not match A_d")
-    if u.shape[0] != dm.B_d.shape[1]:
+    if u.shape[-1] != dm.B_d.shape[1]:
         raise DimensionError("u does not match B_d")
-    return dm.A_d @ x_hat + dm.B_d @ u
+    return matvec(dm.A_d, x_hat) + matvec(dm.B_d, u)
+
 
 def unknown_input_gain(C: np.ndarray, E_d: np.ndarray, tol: float = 1e-10) -> np.ndarray:
     """F_d = (C E_d)^+, after checking rank(C E_d) = n_d on the same SVD."""
@@ -117,7 +131,7 @@ def estimate_unknown_input(
 
 def predict_with_input(x_star: np.ndarray, d_hat: np.ndarray, dm: DiscretizedModel) -> np.ndarray:
     """Step 3: correct the prediction with the freshly estimated input."""
-    return x_star + dm.E_d @ d_hat
+    return x_star + matvec(dm.E_d, d_hat)
 
 
 def gain_and_covariance(
@@ -143,31 +157,38 @@ def gain_and_covariance(
 
 
 def kalman_gain(P_pred: np.ndarray, C: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """K = P C^T S^{-1} with S = C P C^T + R, refused when S is numerically singular."""
+    """K = P C^T S^{-1} with S = C P C^T + R, refused when S is numerically singular.
+
+    On a stack of P the error raised for the first refused S carries its
+    flat position in the stack as ``index``.
+    """
     S = C @ P_pred @ C.T + R
-    S = 0.5 * (S + S.T)
+    S = 0.5 * (S + S.swapaxes(-1, -2))
     # the |eigenvalues| of the symmetric S are its singular values, so this is
     # the 2-norm test 1 / cond(S) > RCOND_FLOOR without an SVD
     w = np.abs(np.linalg.eigvalsh(S))
-    if not w.min() > RCOND_FLOOR * w.max():
-        if np.isnan(S).any():
-            raise np.linalg.LinAlgError("innovation covariance C P C^T + R contains NaN")
-        raise IllConditionedError(
-            "innovation covariance C P C^T + R is numerically singular"
-        )
-    return np.linalg.solve(S, C @ P_pred).T
+    ok = w.min(axis=-1) > RCOND_FLOOR * w.max(axis=-1)
+    if not ok.all():
+        i = int(np.argmin(ok))          # the first refused S
+        if np.isnan(S.reshape(-1, *S.shape[-2:])[i]).any():
+            exc = np.linalg.LinAlgError("innovation covariance C P C^T + R contains NaN")
+        else:
+            exc = IllConditionedError("innovation covariance C P C^T + R is numerically singular")
+        exc.index = i
+        raise exc
+    return np.linalg.solve(S, C @ P_pred).swapaxes(-1, -2)
 
 
 def joseph_update(P_pred: np.ndarray, L: np.ndarray, C: np.ndarray, R: np.ndarray) -> np.ndarray:
     """Joseph-form update (I - L C) P (I - L C)^T + L R L^T, symmetric PSD for any gain L."""
-    ImLC = np.eye(P_pred.shape[0]) - L @ C
-    P_post = ImLC @ P_pred @ ImLC.T + L @ R @ L.T
-    return 0.5 * (P_post + P_post.T)
+    ImLC = np.eye(P_pred.shape[-1]) - L @ C
+    P_post = ImLC @ P_pred @ ImLC.swapaxes(-1, -2) + L @ R @ L.swapaxes(-1, -2)
+    return 0.5 * (P_post + P_post.swapaxes(-1, -2))
 
 
 def update(x_pred: np.ndarray, y: np.ndarray, K: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Step 4: measurement update of the input-corrected prediction."""
-    return x_pred + K @ (y - C @ x_pred)
+    return x_pred + matvec(K, y - matvec(C, x_pred))
 
 
 def stability_matrices(

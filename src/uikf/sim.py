@@ -11,15 +11,16 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from dataclasses import dataclass, fields, replace
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import a2kf, onestep, r4skf, uio
 from .a2kf import A2KFConfig
 from .errors import ConfigError, IllConditionedError, RankConditionError
-from .model import SystemModel, discretize, moore_penrose_pinv
+from .model import SystemModel, _Constant, discretize, moore_penrose_pinv
+from .r4skf import matvec
 
 KNOWN_ESTIMATORS = ("r4skf", "a2kf", "onestep", "uio")
 
@@ -168,6 +169,28 @@ def cov_factor(M: np.ndarray) -> np.ndarray:
         return V * np.sqrt(np.clip(w, 0.0, None))
 
 
+def _at(M, args, f=None) -> np.ndarray:
+    """M evaluated at each of args and stacked (f(M) with f given); a matrix
+    given as an array is evaluated once and broadcasts over the steps. f runs
+    again only when the value of M changes, and the evaluated matrices are
+    not kept."""
+    if isinstance(M, _Constant) or len(args) == 0:
+        M0 = np.asarray(M(0), dtype=float)
+        return M0 if f is None else f(M0)
+    out = prev = value = None
+    for i, a in enumerate(args):
+        Mk = np.asarray(M(a), dtype=float)
+        if f is None:
+            value = Mk
+        elif prev is None or not (Mk is prev or np.array_equal(Mk, prev)):
+            value = f(Mk)
+        prev = Mk
+        if out is None:
+            out = np.empty((len(args),) + value.shape)
+        out[i] = value
+    return out
+
+
 def simulate(
     model: SystemModel, x0, d: np.ndarray, rng: np.random.Generator, u: Optional[np.ndarray] = None
 ) -> Tuple[np.ndarray, np.ndarray]:
@@ -177,44 +200,35 @@ def simulate(
     d[k] and u[k] (zero when omitted) drive the step from t_k to t_{k+1}.
     Returns the states x (K+1, n_x), starting at x0, and the measurements
     y (K, n_y), y[k] taken at t_{k+1}.
+
+    Step k draws n_w process-noise then n_y measurement-noise normals; they
+    are drawn as one (K, n_w + n_y) block, which is the same stream. The
+    noise and input terms are formed before the loop, one gemv per step.
     """
     K = d.shape[0]
-    dt = model.dt
+    dt, n_x, n_w = model.dt, model.n_x, model.n_w
     if u is None:
         u = np.zeros((K, model.n_u))
-    x = np.zeros((K + 1, model.n_x))
+    t = [k * dt for k in range(K)]
+    z = rng.standard_normal((K, n_w + model.n_y))
+    w = matvec(_at(model.Q, t, cov_factor), z[:, :n_w]) / math.sqrt(dt)
+    g = matvec(_at(model.G, t), w) * dt
+    bu = matvec(_at(model.B, t), u)
+    ed = matvec(_at(model.E, t), d)
+    A = np.broadcast_to(_at(model.A, t), (K, n_x, n_x))
+
+    x = np.zeros((K + 1, n_x))
     x[0] = np.asarray(x0, dtype=float)
-    y = np.zeros((K, model.n_y))
-
-    # the last (matrix, factor) pair of Q and of R: refactored only when the model
-    # returns a different array object than at the previous step
-    last = {"Q": (None, None), "R": (None, None)}
-
-    def factor_of(name: str, M: np.ndarray) -> np.ndarray:
-        prev, factor = last[name]
-        if M is not prev:
-            factor = cov_factor(M)
-            last[name] = (M, factor)
-        return factor
-
-    for k in range(K):
-        t = k * dt
-        A = np.asarray(model.A(t), dtype=float)
-        B = np.asarray(model.B(t), dtype=float)
-        E = np.asarray(model.E(t), dtype=float)
-        G = np.asarray(model.G(t), dtype=float)
-        Q = np.asarray(model.Q(t), dtype=float)
-        w = factor_of("Q", Q) @ rng.standard_normal(model.n_w) / math.sqrt(dt)
-        drift = A @ x[k] + B @ u[k] + E @ d[k]
-        x[k + 1] = x[k] + dt * drift + G @ w * dt
-        if not np.all(np.isfinite(x[k + 1])):
-            raise FloatingPointError(
-                f"truth diverged to non-finite values at step {k + 1}"
-            )
-        C = np.asarray(model.C(k + 1), dtype=float)
-        R = np.asarray(model.R(k + 1), dtype=float)
-        v = factor_of("R", R) @ rng.standard_normal(model.n_y)
-        y[k] = C @ x[k + 1] + v
+    with np.errstate(over="ignore", invalid="ignore"):
+        for k in range(K):
+            x[k + 1] = x[k] + dt * (A[k] @ x[k] + bu[k] + ed[k]) + g[k]
+    diverged = np.flatnonzero(~np.isfinite(x[1:]).all(axis=1))
+    if diverged.size:
+        exc = FloatingPointError(f"truth diverged to non-finite values at step {diverged[0] + 1}")
+        exc.step = int(diverged[0]) + 1
+        raise exc
+    steps = range(1, K + 1)
+    y = matvec(_at(model.C, steps), x[1:]) + matvec(_at(model.R, steps, cov_factor), z[:, n_w:])
     return x, y
 
 
@@ -227,11 +241,45 @@ def generate_truth(config: ScenarioConfig, seed: int) -> TruthTrajectory:
     return TruthTrajectory(t=np.arange(config.n_steps + 1) * model.dt, x=x, d=d, y=y, u=u)
 
 
-# Estimator runners, built once per scenario: runner(config) -> (init, step); init() is a
-# seed's initial state, step(state, k, u_k, y_k) -> (state, row) with row = (x_hat, d_hat,
-# gamma[, per-step covariance diagonal]) after step k + 1. On a time-invariant model r4skf
-# and a2kf evaluate the model once; r4skf's covariance and gain sequence, which no
-# measurement enters, is computed once for all seeds.
+# Estimator runners, built once per scenario: runner(config) -> (init, step). All seeds
+# advance together: init(n) is the state of n seeds and step(state, k, u, y) takes u_k and
+# y_k of every seed, (n, n_u) and (n, n_y), and returns (state, row) with row = (x_hat,
+# d_hat, gamma[, per-step covariance diagonal]) of every seed after step k + 1. On a
+# time-invariant model r4skf, a2kf and uio evaluate the model once and keep one state
+# stacked along a leading seed axis; r4skf's covariance and gain sequence, which no
+# measurement enters, is computed once for all seeds. Time-varying models and onestep run
+# the reference per-step functions seed by seed (_per_seed).
+def _per_seed(init, step):
+    """All-seed runner from a one-seed init() -> state and step(state, k, u, y) -> (state,
+    row); an error raised for a seed carries its position in the seed list as index."""
+
+    def step_all(states, k, u, y):
+        rows = []
+        for i, state in enumerate(states):
+            try:
+                states[i], row = step(state, k, u[i], y[i])
+            except (RankConditionError, IllConditionedError) as exc:
+                exc.index = i
+                raise
+            rows.append(row)
+        return states, [np.stack(col) for col in zip(*rows)]
+
+    return (lambda n: [init() for _ in range(n)]), step_all
+
+
+def _repeat(value, n: int) -> np.ndarray:
+    """value repeated along a new leading seed axis of length n."""
+    return np.repeat(np.asarray(value, dtype=float)[None], n, axis=0)
+
+
+def _four_step(x_hat, u, y, dm, C, F_d, K):
+    """The four-step state recursion with a given gain K: (x_hat, d_hat, gamma)."""
+    x_star = r4skf.predict_no_input(x_hat, u, dm)
+    gamma = y - matvec(C, x_star)
+    d_hat = matvec(F_d, gamma)
+    return r4skf.update(r4skf.predict_with_input(x_star, d_hat, dm), y, K, C), d_hat, gamma
+
+
 def _r4skf_runner(config):
     model = config.model
     init = lambda: r4skf.initial_state(model, config.x0_hat)
@@ -240,7 +288,7 @@ def _r4skf_runner(config):
             state, _ = r4skf.step(state, u, y, model)
             return state, (state.x_hat, state.d_hat, state.gamma, np.diag(state.Pd))
 
-        return init, step
+        return _per_seed(init, step)
 
     dm = discretize(model, 0.0)
     C, R, Q, G = (np.asarray(M(0), dtype=float) for M in (model.C, model.R, model.Q, model.G))
@@ -256,28 +304,29 @@ def _r4skf_runner(config):
         raise type(exc)(f"r4skf, step {k + 1}, all seeds (shared covariance sequence): {exc}") from exc
 
     def step(x_hat, k, u, y):
-        x_star = r4skf.predict_no_input(x_hat, u, dm)
-        gamma = y - C @ x_star
-        d_hat = F_d @ gamma
-        x_hat = r4skf.update(r4skf.predict_with_input(x_star, d_hat, dm), y, gains[k], C)
+        x_hat, d_hat, gamma = _four_step(x_hat, u, y, dm, C, F_d, gains[k])
         return x_hat, (x_hat, d_hat, gamma, Pd_diags[k])
 
-    return (lambda: init().x_hat), step
+    return (lambda n: _repeat(init().x_hat, n)), step
 
 
 def _a2kf_runner(config):
     model, cfg = config.model, config.a2kf_config
-    if model.time_invariant:
-        blocks = a2kf.step_blocks(model, 0.0, 1)
-        advance = lambda state, u, y: a2kf.advance(state, u, y, blocks, cfg)
-    else:
-        advance = lambda state, u, y: a2kf.a2kf_step(state, u, y, model, cfg)
+    init = lambda: a2kf.initial_state(model, config.x0_hat, cfg=cfg)
 
-    def step(state, k, u, y):
-        state, report = advance(state, u, y)
-        return state, (state.x_hat, state.d_hat, report.gamma, np.diag(state.Qd_hat))
+    def record(state, report):
+        return state, (state.x_hat, state.d_hat, report.gamma, np.diagonal(state.Qd_hat, axis1=-2, axis2=-1))
 
-    return (lambda: a2kf.initial_state(model, config.x0_hat, cfg=cfg)), step
+    if not model.time_invariant:
+        return _per_seed(init, lambda state, k, u, y: record(*a2kf.a2kf_step(state, u, y, model, cfg)))
+
+    blocks = a2kf.step_blocks(model, 0.0, 1)
+
+    def init_all(n):
+        state = init()
+        return replace(state, **{f.name: _repeat(getattr(state, f.name), n) for f in fields(state) if f.name != "k"})
+
+    return init_all, lambda state, k, u, y: record(*a2kf.advance(state, u, y, blocks, cfg))
 
 
 def _onestep_runner(config):
@@ -290,20 +339,34 @@ def _onestep_runner(config):
         x_hat = onestep.one_step_estimate(y, C)
         return x_hat, (x_hat, d_hat, gamma)
 
-    return (lambda: np.asarray(config.x0_hat, dtype=float)), step
+    return _per_seed(lambda: np.asarray(config.x0_hat, dtype=float), step)
 
 
 def _uio_runner(config):
     model = config.model
     L = config.uio_gain
     L = np.asarray(moore_penrose_pinv(np.asarray(model.C(0), dtype=float)) if L is None else L, dtype=float)
+    if not model.time_invariant:
+        def step(obs, k, u, y):
+            C = np.asarray(model.C(k + 1), dtype=float)
+            obs = uio.observer_step(obs, y, u, discretize(model, k * model.dt), C, L)
+            return obs, (obs.x_hat, obs.d_hat, y - C @ obs.w)
 
-    def step(obs, k, u, y):
-        C = np.asarray(model.C(k + 1), dtype=float)
-        obs = uio.observer_step(obs, y, u, discretize(model, k * model.dt), C, L)
-        return obs, (obs.x_hat, obs.d_hat, y - C @ obs.w)
+        return _per_seed(lambda: uio.initial_observer_state(config.x0_hat, model.n_d), step)
 
-    return (lambda: uio.initial_observer_state(config.x0_hat, model.n_d)), step
+    # observer_step is the four-step recursion with the fixed gain L
+    dm, C = discretize(model, 0.0), np.asarray(model.C(0), dtype=float)
+    try:
+        F_d = r4skf.unknown_input_gain(C, dm.E_d)
+    except RankConditionError as exc:
+        # F_d serves every step and seed, so the first seed fails at step 1
+        raise RankConditionError(f"uio, seed {config.seeds[0]}, step 1: {exc}") from exc
+
+    def step(x_hat, k, u, y):
+        x_hat, d_hat, gamma = _four_step(x_hat, u, y, dm, C, F_d, L)
+        return x_hat, (x_hat, d_hat, gamma)
+
+    return (lambda n: _repeat(config.x0_hat, n)), step
 
 
 # estimator -> (runner, EstimatorRun field of the per-step diagonal)
@@ -315,54 +378,64 @@ _ESTIMATORS = {
 }
 
 
-def _run_estimator(name: str, runner, config: ScenarioConfig, truth: TruthTrajectory, seed: int) -> EstimatorRun:
-    """Feed the truth's measurements one by one to an estimator and record its outputs."""
-    init, step = runner
-    model, K = config.model, config.n_steps
-    cols = [np.zeros((K, n)) for n in (model.n_x, model.n_d, model.n_y, model.n_d)]
-    state = init()
+def _run_estimator(name: str, config: ScenarioConfig, u: np.ndarray, y: np.ndarray) -> List[EstimatorRun]:
+    """Feed the measurements of all seeds, u (n, K, n_u) and y (n, K, n_y), step by step
+    to an estimator and record its outputs, one EstimatorRun per seed. An error names
+    the estimator, the step, and at that step the first failing seed in config order."""
+    init, step = _ESTIMATORS[name][0](config)
+    model, K, n = config.model, config.n_steps, len(config.seeds)
+    cols = [np.zeros((n, K, m)) for m in (model.n_x, model.n_d, model.n_y, model.n_d)]
+    state = init(n)
     try:
         for k in range(K):
-            state, row = step(state, k, truth.u[k], truth.y[k])
+            state, row = step(state, k, u[:, k], y[:, k])
             for col, value in zip(cols, row):
-                col[k] = value
+                col[:, k] = value
     except (RankConditionError, IllConditionedError) as exc:
+        # an error without index comes from a term every seed shares
+        seed = config.seeds[getattr(exc, "index", 0)]
         raise type(exc)(f"{name}, seed {seed}, step {k + 1}: {exc}") from exc
     diag_field = _ESTIMATORS[name][1]
-    extra = {diag_field: cols[3]} if diag_field else {}
-    return EstimatorRun(x_hat=cols[0], d_hat=cols[1], gamma=cols[2], **extra)
+    return [
+        EstimatorRun(x_hat=cols[0][i], d_hat=cols[1][i], gamma=cols[2][i], **({diag_field: cols[3][i]} if diag_field else {}))
+        for i in range(n)
+    ]
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     """Drive every selected estimator over the same per-seed measurement
-    stream; RMSEs are aggregated as the mean of per-seed RMSEs."""
+    streams, all seeds step by step together; RMSEs are aggregated as the
+    mean of per-seed RMSEs."""
     model = config.model
     # keep at least one sample when the horizon is shorter than the burn-in
     skip = min(int(round(config.rmse_skip / model.dt)), config.n_steps - 1)
-    runners = {name: _ESTIMATORS[name][0](config) for name in config.estimators}
     truths: Dict[int, TruthTrajectory] = {}
-    runs: Dict[int, Dict[str, EstimatorRun]] = {}
-    rmse_per_seed: Dict[int, Dict[str, Dict[str, np.ndarray]]] = {}
-
     for seed in config.seeds:
-        truth = generate_truth(config, seed)
-        truths[seed] = truth
-        runs[seed] = {}
-        rmse_per_seed[seed] = {}
-        for name in config.estimators:
-            run = _run_estimator(name, runners[name], config, truth, seed)
-            runs[seed][name] = run
-            rmse_per_seed[seed][name] = {
-                "x": rmse(run.x_hat[skip:], truth.x[1:][skip:]),
-                "d": rmse(run.d_hat[skip:], truth.d[skip:]),
-            }
+        try:
+            truths[seed] = generate_truth(config, seed)
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"truth, seed {seed}, step {exc.step}: diverged to non-finite values") from exc
+    u = np.stack([truths[s].u for s in config.seeds])
+    y = np.stack([truths[s].y for s in config.seeds])
 
-    rmse_mean: Dict[str, Dict[str, np.ndarray]] = {}
+    runs: Dict[int, Dict[str, EstimatorRun]] = {seed: {} for seed in config.seeds}
     for name in config.estimators:
-        rmse_mean[name] = {
-            key: np.mean([rmse_per_seed[s][name][key] for s in config.seeds], axis=0)
-            for key in ("x", "d")
+        for seed, run in zip(config.seeds, _run_estimator(name, config, u, y)):
+            runs[seed][name] = run
+    rmse_per_seed = {
+        seed: {
+            name: {
+                "x": rmse(run.x_hat[skip:], truths[seed].x[1:][skip:]),
+                "d": rmse(run.d_hat[skip:], truths[seed].d[skip:]),
+            }
+            for name, run in runs[seed].items()
         }
+        for seed in config.seeds
+    }
+    rmse_mean = {
+        name: {key: np.mean([rmse_per_seed[s][name][key] for s in config.seeds], axis=0) for key in ("x", "d")}
+        for name in config.estimators
+    }
     return ScenarioResult(
         config=config,
         truths=truths,
@@ -372,8 +445,9 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     )
 
 
-def _fmt(v: float) -> str:
-    return f"{v:.6g}"
+def _number_format(n: int) -> str:
+    """%-format of n comma-separated values with 6 significant digits, as f"{v:.6g}"."""
+    return ",".join(["%.6g"] * n)
 
 
 def write_timeseries_csv(path, result: ScenarioResult, estimator: str, seed: Optional[int] = None):
@@ -392,20 +466,16 @@ def write_timeseries_csv(path, result: ScenarioResult, estimator: str, seed: Opt
         + [f"d_true{j + 1}" for j in range(n_d)]
         + [f"d_hat{j + 1}" for j in range(n_d)]
     )
+    K = result.config.n_steps
+    columns = [truth.t[1:K + 1, None], truth.x[1:K + 1], run.x_hat, truth.d, run.d_hat]
     if run.Qd_diag is not None:
         header += [f"Qd_diag{j + 1}" for j in range(n_d)]
+        columns.append(run.Qd_diag)
+    table = np.hstack(columns)
+    line = _number_format(table.shape[1]) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for k in range(result.config.n_steps):
-            row = [_fmt(truth.t[k + 1])]
-            row += [_fmt(v) for v in truth.x[k + 1]]
-            row += [_fmt(v) for v in run.x_hat[k]]
-            row += [_fmt(v) for v in truth.d[k]]
-            row += [_fmt(v) for v in run.d_hat[k]]
-            if run.Qd_diag is not None:
-                row += [_fmt(v) for v in run.Qd_diag[k]]
-            writer.writerow(row)
+        csv.writer(fh).writerow(header)
+        fh.writelines(line % tuple(row.tolist()) for row in table)
 
 
 def write_summary_csv(path, results: Dict[str, ScenarioResult]):
@@ -422,7 +492,6 @@ def write_summary_csv(path, results: Dict[str, ScenarioResult]):
         writer.writerow(header)
         for case_name, result in results.items():
             for est in result.config.estimators:
-                row = [case_name, est]
-                row += [_fmt(v) for v in result.rmse_mean[est]["x"]]
-                row += [_fmt(v) for v in result.rmse_mean[est]["d"]]
-                writer.writerow(row)
+                row = np.hstack([result.rmse_mean[est]["x"], result.rmse_mean[est]["d"]])
+                # "%.6g" writes no comma, so the split gives back one field per value
+                writer.writerow([case_name, est, *(_number_format(row.size) % tuple(row.tolist())).split(",")])

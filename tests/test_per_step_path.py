@@ -249,8 +249,8 @@ def test_simulate_factors_constant_covariances_once(monkeypatch):
 
 
 def test_simulate_keeps_one_factor_per_matrix(monkeypatch):
-    """A callable R(k) that returns a fresh array each step is refactored
-    each step, and only the last array and its factor are kept alive."""
+    """A callable R(k) that returns a fresh array with the same values each
+    step is factored once, and only the last array is kept alive."""
     calls = count_calls(monkeypatch, sim, "cov_factor")
     model = benchmark_model()
     R0 = model.R(0)
@@ -266,7 +266,23 @@ def test_simulate_keeps_one_factor_per_matrix(monkeypatch):
     returned.clear()
     cfg = replace(benchmark_case(1, duration=0.5, seeds=(1,)), model=fresh)
     x, y = sim.simulate(fresh, cfg.x0_true, sim.sample_signals(cfg), np.random.default_rng(1))
-    assert len(calls) == 1 + cfg.n_steps
+    assert len(calls) == 2
     assert most_alive[0] == 1
     want = sim.simulate(model, cfg.x0_true, sim.sample_signals(cfg), np.random.default_rng(1))
     assert np.array_equal(x, want[0]) and np.array_equal(y, want[1])
+
+
+def test_simulate_refactors_a_covariance_once_per_change(monkeypatch):
+    """A callable R(k) whose value changes every third step gets one factor
+    per change, and the truth equals a per-step draw with that R."""
+    calls = count_calls(monkeypatch, sim, "cov_factor")
+    model = benchmark_model()
+    R0 = model.R(0)
+    varying = replace(model, R=lambda k: R0 * (1.0 + k // 3))
+    cfg = replace(benchmark_case(1, duration=0.5, seeds=(1,)), model=varying)
+    x, y = sim.simulate(varying, cfg.x0_true, sim.sample_signals(cfg), np.random.default_rng(1))
+    changes = len({k // 3 for k in range(1, cfg.n_steps + 1)})
+    assert len(calls) == 1 + changes
+    z = np.random.default_rng(1).standard_normal((cfg.n_steps, model.n_w + model.n_y))[:, model.n_w:]
+    want = [model.C(0) @ x[k + 1] + np.linalg.cholesky(varying.R(k + 1)) @ z[k] for k in range(cfg.n_steps)]
+    assert np.array_equal(y, np.array(want))
