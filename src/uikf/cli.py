@@ -68,7 +68,7 @@ def _run(cfg: sim.ScenarioConfig, out: Optional[str], tag: str) -> int:
     """Run a scenario, write its CSVs and print the RMSE summary."""
     try:
         result = sim.run_scenario(cfg)
-    except (RankConditionError, IllConditionedError, FloatingPointError) as exc:
+    except (RankConditionError, IllConditionedError, FloatingPointError, np.linalg.LinAlgError) as exc:
         print(f"estimator failure: {exc}", file=sys.stderr)
         return EXIT_ESTIMATOR
     try:

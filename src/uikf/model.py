@@ -77,6 +77,9 @@ class SystemModel:
 
         A0, B0, E0, G0, Q0 = (np.asarray(M(0.0), dtype=float) for M in (self.A, self.B, self.E, self.G, self.Q))
         C0, R0 = (np.asarray(M(0), dtype=float) for M in (self.C, self.R))
+        for name, M in zip(_MATRICES, (A0, B0, E0, G0, Q0, C0, R0)):
+            if not np.isfinite(M).all():
+                raise ValueError(f"{name} must be finite")
 
         n_x = A0.shape[0]
         if A0.shape != (n_x, n_x):

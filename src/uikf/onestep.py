@@ -20,6 +20,14 @@ from .model import SystemModel
 COND_LIMIT = 1e12
 
 
+def _invertible(M, name: str) -> np.ndarray:
+    """M as a float array, refused unless its 2-norm condition number is below COND_LIMIT."""
+    M = np.asarray(M, dtype=float)
+    if np.linalg.cond(M) >= COND_LIMIT:
+        raise IllConditionedError(f"{name} is not numerically invertible")
+    return M
+
+
 @dataclass(frozen=True)
 class SquareCaseModel:
     """Square system data: n_x = n_y = n_d = n, C and E invertible."""
@@ -30,29 +38,23 @@ class SquareCaseModel:
     dt: float
 
     def __post_init__(self):
-        C = np.asarray(self.C, dtype=float)
-        E = np.asarray(self.E, dtype=float)
-        n = C.shape[0]
-        if C.shape != (n, n) or E.shape != (n, n):
+        n = np.shape(self.C)[0]
+        if np.shape(self.C) != (n, n) or np.shape(self.E) != (n, n):
             raise ValueError("C and E must be square and of equal size")
-        for name, M in (("C", C), ("E", E)):
-            if np.linalg.cond(M) >= COND_LIMIT:
-                raise IllConditionedError(f"{name} is not numerically invertible")
+        _invertible(self.C, "C")
+        _invertible(self.E, "E")
 
 
 def one_step_estimate(y: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """x̂ = C^{-1} y by linear solve (no explicit inverse)."""
-    C = np.asarray(C, dtype=float)
-    if np.linalg.cond(C) >= COND_LIMIT:
-        raise IllConditionedError("C is singular; one-step estimate undefined")
-    return np.linalg.solve(C, np.asarray(y, dtype=float))
+    """x̂ = C^{-1} y by linear solve (no explicit inverse); y may carry leading
+    axes (one row per seed), each row solved by its own LAPACK call."""
+    y = np.asarray(y, dtype=float)
+    return np.linalg.solve(_invertible(C, "C"), y[..., None])[..., 0]
 
 
 def one_step_error_cov(C: np.ndarray, R: np.ndarray) -> np.ndarray:
     """Exact estimation error covariance C^{-1} R C^{-T}."""
-    C = np.asarray(C, dtype=float)
-    if np.linalg.cond(C) >= COND_LIMIT:
-        raise IllConditionedError("C is singular")
+    C = _invertible(C, "C")
     X = np.linalg.solve(C, np.asarray(R, dtype=float))
     return np.linalg.solve(C, X.T).T
 

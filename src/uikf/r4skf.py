@@ -239,6 +239,18 @@ def unknown_input_error_cov(
     return 0.5 * (Pd + Pd.T)
 
 
+def step_terms(model: SystemModel, k: int) -> Tuple[DiscretizedModel, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """What one step reads from the model, for the step from t_k = k dt to
+    measurement k + 1: (dm, C, R, Q, G)."""
+    t = k * model.dt
+    dm = discretize(model, t)
+    C = np.asarray(model.C(k + 1), dtype=float)
+    R = np.asarray(model.R(k + 1), dtype=float)
+    Q = np.asarray(model.Q(t), dtype=float)
+    G = np.asarray(model.G(t), dtype=float)
+    return dm, C, R, Q, G
+
+
 def step(
     state: FilterState,
     u: np.ndarray,
@@ -252,14 +264,7 @@ def step(
     covariance bookkeeping still runs); this is how a fixed observer gain
     is reproduced on the filter code path.
     """
-    k1 = state.k + 1
-    t = state.k * model.dt
-    dm = discretize(model, t)
-    C = np.asarray(model.C(k1), dtype=float)
-    R = np.asarray(model.R(k1), dtype=float)
-    Q = np.asarray(model.Q(t), dtype=float)
-    G = np.asarray(model.G(t), dtype=float)
-
+    dm, C, R, Q, G = step_terms(model, state.k)
     u = np.asarray(u, dtype=float)
     y = np.asarray(y, dtype=float)
 
@@ -271,6 +276,6 @@ def step(
     K_used = K if gain_override is None else np.asarray(gain_override, dtype=float)
     x_hat = update(x_pred, y, K_used, C)
 
-    new_state = FilterState(x_hat=x_hat, P=P_post, d_hat=d_hat, Pd=Pd, gamma=gamma, k=k1)
+    new_state = FilterState(x_hat=x_hat, P=P_post, d_hat=d_hat, Pd=Pd, gamma=gamma, k=state.k + 1)
     report = StepReport(x_star=x_star, x_pred=x_pred, d_hat=d_hat, F_d=F_d, K=K_used, L=L, dm=dm, C=C)
     return new_state, report

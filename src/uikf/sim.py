@@ -10,16 +10,17 @@ explicit seeds; identical config + seed gives bitwise-identical results.
 from __future__ import annotations
 
 import csv
+import functools
 import math
 from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from . import a2kf, onestep, r4skf, uio
+from . import a2kf, onestep, r4skf
 from .a2kf import A2KFConfig
 from .errors import ConfigError, IllConditionedError, RankConditionError
-from .model import SystemModel, _Constant, discretize, moore_penrose_pinv
+from .model import SystemModel, _Constant, moore_penrose_pinv
 from .r4skf import matvec
 
 KNOWN_ESTIMATORS = ("r4skf", "a2kf", "onestep", "uio")
@@ -169,25 +170,31 @@ def cov_factor(M: np.ndarray) -> np.ndarray:
         return V * np.sqrt(np.clip(w, 0.0, None))
 
 
-def _at(M, args, f=None) -> np.ndarray:
-    """M evaluated at each of args and stacked (f(M) with f given); a matrix
-    given as an array is evaluated once and broadcasts over the steps. f runs
-    again only when the value of M changes, and the evaluated matrices are
-    not kept."""
+def _at(model: SystemModel, name: str, args, f=None) -> np.ndarray:
+    """The model's matrix `name` evaluated at each of args and stacked (f(M) with
+    f given); a matrix given as an array is evaluated once and broadcasts over
+    the steps. f runs again only when the value changes, and the evaluated
+    matrices are not kept. Step i + 1 reads args[i]: a value that is not finite,
+    or whose shape differs from the value at 0, is a ConfigError naming the
+    matrix and that step."""
+    M = getattr(model, name)
     if isinstance(M, _Constant) or len(args) == 0:
         M0 = np.asarray(M(0), dtype=float)
         return M0 if f is None else f(M0)
-    out = prev = value = None
+    shape = np.shape(M(0))
+    out = np.empty((len(args),) + shape)
     for i, a in enumerate(args):
         Mk = np.asarray(M(a), dtype=float)
-        if f is None:
-            value = Mk
-        elif prev is None or not (Mk is prev or np.array_equal(Mk, prev)):
-            value = f(Mk)
-        prev = Mk
-        if out is None:
-            out = np.empty((len(args),) + value.shape)
-        out[i] = value
+        if Mk.shape != shape:
+            raise ConfigError(f"model.{name}, step {i + 1}: shape {Mk.shape}, but {shape} at 0")
+        out[i] = Mk
+    finite = np.isfinite(out).all(axis=(-2, -1))
+    if not finite.all():
+        raise ConfigError(f"model.{name}, step {np.argmin(finite) + 1}: value is not finite")
+    if f is not None:                   # f keeps the shape; each value is replaced by its f
+        changed = np.concatenate([[True], (out[1:] != out[:-1]).any(axis=(-2, -1))])
+        for i in range(len(out)):
+            out[i] = f(out[i]) if changed[i] else out[i - 1]
     return out
 
 
@@ -211,11 +218,11 @@ def simulate(
         u = np.zeros((K, model.n_u))
     t = [k * dt for k in range(K)]
     z = rng.standard_normal((K, n_w + model.n_y))
-    w = matvec(_at(model.Q, t, cov_factor), z[:, :n_w]) / math.sqrt(dt)
-    g = matvec(_at(model.G, t), w) * dt
-    bu = matvec(_at(model.B, t), u)
-    ed = matvec(_at(model.E, t), d)
-    A = np.broadcast_to(_at(model.A, t), (K, n_x, n_x))
+    w = matvec(_at(model, "Q", t, cov_factor), z[:, :n_w]) / math.sqrt(dt)
+    g = matvec(_at(model, "G", t), w) * dt
+    bu = matvec(_at(model, "B", t), u)
+    ed = matvec(_at(model, "E", t), d)
+    A = np.broadcast_to(_at(model, "A", t), (K, n_x, n_x))
 
     x = np.zeros((K + 1, n_x))
     x[0] = np.asarray(x0, dtype=float)
@@ -228,7 +235,7 @@ def simulate(
         exc.step = int(diverged[0]) + 1
         raise exc
     steps = range(1, K + 1)
-    y = matvec(_at(model.C, steps), x[1:]) + matvec(_at(model.R, steps, cov_factor), z[:, n_w:])
+    y = matvec(_at(model, "C", steps), x[1:]) + matvec(_at(model, "R", steps, cov_factor), z[:, n_w:])
     return x, y
 
 
@@ -242,29 +249,26 @@ def generate_truth(config: ScenarioConfig, seed: int) -> TruthTrajectory:
 
 
 # Estimator runners, built once per scenario: runner(config) -> (init, step). All seeds
-# advance together: init(n) is the state of n seeds and step(state, k, u, y) takes u_k and
-# y_k of every seed, (n, n_u) and (n, n_y), and returns (state, row) with row = (x_hat,
-# d_hat, gamma[, per-step covariance diagonal]) of every seed after step k + 1. On a
-# time-invariant model r4skf, a2kf and uio evaluate the model once and keep one state
-# stacked along a leading seed axis; r4skf's covariance and gain sequence, which no
-# measurement enters, is computed once for all seeds. Time-varying models and onestep run
-# the reference per-step functions seed by seed (_per_seed).
-def _per_seed(init, step):
-    """All-seed runner from a one-seed init() -> state and step(state, k, u, y) -> (state,
-    row); an error raised for a seed carries its position in the seed list as index."""
+# advance together: init(n) is the state of n seeds, stacked along a leading seed axis, and
+# step(state, k, u, y) takes u_k and y_k of every seed, (n, n_u) and (n, n_y), and returns
+# (state, row) with row = (x_hat, d_hat, gamma[, per-step covariance diagonal]) of every
+# seed after step k + 1. The model terms of a step serve every seed (_per_step), and so
+# does r4skf's covariance, gain and Pd sequence, which no measurement enters. Each row is
+# bitwise equal to the reference step functions (r4skf.step, a2kf.a2kf_step, ...).
+def _per_step(model, build):
+    """k -> build(model, k), the model terms of the step from t_k to measurement
+    k + 1. A time-invariant model is evaluated once, at the first step: inside
+    the step loop, so that an error there is reported with its step."""
+    if not model.time_invariant:
+        return functools.partial(build, model)
+    first = functools.cache(lambda: build(model, 0))
+    return lambda _k: first()
 
-    def step_all(states, k, u, y):
-        rows = []
-        for i, state in enumerate(states):
-            try:
-                states[i], row = step(state, k, u[i], y[i])
-            except (RankConditionError, IllConditionedError) as exc:
-                exc.index = i
-                raise
-            rows.append(row)
-        return states, [np.stack(col) for col in zip(*rows)]
 
-    return (lambda n: [init() for _ in range(n)]), step_all
+def _model_terms(model, k):
+    """r4skf.step_terms and the extraction gain F_d = (C E_d)^+: (dm, C, R, Q, G, F_d)."""
+    dm, C, R, Q, G = r4skf.step_terms(model, k)
+    return dm, C, R, Q, G, r4skf.unknown_input_gain(C, dm.E_d)
 
 
 def _repeat(value, n: int) -> np.ndarray:
@@ -272,97 +276,76 @@ def _repeat(value, n: int) -> np.ndarray:
     return np.repeat(np.asarray(value, dtype=float)[None], n, axis=0)
 
 
-def _four_step(x_hat, u, y, dm, C, F_d, K):
-    """The four-step state recursion with a given gain K: (x_hat, d_hat, gamma)."""
+def _extract(x_hat, u, y, dm, C, F_d):
+    """Steps 1 and 2 of the four-step recursion: (x_star, d_hat, gamma)."""
     x_star = r4skf.predict_no_input(x_hat, u, dm)
     gamma = y - matvec(C, x_star)
-    d_hat = matvec(F_d, gamma)
+    return x_star, matvec(F_d, gamma), gamma
+
+
+def _four_step(x_hat, u, y, dm, C, F_d, K):
+    """The four-step state recursion with a given gain K: (x_hat, d_hat, gamma)."""
+    x_star, d_hat, gamma = _extract(x_hat, u, y, dm, C, F_d)
     return r4skf.update(r4skf.predict_with_input(x_star, d_hat, dm), y, K, C), d_hat, gamma
 
 
 def _r4skf_runner(config):
     model = config.model
-    init = lambda: r4skf.initial_state(model, config.x0_hat)
-    if not model.time_invariant:
-        def step(state, k, u, y):
-            state, _ = r4skf.step(state, u, y, model)
-            return state, (state.x_hat, state.d_hat, state.gamma, np.diag(state.Pd))
+    start = r4skf.initial_state(model, config.x0_hat)
+    terms = _per_step(model, _model_terms)
 
-        return _per_seed(init, step)
-
-    dm = discretize(model, 0.0)
-    C, R, Q, G = (np.asarray(M(0), dtype=float) for M in (model.C, model.R, model.Q, model.G))
-    P, gains, Pd_diags, k = init().P, [], [], 0
-    try:
-        F_d = r4skf.unknown_input_gain(C, dm.E_d)
-        for k in range(config.n_steps):
+    def step(state, k, u, y):
+        x_hat, P = state
+        try:
+            dm, C, R, Q, G, F_d = terms(k)
             Pd = r4skf.unknown_input_error_cov(P, dm, C, Q, R, F_d, G=G)
             _, K, _, P = r4skf.gain_and_covariance(P, dm, C, Q, R, F_d, G=G)
-            gains.append(K)
-            Pd_diags.append(np.diag(Pd))
-    except (RankConditionError, IllConditionedError) as exc:
-        raise type(exc)(f"r4skf, step {k + 1}, all seeds (shared covariance sequence): {exc}") from exc
+        except (RankConditionError, IllConditionedError) as exc:
+            exc.index = None            # the shared sequence fails for every seed
+            raise
+        x_hat, d_hat, gamma = _four_step(x_hat, u, y, dm, C, F_d, K)
+        return (x_hat, P), (x_hat, d_hat, gamma, np.diag(Pd))
 
-    def step(x_hat, k, u, y):
-        x_hat, d_hat, gamma = _four_step(x_hat, u, y, dm, C, F_d, gains[k])
-        return x_hat, (x_hat, d_hat, gamma, Pd_diags[k])
-
-    return (lambda n: _repeat(init().x_hat, n)), step
+    return (lambda n: (_repeat(start.x_hat, n), start.P)), step
 
 
 def _a2kf_runner(config):
     model, cfg = config.model, config.a2kf_config
-    init = lambda: a2kf.initial_state(model, config.x0_hat, cfg=cfg)
+    blocks = _per_step(model, lambda m, k: a2kf.step_blocks(m, k * m.dt, k + 1))
 
-    def record(state, report):
-        return state, (state.x_hat, state.d_hat, report.gamma, np.diagonal(state.Qd_hat, axis1=-2, axis2=-1))
-
-    if not model.time_invariant:
-        return _per_seed(init, lambda state, k, u, y: record(*a2kf.a2kf_step(state, u, y, model, cfg)))
-
-    blocks = a2kf.step_blocks(model, 0.0, 1)
-
-    def init_all(n):
-        state = init()
+    def init(n):
+        state = a2kf.initial_state(model, config.x0_hat, cfg=cfg)
         return replace(state, **{f.name: _repeat(getattr(state, f.name), n) for f in fields(state) if f.name != "k"})
 
-    return init_all, lambda state, k, u, y: record(*a2kf.advance(state, u, y, blocks, cfg))
+    def step(state, k, u, y):
+        state, report = a2kf.advance(state, u, y, blocks(k), cfg)
+        return state, (state.x_hat, state.d_hat, report.gamma, np.diagonal(state.Qd_hat, axis1=-2, axis2=-1))
+
+    return init, step
 
 
 def _onestep_runner(config):
     model = config.model
+    terms = _per_step(model, _model_terms)
 
     def step(x_prev, k, u, y):
-        dm = discretize(model, k * model.dt)
-        C = np.asarray(model.C(k + 1), dtype=float)
-        d_hat, _, gamma = r4skf.estimate_unknown_input(y, r4skf.predict_no_input(x_prev, u, dm), dm, C)
+        dm, C, *_, F_d = terms(k)
+        _, d_hat, gamma = _extract(x_prev, u, y, dm, C, F_d)
         x_hat = onestep.one_step_estimate(y, C)
         return x_hat, (x_hat, d_hat, gamma)
 
-    return _per_seed(lambda: np.asarray(config.x0_hat, dtype=float), step)
+    return (lambda n: _repeat(config.x0_hat, n)), step
 
 
 def _uio_runner(config):
     model = config.model
     L = config.uio_gain
     L = np.asarray(moore_penrose_pinv(np.asarray(model.C(0), dtype=float)) if L is None else L, dtype=float)
-    if not model.time_invariant:
-        def step(obs, k, u, y):
-            C = np.asarray(model.C(k + 1), dtype=float)
-            obs = uio.observer_step(obs, y, u, discretize(model, k * model.dt), C, L)
-            return obs, (obs.x_hat, obs.d_hat, y - C @ obs.w)
-
-        return _per_seed(lambda: uio.initial_observer_state(config.x0_hat, model.n_d), step)
+    terms = _per_step(model, _model_terms)
 
     # observer_step is the four-step recursion with the fixed gain L
-    dm, C = discretize(model, 0.0), np.asarray(model.C(0), dtype=float)
-    try:
-        F_d = r4skf.unknown_input_gain(C, dm.E_d)
-    except RankConditionError as exc:
-        # F_d serves every step and seed, so the first seed fails at step 1
-        raise RankConditionError(f"uio, seed {config.seeds[0]}, step 1: {exc}") from exc
-
     def step(x_hat, k, u, y):
+        dm, C, *_, F_d = terms(k)
         x_hat, d_hat, gamma = _four_step(x_hat, u, y, dm, C, F_d, L)
         return x_hat, (x_hat, d_hat, gamma)
 
@@ -392,9 +375,14 @@ def _run_estimator(name: str, config: ScenarioConfig, u: np.ndarray, y: np.ndarr
             for col, value in zip(cols, row):
                 col[:, k] = value
     except (RankConditionError, IllConditionedError) as exc:
-        # an error without index comes from a term every seed shares
-        seed = config.seeds[getattr(exc, "index", 0)]
-        raise type(exc)(f"{name}, seed {seed}, step {k + 1}: {exc}") from exc
+        # an error without index comes from a model term every seed shares, so the
+        # first seed fails first; index None marks r4skf's shared covariance sequence
+        index = getattr(exc, "index", 0)
+        if index is None:
+            where = f"step {k + 1}, all seeds (shared covariance sequence)"
+        else:
+            where = f"seed {config.seeds[index]}, step {k + 1}"
+        raise type(exc)(f"{name}, {where}: {exc}") from exc
     diag_field = _ESTIMATORS[name][1]
     return [
         EstimatorRun(x_hat=cols[0][i], d_hat=cols[1][i], gamma=cols[2][i], **({diag_field: cols[3][i]} if diag_field else {}))

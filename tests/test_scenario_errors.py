@@ -1,15 +1,18 @@
-"""Bad scenarios fail fast: wrong initial-state lengths are config errors
-naming the field, and estimator errors raised inside run_scenario keep
-their type while naming the estimator, the seed and the 1-based step."""
+"""Bad scenarios fail fast: wrong initial-state lengths and non-finite model
+matrices are config errors naming the field, and estimator errors raised
+inside run_scenario keep their type while naming the estimator, the seed and
+the 1-based step."""
 
 import copy
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import yaml
 
-from uikf import cli
-from uikf.errors import IllConditionedError, RankConditionError
+from uikf import cli, r4skf
+from uikf.benchmark import benchmark_case
+from uikf.errors import ConfigError, IllConditionedError, RankConditionError
 from uikf.model import SystemModel
 from uikf.sim import ScenarioConfig, SignalSpec, run_scenario
 
@@ -58,10 +61,10 @@ RANK_DEFICIENT = dict(C=np.array([[1.0, 0.0]]), E=np.array([[0.0], [1.0]]), R=np
     "plant, error, estimators, time_invariant, where",
     [
         (SINGULAR_S, IllConditionedError, ("r4skf",), True, "r4skf, step 1, all seeds"),
-        (SINGULAR_S, IllConditionedError, ("r4skf",), False, "r4skf, seed 7, step 1"),
+        (SINGULAR_S, IllConditionedError, ("r4skf",), False, "r4skf, step 1, all seeds"),
         (SINGULAR_S, IllConditionedError, ("a2kf",), True, "a2kf, seed 7, step 1"),
         (RANK_DEFICIENT, RankConditionError, ("r4skf",), True, "r4skf, step 1, all seeds"),
-        (RANK_DEFICIENT, RankConditionError, ("r4skf",), False, "r4skf, seed 7, step 1"),
+        (RANK_DEFICIENT, RankConditionError, ("r4skf",), False, "r4skf, step 1, all seeds"),
         (RANK_DEFICIENT, RankConditionError, ("uio",), True, "uio, seed 7, step 1"),
     ],
 )
@@ -78,3 +81,45 @@ def test_ill_conditioned_scenario_exits_2_with_context(tmp_path, capsys):
     assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert "r4skf, step 1, all seeds" in err and "Traceback" not in err
+
+
+def test_non_finite_matrix_in_yaml_exits_1(tmp_path, capsys):
+    doc = copy.deepcopy(DOC)
+    doc["model"]["C"] = [[float("nan"), 0.0], [0.0, 1.0]]
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert ".nan" in path.read_text()
+    assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert "model: C must be finite" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "name, bad, where",
+    [
+        ("R", lambda R, k: R * np.nan if k >= 5 else R, "model.R, step 5: value is not finite"),
+        ("A", lambda A, t: A + np.inf if t > 0.025 else A, "model.A, step 4: value is not finite"),
+        ("C", lambda C, k: C[:2] if k == 3 else C, r"model.C, step 3: shape \(2, 4\), but \(3, 4\)"),
+    ],
+)
+def test_a_bad_later_model_value_names_matrix_and_step_before_any_filter_runs(monkeypatch, name, bad, where):
+    gains = []
+    monkeypatch.setattr(r4skf, "gain_and_covariance", lambda *args, **kw: gains.append(1))
+    cfg = benchmark_case(1, duration=0.5, seeds=(1, 2))
+    M0 = getattr(cfg.model, name)(0)
+    model = replace(cfg.model, **{name: lambda arg: bad(M0, arg)})
+    with pytest.raises(ConfigError, match=where):
+        run_scenario(replace(cfg, model=model))
+    assert gains == []
+
+
+def test_a_linalg_error_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
+    def fail(*args):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(r4skf, "kalman_gain", fail)
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(DOC))
+    assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == "estimator failure: Eigenvalues did not converge\n"

@@ -1,22 +1,25 @@
-"""On a time-invariant model run_scenario advances all seeds in one call per
-step, with r4skf, a2kf and uio states stacked along a leading seed axis.
-Every product in the stack is the same BLAS call as for one seed, so these
-tests hold the stacked path to a per-seed loop of the reference step
-functions with np.array_equal, not a tolerance.
+"""run_scenario advances all seeds in one call per step, with the r4skf,
+a2kf, uio and onestep states stacked along a leading seed axis, for a model
+given as arrays and for one given as callables alike. Every product in the
+stack is the same BLAS call as for one seed, so these tests hold the stacked
+path to a per-seed loop of the reference step functions with np.array_equal,
+not a tolerance.
 """
 
 import copy
 import csv
 import itertools
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import yaml
 
-from uikf import a2kf, cli, config, r4skf, sim, uio
+from uikf import a2kf, cli, config, onestep, r4skf, sim, uio
 from uikf.a2kf import A2KFConfig
 from uikf.benchmark import benchmark_case
+from uikf.checks import square_test_model
 from uikf.errors import IllConditionedError
 from uikf.model import SystemModel, discretize, moore_penrose_pinv
 from uikf.sim import EstimatorRun, ScenarioConfig, SignalSpec, run_scenario
@@ -37,6 +40,14 @@ def reference_run(cfg, est, truth):
         for k in range(cfg.n_steps):
             state, report = a2kf.a2kf_step(state, truth.u[k], truth.y[k], model, cfg.a2kf_config)
             rows.append((state.x_hat, state.d_hat, report.gamma, np.diag(state.Qd_hat), state.Qd_hat[0, -1]))
+    elif est == "onestep":
+        x_hat = np.asarray(cfg.x0_hat, dtype=float)
+        for k in range(cfg.n_steps):
+            dm, C = discretize(model, k * model.dt), model.C(k + 1)
+            x_star = r4skf.predict_no_input(x_hat, truth.u[k], dm)
+            d_hat, _, gamma = r4skf.estimate_unknown_input(truth.y[k], x_star, dm, C)
+            x_hat = onestep.one_step_estimate(truth.y[k], C)
+            rows.append((x_hat, d_hat, gamma))
     else:
         L = moore_penrose_pinv(model.C(0)) if cfg.uio_gain is None else cfg.uio_gain
         obs = uio.initial_observer_state(cfg.x0_hat, model.n_d)
@@ -58,7 +69,7 @@ def assert_equals_reference(cfg):
         diag = {"r4skf": run.Pd_diag, "a2kf": run.Qd_diag}.get(est)
         for name, got, ref in zip(("x_hat", "d_hat", "gamma", "diag"), (run.x_hat, run.d_hat, run.gamma, diag), want):
             assert np.array_equal(got, ref), (seed, est, name)
-        assert (diag is None) == (est == "uio")
+        assert (diag is None) == (est in ("uio", "onestep"))
         if est == "a2kf":
             off_diagonal.append(want[4])
     return np.array(off_diagonal)
@@ -105,6 +116,63 @@ def test_qd_projection_decides_the_fallback_per_seed(monkeypatch):
     assert [stacked[s, 0, 1] == 0.0 for s in range(3)] == [True, True, False]
     for s in range(3):
         assert np.array_equal(stacked[s], a2kf._project_Qd(Cgamma[s], zero, M, zero, 0.01, cfg))
+
+
+MATRICES = ("A", "B", "E", "G", "Q", "C", "R")
+
+
+def as_callables(model):
+    """The same plant with every matrix wrapped as a constant callable."""
+    return SystemModel(dt=model.dt, **{n: (lambda _arg, M=getattr(model, n)(0): M) for n in MATRICES})
+
+
+def varying(model):
+    """The plant with A(t), C(k) and R(k) that change every step."""
+    mats = {n: getattr(model, n)(0) for n in MATRICES}
+    A, C, R = mats.pop("A"), mats.pop("C"), mats.pop("R")
+    return SystemModel(
+        dt=model.dt,
+        A=lambda t: A + 0.5 * np.sin(3.0 * t) * np.eye(len(A)),
+        C=lambda k: C + 0.02 * np.cos(k) * np.ones_like(C),
+        R=lambda k: R * (1.0 + 0.5 * np.sin(k) ** 2),
+        **mats,
+    )
+
+
+PLANTS = {"arrays": lambda model: model, "callables": as_callables, "varying": varying}
+
+
+# the plant given as arrays is test_stacked_path_equals_per_seed_steps with case 1
+@pytest.mark.parametrize("n_seeds, plant", list(itertools.product(SEEDS, ("callables", "varying"))))
+def test_callable_models_equal_per_seed_steps(n_seeds, plant):
+    cfg = benchmark_case(1, duration=1.0, seeds=SEEDS[n_seeds], estimators=("r4skf", "a2kf", "uio"))
+    cfg = replace(cfg, model=PLANTS[plant](cfg.model))
+    assert not cfg.model.time_invariant
+    if plant == "varying":
+        m = cfg.model
+        assert not (np.array_equal(m.A(0.0), m.A(m.dt)) or np.array_equal(m.C(1), m.C(2)) or np.array_equal(m.R(1), m.R(2)))
+    assert_equals_reference(cfg)
+
+
+@pytest.mark.parametrize("n_seeds, plant", list(itertools.product(SEEDS, ("arrays", "callables"))))
+def test_onestep_equals_per_seed_steps(n_seeds, plant):
+    signals = (
+        SignalSpec(kind="step", t_on=0.2, t_off=0.6, amplitude=0.5),
+        SignalSpec(kind="windowed_sine", t_on=0.1, t_off=0.9, amplitude=0.3, f0=2.0),
+    )
+    cfg = ScenarioConfig(
+        model=PLANTS[plant](square_test_model()), signals=signals, duration=1.0, seeds=SEEDS[n_seeds],
+        x0_true=np.zeros(2), x0_hat=np.ones(2), estimators=("onestep", "r4skf", "uio"),
+    )
+    assert_equals_reference(cfg)
+
+
+def test_stacked_one_step_estimate_solves_each_seed():
+    C = np.array([[1.5, 0.4], [-0.2, 0.9]])
+    y = np.random.default_rng(0).standard_normal((5, 2))
+    stacked = onestep.one_step_estimate(y, C)
+    assert all(np.array_equal(stacked[s], onestep.one_step_estimate(y[s], C)) for s in range(5))
+    assert all(np.array_equal(stacked[s], np.linalg.solve(C, y[s])) for s in range(5))
 
 
 def one_channel_scenario(seeds):

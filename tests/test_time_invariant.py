@@ -1,8 +1,7 @@
-"""On a time-invariant model run_scenario evaluates the model once per
-scenario and computes r4skf's covariance and gain sequence once for all
-seeds. A model whose matrices are callables takes the per-step reference
-path (r4skf.step, a2kf.a2kf_step); these tests hold the two paths to the
-same outputs bit for bit.
+"""run_scenario computes r4skf's covariance and gain sequence once for all
+seeds of any model. A model whose matrices are callables is evaluated once
+per step, a time-invariant model once per scenario; these tests hold the
+two to the same outputs bit for bit.
 """
 
 import itertools
@@ -96,8 +95,8 @@ def test_covariance_sequence_and_blocks_are_computed_once_per_scenario(monkeypat
     assert len(blocks) == 1
 
 
-def test_a_time_varying_model_runs_the_sequence_per_seed(monkeypatch):
+def test_a_time_varying_model_runs_the_sequence_once_for_all_seeds(monkeypatch):
     gains = count_calls(monkeypatch, r4skf, "gain_and_covariance")
     cfg = benchmark_case(1, duration=0.5, seeds=(1, 2, 3), estimators=("r4skf",))
     run_scenario(replace(cfg, model=as_callables(cfg.model)))
-    assert len(gains) == 3 * cfg.n_steps
+    assert len(gains) == cfg.n_steps
