@@ -9,10 +9,11 @@ covariance propagation uses the compensated Euler rule
 so on a linear plant with Euler integration the recursion coincides with
 the linear four-step filter. The pieces that do not depend on the
 linearization are r4skf's own: the rank-checked extraction gain
-(unknown_input_gain), the Kalman gain with its singular-S check
-(kalman_gain), the Joseph update (joseph_update), the unknown-input error
-covariance and the stability matrices (computed when the report's A_bar /
-A_tilde is read).
+(unknown_input_gain), the covariance correction (correct: the Kalman gain
+with its singular-S check, the combined gain and the Joseph update), the
+unknown-input error covariance and the stability matrices (computed when the
+report's A_bar / A_tilde is read). Only the state half is its own, because
+it propagates through the nonlinear f and h.
 """
 
 from __future__ import annotations
@@ -153,11 +154,9 @@ def cd_four_step(
     x_pred = x_star + dm.E_d @ d_hat
 
     P_pred = propagate_covariance(state.P, F_k, G, Q, dt)
-    K = r4skf.kalman_gain(P_pred, C, R)
-    L = K + (np.eye(n_x) - K @ C) @ dm.E_d @ F_d
+    K, L, P_post = r4skf.correct(P_pred, C, R, dm.E_d, F_d)
     innov = y - np.asarray(model.h(x_pred), dtype=float)
     x_hat = x_pred + K @ innov
-    P_post = r4skf.joseph_update(P_pred, L, C, R)
     Pd = r4skf.unknown_input_error_cov(state.P, dm, C, Q, R, F_d, G=G)
 
     new_state = FilterState(x_hat=x_hat, P=P_post, d_hat=d_hat, Pd=Pd, gamma=gamma, k=state.k + 1)

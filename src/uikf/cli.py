@@ -17,8 +17,9 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import replace
 from pathlib import Path
-from typing import Dict, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -30,6 +31,7 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_ESTIMATOR = 2
 EXIT_IO = 3
+ESTIMATOR_FAILURES = (RankConditionError, IllConditionedError, FloatingPointError, np.linalg.LinAlgError)
 
 
 def _parse_seeds(text: Optional[str]):
@@ -68,7 +70,7 @@ def _run(cfg: sim.ScenarioConfig, out: Optional[str], tag: str) -> int:
     """Run a scenario, write its CSVs and print the RMSE summary."""
     try:
         result = sim.run_scenario(cfg)
-    except (RankConditionError, IllConditionedError, FloatingPointError, np.linalg.LinAlgError) as exc:
+    except ESTIMATOR_FAILURES as exc:
         print(f"estimator failure: {exc}", file=sys.stderr)
         return EXIT_ESTIMATOR
     try:
@@ -98,8 +100,6 @@ def cmd_simulate(args) -> int:
     try:
         cfg = load_scenario(args.config)
         if args.seeds is not None:
-            from dataclasses import replace
-
             cfg = replace(cfg, seeds=_parse_seeds(args.seeds))
     except (ConfigError, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
@@ -119,17 +119,21 @@ def cmd_check(args) -> int:
         return EXIT_OK
 
     # stability suite
-    models = {"benchmark": benchmark.benchmark_model(dt=args.dt)}
-    if args.config is not None:
-        try:
+    try:
+        models = {"benchmark": benchmark.benchmark_model(dt=args.dt)}
+        if args.config is not None:
             models["user"] = load_scenario(args.config).model
-        except (ConfigError, OSError) as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return EXIT_CONFIG
+    except (ConfigError, ValueError, OSError) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     models["square"] = checks.square_test_model()
     ok = True
     for name, model in models.items():
-        rep = checks.stability_report(model)
+        try:
+            rep = checks.stability_report(model)
+        except ESTIMATOR_FAILURES as exc:
+            print(f"estimator failure: {name}: {exc}", file=sys.stderr)
+            return EXIT_ESTIMATOR
         print(
             f"{name}: rho(A_bar)={rep['rho_A_bar']:.6g} rho(A_tilde)={rep['rho_A_tilde']:.6g}"
         )

@@ -70,8 +70,8 @@ class SystemModel:
     n_w: int = 0
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"model.dt: must be a positive finite number, got {self.dt}")
         for name in _MATRICES:
             object.__setattr__(self, name, _wrap(getattr(self, name), name))
 

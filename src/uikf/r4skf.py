@@ -11,11 +11,14 @@ Per measurement the filter runs:
 with a Joseph-form covariance update built on the combined gain
 L = K + (I - K C) E_d F_d, which keeps P symmetric PSD for any gain.
 
-The state-recursion pieces (predict_no_input, predict_with_input, update,
-kalman_gain, joseph_update) also take stacks with leading axes, e.g. one
-row per Monte-Carlo seed. Every product in a stack is the same BLAS call
-(gemv, gemm, syrk) as for a single problem, so each row is bitwise equal to
-the unstacked result; see matvec.
+Each half of a step has one implementation here: the state half extract /
+four_step (steps 1-2 / 1-4 with a given gain, e.g. the observer's fixed L)
+and the covariance half unknown_input_error_cov / gain_and_covariance, whose
+tail correct cdekf shares. advance runs both; step = advance(step_terms).
+The state half, kalman_gain and joseph_update also take stacks with leading
+axes, e.g. one row per Monte-Carlo seed. Every product in a stack is the
+same BLAS call (gemv, gemm, syrk) as for a single problem, so each row is
+bitwise equal to the unstacked result; see matvec.
 """
 
 from __future__ import annotations
@@ -134,6 +137,20 @@ def predict_with_input(x_star: np.ndarray, d_hat: np.ndarray, dm: DiscretizedMod
     return x_star + matvec(dm.E_d, d_hat)
 
 
+def extract(x_hat, u, y, dm: DiscretizedModel, C: np.ndarray, F_d: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """Steps 1 and 2 with F_d = (C E_d)^+ given: (x_star, d_hat, gamma)."""
+    x_star = predict_no_input(x_hat, u, dm)
+    gamma = y - matvec(C, x_star)
+    return x_star, matvec(F_d, gamma), gamma
+
+
+def four_step(x_hat, u, y, dm: DiscretizedModel, C: np.ndarray, F_d: np.ndarray, K: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """Steps 1-4 with the gain K in step 4: (x_star, d_hat, gamma, x_pred, x_hat)."""
+    x_star, d_hat, gamma = extract(x_hat, u, y, dm, C, F_d)
+    x_pred = predict_with_input(x_star, d_hat, dm)
+    return x_star, d_hat, gamma, x_pred, update(x_pred, y, K, C)
+
+
 def gain_and_covariance(
     P_prev: np.ndarray,
     dm: DiscretizedModel,
@@ -151,9 +168,15 @@ def gain_and_covariance(
     if G is None:
         G = dm.G_d / dm.dt
     P_pred = dm.A_d @ P_prev @ dm.A_d.T + G @ Q @ G.T * dm.dt
+    return (P_pred, *correct(P_pred, C, R, dm.E_d, F_d))
+
+
+def correct(P_pred: np.ndarray, C: np.ndarray, R: np.ndarray, E_d: np.ndarray, F_d: np.ndarray) -> Tuple[np.ndarray, ...]:
+    """Kalman gain K, combined gain L = K + (I - K C) E_d F_d and the Joseph
+    update of P_pred with L: (K, L, P_post)."""
     K = kalman_gain(P_pred, C, R)
-    L = K + (np.eye(P_prev.shape[0]) - K @ C) @ dm.E_d @ F_d
-    return P_pred, K, L, joseph_update(P_pred, L, C, R)
+    L = K + (np.eye(P_pred.shape[-1]) - K @ C) @ E_d @ F_d
+    return K, L, joseph_update(P_pred, L, C, R)
 
 
 def kalman_gain(P_pred: np.ndarray, C: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -239,16 +262,16 @@ def unknown_input_error_cov(
     return 0.5 * (Pd + Pd.T)
 
 
-def step_terms(model: SystemModel, k: int) -> Tuple[DiscretizedModel, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def step_terms(model: SystemModel, k: int) -> Tuple[DiscretizedModel, np.ndarray, ...]:
     """What one step reads from the model, for the step from t_k = k dt to
-    measurement k + 1: (dm, C, R, Q, G)."""
+    measurement k + 1: (dm, C, R, Q, G, F_d) with the rank-checked F_d = (C E_d)^+."""
     t = k * model.dt
     dm = discretize(model, t)
     C = np.asarray(model.C(k + 1), dtype=float)
     R = np.asarray(model.R(k + 1), dtype=float)
     Q = np.asarray(model.Q(t), dtype=float)
     G = np.asarray(model.G(t), dtype=float)
-    return dm, C, R, Q, G
+    return dm, C, R, Q, G, unknown_input_gain(C, dm.E_d)
 
 
 def step(
@@ -264,17 +287,20 @@ def step(
     covariance bookkeeping still runs); this is how a fixed observer gain
     is reproduced on the filter code path.
     """
-    dm, C, R, Q, G = step_terms(model, state.k)
-    u = np.asarray(u, dtype=float)
-    y = np.asarray(y, dtype=float)
+    return advance(state, u, y, step_terms(model, state.k), gain_override)
 
-    x_star = predict_no_input(state.x_hat, u, dm)
-    d_hat, F_d, gamma = estimate_unknown_input(y, x_star, dm, C)
-    x_pred = predict_with_input(x_star, d_hat, dm)
+
+def advance(state: FilterState, u, y, terms: Tuple, gain_override=None) -> Tuple[FilterState, StepReport]:
+    """step on model terms evaluated beforehand (see step_terms). x_hat, u
+    and y may carry a leading seed axis while P is shared: the covariance,
+    gain and Pd sequence never reads a measurement, so it runs once for all
+    seeds, and the state half runs on the stack."""
+    dm, C, R, Q, G, F_d = terms
     Pd = unknown_input_error_cov(state.P, dm, C, Q, R, F_d, G=G)
     _, K, L, P_post = gain_and_covariance(state.P, dm, C, Q, R, F_d, G=G)
     K_used = K if gain_override is None else np.asarray(gain_override, dtype=float)
-    x_hat = update(x_pred, y, K_used, C)
+    u, y = np.asarray(u, dtype=float), np.asarray(y, dtype=float)
+    x_star, d_hat, gamma, x_pred, x_hat = four_step(state.x_hat, u, y, dm, C, F_d, K_used)
 
     new_state = FilterState(x_hat=x_hat, P=P_post, d_hat=d_hat, Pd=Pd, gamma=gamma, k=state.k + 1)
     report = StepReport(x_star=x_star, x_pred=x_pred, d_hat=d_hat, F_d=F_d, K=K_used, L=L, dm=dm, C=C)

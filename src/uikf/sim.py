@@ -68,8 +68,8 @@ class ScenarioConfig:
     rmse_skip: float = 0.0                  # seconds excluded from RMSE at the start
 
     def __post_init__(self):
-        if self.duration <= 0:
-            raise ConfigError("scenario.duration: must be positive")
+        if not (np.isfinite(self.duration) and self.duration > 0):
+            raise ConfigError("scenario.duration: must be a positive finite number")
         if self.n_steps == 0:
             raise ConfigError(
                 f"scenario.duration: {self.duration} is shorter than one step (dt = {self.model.dt})"
@@ -252,9 +252,9 @@ def generate_truth(config: ScenarioConfig, seed: int) -> TruthTrajectory:
 # advance together: init(n) is the state of n seeds, stacked along a leading seed axis, and
 # step(state, k, u, y) takes u_k and y_k of every seed, (n, n_u) and (n, n_y), and returns
 # (state, row) with row = (x_hat, d_hat, gamma[, per-step covariance diagonal]) of every
-# seed after step k + 1. The model terms of a step serve every seed (_per_step), and so
-# does r4skf's covariance, gain and Pd sequence, which no measurement enters. Each row is
-# bitwise equal to the reference step functions (r4skf.step, a2kf.a2kf_step, ...).
+# seed after step k + 1. The model terms of a step serve every seed (_per_step). The r4skf,
+# uio and onestep runners run r4skf's own kernel (advance, four_step, extract) on the stack,
+# so each row is bitwise equal to the per-seed step functions (r4skf.step, a2kf.a2kf_step, ...).
 def _per_step(model, build):
     """k -> build(model, k), the model terms of the step from t_k to measurement
     k + 1. A time-invariant model is evaluated once, at the first step: inside
@@ -265,48 +265,24 @@ def _per_step(model, build):
     return lambda _k: first()
 
 
-def _model_terms(model, k):
-    """r4skf.step_terms and the extraction gain F_d = (C E_d)^+: (dm, C, R, Q, G, F_d)."""
-    dm, C, R, Q, G = r4skf.step_terms(model, k)
-    return dm, C, R, Q, G, r4skf.unknown_input_gain(C, dm.E_d)
-
-
 def _repeat(value, n: int) -> np.ndarray:
     """value repeated along a new leading seed axis of length n."""
     return np.repeat(np.asarray(value, dtype=float)[None], n, axis=0)
 
 
-def _extract(x_hat, u, y, dm, C, F_d):
-    """Steps 1 and 2 of the four-step recursion: (x_star, d_hat, gamma)."""
-    x_star = r4skf.predict_no_input(x_hat, u, dm)
-    gamma = y - matvec(C, x_star)
-    return x_star, matvec(F_d, gamma), gamma
-
-
-def _four_step(x_hat, u, y, dm, C, F_d, K):
-    """The four-step state recursion with a given gain K: (x_hat, d_hat, gamma)."""
-    x_star, d_hat, gamma = _extract(x_hat, u, y, dm, C, F_d)
-    return r4skf.update(r4skf.predict_with_input(x_star, d_hat, dm), y, K, C), d_hat, gamma
-
-
 def _r4skf_runner(config):
-    model = config.model
-    start = r4skf.initial_state(model, config.x0_hat)
-    terms = _per_step(model, _model_terms)
+    start = r4skf.initial_state(config.model, config.x0_hat)
+    terms = _per_step(config.model, r4skf.step_terms)
 
     def step(state, k, u, y):
-        x_hat, P = state
         try:
-            dm, C, R, Q, G, F_d = terms(k)
-            Pd = r4skf.unknown_input_error_cov(P, dm, C, Q, R, F_d, G=G)
-            _, K, _, P = r4skf.gain_and_covariance(P, dm, C, Q, R, F_d, G=G)
+            state, _ = r4skf.advance(state, u, y, terms(k))
         except (RankConditionError, IllConditionedError) as exc:
             exc.index = None            # the shared sequence fails for every seed
             raise
-        x_hat, d_hat, gamma = _four_step(x_hat, u, y, dm, C, F_d, K)
-        return (x_hat, P), (x_hat, d_hat, gamma, np.diag(Pd))
+        return state, (state.x_hat, state.d_hat, state.gamma, np.diag(state.Pd))
 
-    return (lambda n: (_repeat(start.x_hat, n), start.P)), step
+    return (lambda n: replace(start, x_hat=_repeat(start.x_hat, n))), step
 
 
 def _a2kf_runner(config):
@@ -325,12 +301,11 @@ def _a2kf_runner(config):
 
 
 def _onestep_runner(config):
-    model = config.model
-    terms = _per_step(model, _model_terms)
+    terms = _per_step(config.model, r4skf.step_terms)
 
     def step(x_prev, k, u, y):
         dm, C, *_, F_d = terms(k)
-        _, d_hat, gamma = _extract(x_prev, u, y, dm, C, F_d)
+        _, d_hat, gamma = r4skf.extract(x_prev, u, y, dm, C, F_d)
         x_hat = onestep.one_step_estimate(y, C)
         return x_hat, (x_hat, d_hat, gamma)
 
@@ -338,15 +313,14 @@ def _onestep_runner(config):
 
 
 def _uio_runner(config):
-    model = config.model
     L = config.uio_gain
-    L = np.asarray(moore_penrose_pinv(np.asarray(model.C(0), dtype=float)) if L is None else L, dtype=float)
-    terms = _per_step(model, _model_terms)
+    L = np.asarray(moore_penrose_pinv(np.asarray(config.model.C(0), dtype=float)) if L is None else L, dtype=float)
+    terms = _per_step(config.model, r4skf.step_terms)
 
     # observer_step is the four-step recursion with the fixed gain L
     def step(x_hat, k, u, y):
         dm, C, *_, F_d = terms(k)
-        x_hat, d_hat, gamma = _four_step(x_hat, u, y, dm, C, F_d, L)
+        _, d_hat, gamma, _, x_hat = r4skf.four_step(x_hat, u, y, dm, C, F_d, L)
         return x_hat, (x_hat, d_hat, gamma)
 
     return (lambda n: _repeat(config.x0_hat, n)), step

@@ -8,10 +8,12 @@ Discrete recursion (same first-order discretization as the filter):
     z_k  = w_k + E_d d̂
     x̂_k  = z_k + L (y_k - C z_k)
 
-No covariance is computed. With L = C^{-1} in the square case the observer
-output equals C^{-1} y exactly. F_d comes from r4skf.unknown_input_gain, so
-the observer refuses the same rank-deficient steps as the filter, and the
-stability check reads (I - L C) Ā from r4skf.stability_matrices.
+This is r4skf.four_step with L in place of the Kalman gain (w = x*,
+z = x̂⁻); no covariance is computed. With L = C^{-1} in the square case the
+observer output equals C^{-1} y exactly. F_d comes from
+r4skf.unknown_input_gain, so the observer refuses the same rank-deficient
+steps as the filter, and the stability check reads (I - L C) Ā from
+r4skf.stability_matrices.
 """
 
 from __future__ import annotations
@@ -46,12 +48,10 @@ def observer_step(
     C: np.ndarray,
     L: np.ndarray,
 ) -> ObserverState:
-    """One observer step with F_d = (C E_d)^+."""
+    """One observer step: r4skf.four_step with F_d = (C E_d)^+ and the gain L."""
     F_d = r4skf.unknown_input_gain(C, dm.E_d)
-    w = dm.A_d @ state.x_hat + dm.B_d @ np.asarray(u, dtype=float)
-    d_hat = F_d @ (y - C @ w)
-    z = w + dm.E_d @ d_hat
-    x_hat = z + L @ (y - C @ z)
+    u, y = np.asarray(u, dtype=float), np.asarray(y, dtype=float)
+    w, d_hat, _, z, x_hat = r4skf.four_step(state.x_hat, u, y, dm, C, F_d, L)
     return ObserverState(w=w, z=z, x_hat=x_hat, d_hat=d_hat)
 
 

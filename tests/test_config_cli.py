@@ -279,3 +279,42 @@ class TestRejectedScenarios:
         assert cli.main(["simulate", "--config", path, "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert "config error" in err and "scenario.duration" in err
+
+
+class TestNonFiniteStepAndDuration:
+    """A bad dt or duration exits 1 with a message that names the field, on
+    every route, and never with a traceback."""
+
+    @staticmethod
+    def assert_config_error(capsys, field):
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and field in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("dt", ["0", "-1", "nan", "inf"])
+    def test_check_stability_with_bad_dt_exits_1(self, capsys, dt):
+        assert cli.main(["check", "stability", "--dt", dt]) == 1
+        self.assert_config_error(capsys, "model.dt")
+
+    @pytest.mark.parametrize("option, value, field", [
+        ("--duration", "inf", "scenario.duration"),
+        ("--duration", "nan", "scenario.duration"),
+        ("--dt", "nan", "model.dt"),
+    ])
+    def test_reproduce_with_non_finite_value_exits_1(self, tmp_path, capsys, option, value, field):
+        assert cli.main(["reproduce", "--case", "1", "--out", str(tmp_path), option, value]) == 1
+        self.assert_config_error(capsys, field)
+
+    @pytest.mark.parametrize("path, value, field", [
+        (("scenario", "duration"), float("inf"), "scenario.duration"),
+        (("model", "dt"), float("nan"), "model.dt"),
+        (("model", "dt"), float("inf"), "model.dt"),
+    ])
+    def test_simulate_with_non_finite_value_exits_1(self, tmp_path, capsys, path, value, field):
+        config_path = write_doc(tmp_path, deep_update(MINIMAL_DOC, path, value))
+        assert cli.main(["simulate", "--config", config_path, "--out", str(tmp_path)]) == 1
+        self.assert_config_error(capsys, field)
+
+    def test_check_stability_estimator_failure_exits_2(self, capsys):
+        assert cli.main(["check", "stability", "--dt", "1e10"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("estimator failure: benchmark: ") and "Traceback" not in err
