@@ -21,7 +21,7 @@ import numpy as np
 from . import r4skf
 from .r4skf import matvec
 # discretize stays importable from this module as part of its namespace
-from .model import DiscretizedModel, SystemModel, discretize, moore_penrose_pinv  # noqa: F401
+from .model import DiscretizedModel, SystemModel, discretize, identity, moore_penrose_pinv  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -88,7 +88,7 @@ def augment(model: SystemModel, t: float = 0.0, k: int = 0, Qd=None) -> Augmente
     B_a[:n_x] = B
     G_a = np.zeros((n_x + n_d, n_w + n_d))
     G_a[:n_x, :n_w] = G
-    G_a[n_x:, n_w:] = np.eye(n_d)
+    G_a[n_x:, n_w:] = identity(n_d)
     C_a = np.zeros((model.n_y, n_x + n_d))
     C_a[:, :n_x] = C
     Q_a = np.zeros((n_w + n_d, n_w + n_d))
@@ -103,18 +103,18 @@ def initial_state(model: SystemModel, x0_hat, P0=None, cfg: A2KFConfig = A2KFCon
     n_x, n_d = model.n_x, model.n_d
     x_a = np.concatenate([np.asarray(x0_hat, dtype=float), np.zeros(n_d)])
     if P0 is None:
-        P0 = 10.0 * np.eye(n_x)
+        P0 = 10.0 * identity(n_x)
     P_a = np.block(
         [
             [np.asarray(P0, dtype=float), np.zeros((n_x, n_d))],
-            [np.zeros((n_d, n_x)), np.eye(n_d)],
+            [np.zeros((n_d, n_x)), identity(n_d)],
         ]
     )
     return A2KFState(
         x_a=x_a,
         P_a=P_a,
         innov_window=np.zeros((0, model.n_y)),
-        Qd_hat=cfg.qd_init * np.eye(n_d),
+        Qd_hat=cfg.qd_init * identity(n_d),
         k=0,
     )
 
@@ -132,12 +132,11 @@ def innovation_covariance(innov_window) -> np.ndarray:
 @dataclass
 class StepBlocks:
     """What one a2kf step reads from the model; constant for a time-invariant
-    model. Q_a has a zero Q^d block; each step fills a copy with its Q^d."""
+    model, so sim._per_step forms it once per scenario."""
 
     A_da: np.ndarray                  # I + A_a dt
     B_da: np.ndarray                  # B_a dt
-    G_a: np.ndarray
-    Q_a: np.ndarray
+    GQG: np.ndarray                   # G Q G^T dt
     C_a: np.ndarray
     R: np.ndarray
     CGQGC: np.ndarray                 # C G Q G^T C^T dt
@@ -145,9 +144,20 @@ class StepBlocks:
     dt: float
 
 
+def _process_noise(b: StepBlocks, Qd_hat: np.ndarray) -> np.ndarray:
+    """The augmented process noise G_a Q_a G_a^T dt for each Q^d of a stack,
+    assembled as the block matrix [[G Q G^T dt, 0], [0, Q^d dt]]: with
+    G_a = blkdiag(G, I) and Q_a = blkdiag(Q, Q^d) every other product is zero."""
+    n_x = b.GQG.shape[0]
+    Qproc = np.zeros(Qd_hat.shape[:-2] + b.A_da.shape)
+    Qproc[..., :n_x, :n_x] = b.GQG
+    Qproc[..., n_x:, n_x:] = Qd_hat * b.dt
+    return Qproc
+
+
 def _qd_terms(C: np.ndarray, E_d: np.ndarray, Q: np.ndarray, G: np.ndarray, dt: float):
     """The model terms of the Q^d estimate: C G Q G^T C^T dt and (C E_d)^+."""
-    return C @ G @ Q @ G.T @ C.T * dt, moore_penrose_pinv(C @ E_d)
+    return r4skf.output_noise(C, G, Q, dt), moore_penrose_pinv(C @ E_d)
 
 
 def step_blocks(model: SystemModel, t: float, k: int) -> StepBlocks:
@@ -155,10 +165,11 @@ def step_blocks(model: SystemModel, t: float, k: int) -> StepBlocks:
     E_d, C, G and Q are read back from the augmented blocks."""
     n_x, n_w, dt = model.n_x, model.n_w, model.dt
     am = augment(model, t=t, k=k)
-    A_da = np.eye(n_x + model.n_d) + am.A_a * dt
+    A_da = identity(n_x + model.n_d) + am.A_a * dt
     E_d, C, G, Q = A_da[:n_x, n_x:], am.C_a[:, :n_x], am.G_a[:n_x, :n_w], am.Q_a[:n_w, :n_w]
     R = np.asarray(model.R(k), dtype=float)
-    return StepBlocks(A_da, am.B_a * dt, am.G_a, am.Q_a, am.C_a, R, *_qd_terms(C, E_d, Q, G, dt), dt)
+    GQG = r4skf.process_noise(G, Q, dt)
+    return StepBlocks(A_da, am.B_a * dt, GQG, am.C_a, R, *_qd_terms(C, E_d, Q, G, dt), dt)
 
 
 def estimate_Qd(
@@ -202,7 +213,7 @@ def _project_Qd(Cgamma, CGQGC, M, R, dt, cfg) -> np.ndarray:
         rest = ~triggered
         triggered = np.array(triggered)
         triggered[rest] = np.linalg.eigvalsh(Qd[rest]).min(axis=-1) < 0
-    eye = np.eye(n_d)
+    eye = identity(n_d)
     if triggered.any():
         Qd = np.where(triggered[..., None, None] & (eye == 0.0), 0.0, Qd)
     lift = np.clip(cfg.qd_floor - Qd.diagonal(0, -2, -1), 0.0, None)
@@ -231,17 +242,11 @@ def advance(
     """a2kf_step on model blocks b evaluated beforehand (see step_blocks).
     The state may be a stack along leading axes; u and y then carry the
     same leading axes."""
-    n_d = state.Qd_hat.shape[-1]
-    Q_a = np.empty(state.Qd_hat.shape[:-2] + b.Q_a.shape)
-    Q_a[...] = b.Q_a
-    Q_a[..., -n_d:, -n_d:] = state.Qd_hat
-    Qproc = b.G_a @ Q_a @ b.G_a.T * b.dt
-
     u = np.asarray(u, dtype=float)
     y = np.asarray(y, dtype=float)
 
     x_pred = matvec(b.A_da, state.x_a) + matvec(b.B_da, u)
-    P_pred = b.A_da @ state.P_a @ b.A_da.T + Qproc
+    P_pred = b.A_da @ state.P_a @ b.A_da.T + _process_noise(b, state.Qd_hat)
     K = r4skf.kalman_gain(P_pred, b.C_a, b.R)
     gamma = y - matvec(b.C_a, x_pred)
     x_new = x_pred + matvec(K, gamma)

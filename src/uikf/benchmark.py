@@ -17,7 +17,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .a2kf import A2KFConfig
-from .model import SystemModel
+from .model import SystemModel, identity
 from .sim import ScenarioConfig, SignalSpec
 
 A_PLANT = np.array(
@@ -60,7 +60,7 @@ def benchmark_model(dt: float = DEFAULT_DT, r_scale: float = 1.0) -> SystemModel
         A=A_PLANT,
         B=B_PLANT,
         E=B_PLANT,
-        G=np.eye(4),
+        G=identity(4),
         C=C_PLANT,
         Q=Q_PLANT,
         R=R_PLANT * r_scale,

@@ -24,7 +24,7 @@ from typing import Callable, Optional, Tuple
 import numpy as np
 
 # moore_penrose_pinv stays importable from this module as part of its namespace
-from .model import DiscretizedModel, moore_penrose_pinv  # noqa: F401
+from .model import DiscretizedModel, identity, moore_penrose_pinv  # noqa: F401
 from . import r4skf
 from .r4skf import FilterState, StepReport
 
@@ -137,7 +137,7 @@ def cd_four_step(
 
     F_k = model.jac_f(state.x_hat, u, t)
     dm = DiscretizedModel(
-        A_d=np.eye(n_x) + F_k * dt,
+        A_d=identity(n_x) + F_k * dt,
         B_d=np.zeros((n_x, u.shape[0])),
         E_d=E * dt,
         G_d=G * dt,

@@ -13,7 +13,7 @@ import numpy as np
 from . import a2kf, onestep, r4skf, uio
 from .a2kf import A2KFConfig
 from .benchmark import benchmark_model
-from .model import SystemModel, discretize, moore_penrose_pinv
+from .model import SystemModel, discretize, identity, moore_penrose_pinv
 from .sim import simulate
 
 
@@ -36,11 +36,11 @@ def square_test_model(dt: float = 0.01) -> SystemModel:
     return SystemModel(
         A=np.array([[0.0, 1.0], [0.0, 0.0]]),
         B=np.zeros((2, 1)),
-        E=np.eye(2),
-        G=np.eye(2),
-        C=np.eye(2),
-        Q=1e-4 * np.eye(2),
-        R=1e-4 * np.eye(2),
+        E=identity(2),
+        G=identity(2),
+        C=identity(2),
+        Q=1e-4 * identity(2),
+        R=1e-4 * identity(2),
         dt=dt,
     )
 
@@ -146,9 +146,9 @@ def check_qd_reconstruction(seed: int = 4) -> List[CheckResult]:
     R = np.asarray(model.R(0), dtype=float)
     rng = np.random.default_rng(seed)
     M = rng.standard_normal((model.n_d, model.n_d))
-    S = M @ M.T + 0.5 * np.eye(model.n_d)
+    S = M @ M.T + 0.5 * identity(model.n_d)
     CEd = C @ dm.E_d
-    Cgamma = CEd @ S @ CEd.T + C @ G @ Q @ G.T @ C.T * dm.dt + R
+    Cgamma = CEd @ S @ CEd.T + r4skf.output_noise(C, G, Q, dm.dt) + R
     S_hat = a2kf.estimate_Qd(Cgamma, dm, C, Q, G, R, A2KFConfig())
     err = float(np.abs(S_hat - S).max() / np.abs(S).max())
     return [CheckResult("qd_spd_round_trip", err <= 1e-10, err, 1e-10)]
@@ -166,15 +166,20 @@ def run_property_checks() -> List[CheckResult]:
 
 def stability_report(model: SystemModel, steps: int = 1000, seed: int = 0) -> Dict[str, float]:
     """Spectral radii of the predictor and filter error-dynamics matrices
-    after running the filter to (near) steady state."""
+    after running the filter to (near) steady state. An overflow, invalid
+    value or division by zero raises a FloatingPointError naming the step."""
     rng = np.random.default_rng(seed)
     state = r4skf.initial_state(model, np.zeros(model.n_x))
     u = np.zeros(model.n_u)
-    rep = None
-    for k in range(steps):
-        y = rng.standard_normal(model.n_y) * np.sqrt(np.diag(np.asarray(model.R(k + 1), dtype=float)))
-        state, rep = r4skf.step(state, u, y, model)
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for k in range(steps):
+                y = rng.standard_normal(model.n_y) * np.sqrt(np.diag(np.asarray(model.R(k + 1), dtype=float)))
+                state, rep = r4skf.step(state, u, y, model)
+            A_bar, A_tilde = rep.A_bar, rep.A_tilde
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"r4skf, step {k + 1}: {exc}") from exc
     return {
-        "rho_A_bar": float(np.max(np.abs(np.linalg.eigvals(rep.A_bar)))),
-        "rho_A_tilde": float(np.max(np.abs(np.linalg.eigvals(rep.A_tilde)))),
+        "rho_A_bar": float(np.max(np.abs(np.linalg.eigvals(A_bar)))),
+        "rho_A_tilde": float(np.max(np.abs(np.linalg.eigvals(A_tilde)))),
     }

@@ -123,7 +123,7 @@ def parse_scenario(doc: Dict[str, Any]) -> ScenarioConfig:
     sc = _require(doc, "scenario", "document")
 
     duration = _require(sc, "duration", "scenario")
-    if not isinstance(duration, (int, float)) or duration <= 0:
+    if not isinstance(duration, (int, float)):
         raise ConfigError("scenario.duration: must be a positive number")
     seeds = _require(sc, "seeds", "scenario")
     if not isinstance(seeds, list) or len(seeds) == 0 or not all(isinstance(s, int) for s in seeds):

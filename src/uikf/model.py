@@ -12,6 +12,7 @@ structural condition rank(C E) = rank(E) = n_d.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Callable, Tuple, Union
 
@@ -120,6 +121,15 @@ class SystemModel:
         return all(isinstance(getattr(self, name), _Constant) for name in _MATRICES)
 
 
+@functools.cache
+def identity(n: int) -> np.ndarray:
+    """The n x n identity, formed once per size and shared by every caller,
+    so it is read-only."""
+    eye = np.eye(n)
+    eye.flags.writeable = False
+    return eye
+
+
 @dataclass(frozen=True)
 class DiscretizedModel:
     """One-step first-order-hold matrices: A_d = I + A dt, X_d = X dt."""
@@ -137,7 +147,7 @@ def discretize(model: SystemModel, t: float) -> DiscretizedModel:
     dt = model.dt
     A = np.asarray(model.A(t), dtype=float)
     return DiscretizedModel(
-        A_d=np.eye(model.n_x) + A * dt,
+        A_d=identity(model.n_x) + A * dt,
         B_d=np.asarray(model.B(t), dtype=float) * dt,
         E_d=np.asarray(model.E(t), dtype=float) * dt,
         G_d=np.asarray(model.G(t), dtype=float) * dt,

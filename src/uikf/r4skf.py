@@ -14,7 +14,8 @@ L = K + (I - K C) E_d F_d, which keeps P symmetric PSD for any gain.
 Each half of a step has one implementation here: the state half extract /
 four_step (steps 1-2 / 1-4 with a given gain, e.g. the observer's fixed L)
 and the covariance half unknown_input_error_cov / gain_and_covariance, whose
-tail correct cdekf shares. advance runs both; step = advance(step_terms).
+tail correct cdekf shares. advance runs both on the StepTerms of a step;
+step = advance(step_terms).
 The state half, kalman_gain and joseph_update also take stacks with leading
 axes, e.g. one row per Monte-Carlo seed. Every product in a stack is the
 same BLAS call (gemv, gemm, syrk) as for a single problem, so each row is
@@ -24,12 +25,13 @@ bitwise equal to the unstacked result; see matvec.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .errors import DimensionError, IllConditionedError, RankConditionError
-from .model import DiscretizedModel, SystemModel, discretize, pinv_and_rank
+from .model import DiscretizedModel, SystemModel, discretize, identity, pinv_and_rank
 
 RCOND_FLOOR = 1e-14
 DEFAULT_P0_SCALE = 10.0
@@ -75,14 +77,14 @@ def initial_state(model: SystemModel, x0_hat, P0=None, Pd0=None) -> FilterState:
     """Initial filter state; P0 defaults to 10 I, Pd0 to I."""
     x0_hat = np.asarray(x0_hat, dtype=float)
     if P0 is None:
-        P0 = DEFAULT_P0_SCALE * np.eye(model.n_x)
+        P0 = DEFAULT_P0_SCALE * identity(model.n_x)
     if Pd0 is None:
-        Pd0 = np.eye(model.n_d)
+        Pd0 = identity(model.n_d)
     return FilterState(
         x_hat=x0_hat,
         P=np.asarray(P0, dtype=float),
         d_hat=np.zeros(model.n_d),
-        Pd=np.asarray(Pd0, dtype=float),
+        Pd=np.array(Pd0, dtype=float),
         gamma=np.zeros(model.n_y),
         k=0,
     )
@@ -151,31 +153,78 @@ def four_step(x_hat, u, y, dm: DiscretizedModel, C: np.ndarray, F_d: np.ndarray,
     return x_star, d_hat, gamma, x_pred, update(x_pred, y, K, C)
 
 
+def process_noise(G: np.ndarray, Q: np.ndarray, dt: float) -> np.ndarray:
+    """G Q G^T dt, the discrete process-noise covariance (one factor of dt)."""
+    return G @ Q @ G.T * dt
+
+
+def output_noise(C: np.ndarray, G: np.ndarray, Q: np.ndarray, dt: float) -> np.ndarray:
+    """C G Q G^T C^T dt, the process noise seen at the output."""
+    return C @ G @ Q @ G.T @ C.T * dt
+
+
+@dataclass
+class StepTerms:
+    """What one step reads from the model (see step_terms) and the model-only
+    products of the covariance recursion. Each product is formed when first
+    read and then kept, so for a time-invariant scenario, whose terms
+    sim._per_step keeps, it is formed once per scenario. Only whole terms and
+    the leading product C A_d are kept: numpy evaluates C A_d P A_d^T C^T left
+    to right, and A_d^T C^T formed beforehand would round differently."""
+
+    dm: DiscretizedModel
+    C: np.ndarray
+    R: np.ndarray
+    Q: np.ndarray
+    G: np.ndarray                     # the continuous-time noise matrix
+    F_d: np.ndarray                   # (C E_d)^+
+
+    @cached_property
+    def CA_d(self) -> np.ndarray:
+        return self.C @ self.dm.A_d
+
+    @cached_property
+    def GQG(self) -> np.ndarray:
+        return process_noise(self.G, self.Q, self.dm.dt)
+
+    @cached_property
+    def CGQGC(self) -> np.ndarray:
+        return output_noise(self.C, self.G, self.Q, self.dm.dt)
+
+
+def _terms(dm: StepTerms | DiscretizedModel, C, Q, R, F_d, G) -> StepTerms:
+    """dm when it is a StepTerms, else the StepTerms of dm and the given
+    matrices, with G defaulting to G_d / dt."""
+    if isinstance(dm, StepTerms):
+        return dm
+    return StepTerms(dm, C, R, Q, dm.G_d / dm.dt if G is None else G, F_d)
+
+
 def gain_and_covariance(
     P_prev: np.ndarray,
-    dm: DiscretizedModel,
-    C: np.ndarray,
-    Q: np.ndarray,
-    R: np.ndarray,
-    F_d: np.ndarray,
+    dm: StepTerms | DiscretizedModel,
+    C: Optional[np.ndarray] = None,
+    Q: Optional[np.ndarray] = None,
+    R: Optional[np.ndarray] = None,
+    F_d: Optional[np.ndarray] = None,
     G: Optional[np.ndarray] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Covariance prediction, Kalman gain, combined gain and Joseph update.
 
-    G defaults to G_d / dt (the continuous-time noise matrix). The process
-    noise enters as G Q G^T dt, one factor of dt.
+    dm is the StepTerms of the step, or a DiscretizedModel given with C, Q, R,
+    F_d and G, which defaults to G_d / dt (the continuous-time noise matrix).
+    The process noise enters as G Q G^T dt, one factor of dt.
     """
-    if G is None:
-        G = dm.G_d / dm.dt
-    P_pred = dm.A_d @ P_prev @ dm.A_d.T + G @ Q @ G.T * dm.dt
-    return (P_pred, *correct(P_pred, C, R, dm.E_d, F_d))
+    t = _terms(dm, C, Q, R, F_d, G)
+    P_pred = t.dm.A_d @ P_prev @ t.dm.A_d.T + t.GQG
+    return (P_pred, *correct(P_pred, t.C, t.R, t.dm.E_d, t.F_d))
 
 
 def correct(P_pred: np.ndarray, C: np.ndarray, R: np.ndarray, E_d: np.ndarray, F_d: np.ndarray) -> Tuple[np.ndarray, ...]:
     """Kalman gain K, combined gain L = K + (I - K C) E_d F_d and the Joseph
     update of P_pred with L: (K, L, P_post)."""
     K = kalman_gain(P_pred, C, R)
-    L = K + (np.eye(P_pred.shape[-1]) - K @ C) @ E_d @ F_d
+    L = K + (identity(P_pred.shape[-1]) - K @ C) @ E_d @ F_d
     return K, L, joseph_update(P_pred, L, C, R)
 
 
@@ -204,7 +253,7 @@ def kalman_gain(P_pred: np.ndarray, C: np.ndarray, R: np.ndarray) -> np.ndarray:
 
 def joseph_update(P_pred: np.ndarray, L: np.ndarray, C: np.ndarray, R: np.ndarray) -> np.ndarray:
     """Joseph-form update (I - L C) P (I - L C)^T + L R L^T, symmetric PSD for any gain L."""
-    ImLC = np.eye(P_pred.shape[-1]) - L @ C
+    ImLC = identity(P_pred.shape[-1]) - L @ C
     P_post = ImLC @ P_pred @ ImLC.swapaxes(-1, -2) + L @ R @ L.swapaxes(-1, -2)
     return 0.5 * (P_post + P_post.swapaxes(-1, -2))
 
@@ -226,11 +275,11 @@ def stability_matrices(
     spectral radius of Ā (resp. Ã) stays below one.
     """
     n_x = dm.A_d.shape[0]
-    M = np.eye(n_x) - dm.E_d @ F_d @ C
+    M = identity(n_x) - dm.E_d @ F_d @ C
     A_bar = M @ dm.A_d
     G_bar = M @ dm.G_d
     D_bar = -dm.E_d @ F_d
-    ImKC = np.eye(n_x) - K @ C
+    ImKC = identity(n_x) - K @ C
     A_tilde = ImKC @ A_bar
     G_tilde = ImKC @ G_bar
     D_tilde = ImKC @ D_bar - K
@@ -239,39 +288,35 @@ def stability_matrices(
 
 def unknown_input_error_cov(
     P_prev: np.ndarray,
-    dm: DiscretizedModel,
-    C: np.ndarray,
-    Q: np.ndarray,
-    R: np.ndarray,
-    F_d: np.ndarray,
+    dm: StepTerms | DiscretizedModel,
+    C: Optional[np.ndarray] = None,
+    Q: Optional[np.ndarray] = None,
+    R: Optional[np.ndarray] = None,
+    F_d: Optional[np.ndarray] = None,
     G: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Covariance of the unknown-input estimation error d - d̂.
+    """Covariance of the unknown-input estimation error d - d̂; dm and the
+    model arguments as for gain_and_covariance.
 
     In quiescence (P small) this reduces to F_d (C G Q G^T C^T dt + R) F_d^T;
     since F_d scales like 1/dt, measurement noise is magnified by 1/dt^2.
     """
-    if G is None:
-        G = dm.G_d / dm.dt
-    mid = (
-        C @ dm.A_d @ P_prev @ dm.A_d.T @ C.T
-        + C @ G @ Q @ G.T @ C.T * dm.dt
-        + R
-    )
-    Pd = F_d @ mid @ F_d.T
+    t = _terms(dm, C, Q, R, F_d, G)
+    mid = t.CA_d @ P_prev @ t.dm.A_d.T @ t.C.T + t.CGQGC + t.R
+    Pd = t.F_d @ mid @ t.F_d.T
     return 0.5 * (Pd + Pd.T)
 
 
-def step_terms(model: SystemModel, k: int) -> Tuple[DiscretizedModel, np.ndarray, ...]:
+def step_terms(model: SystemModel, k: int) -> StepTerms:
     """What one step reads from the model, for the step from t_k = k dt to
-    measurement k + 1: (dm, C, R, Q, G, F_d) with the rank-checked F_d = (C E_d)^+."""
+    measurement k + 1, with the rank-checked F_d = (C E_d)^+."""
     t = k * model.dt
     dm = discretize(model, t)
     C = np.asarray(model.C(k + 1), dtype=float)
     R = np.asarray(model.R(k + 1), dtype=float)
     Q = np.asarray(model.Q(t), dtype=float)
     G = np.asarray(model.G(t), dtype=float)
-    return dm, C, R, Q, G, unknown_input_gain(C, dm.E_d)
+    return StepTerms(dm, C, R, Q, G, unknown_input_gain(C, dm.E_d))
 
 
 def step(
@@ -290,16 +335,16 @@ def step(
     return advance(state, u, y, step_terms(model, state.k), gain_override)
 
 
-def advance(state: FilterState, u, y, terms: Tuple, gain_override=None) -> Tuple[FilterState, StepReport]:
+def advance(state: FilterState, u, y, terms: StepTerms, gain_override=None) -> Tuple[FilterState, StepReport]:
     """step on model terms evaluated beforehand (see step_terms). x_hat, u
     and y may carry a leading seed axis while P is shared: the covariance,
     gain and Pd sequence never reads a measurement, so it runs once for all
     seeds, and the state half runs on the stack."""
-    dm, C, R, Q, G, F_d = terms
-    Pd = unknown_input_error_cov(state.P, dm, C, Q, R, F_d, G=G)
-    _, K, L, P_post = gain_and_covariance(state.P, dm, C, Q, R, F_d, G=G)
+    Pd = unknown_input_error_cov(state.P, terms)
+    _, K, L, P_post = gain_and_covariance(state.P, terms)
     K_used = K if gain_override is None else np.asarray(gain_override, dtype=float)
     u, y = np.asarray(u, dtype=float), np.asarray(y, dtype=float)
+    dm, C, F_d = terms.dm, terms.C, terms.F_d
     x_star, d_hat, gamma, x_pred, x_hat = four_step(state.x_hat, u, y, dm, C, F_d, K_used)
 
     new_state = FilterState(x_hat=x_hat, P=P_post, d_hat=d_hat, Pd=Pd, gamma=gamma, k=state.k + 1)

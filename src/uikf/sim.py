@@ -304,9 +304,9 @@ def _onestep_runner(config):
     terms = _per_step(config.model, r4skf.step_terms)
 
     def step(x_prev, k, u, y):
-        dm, C, *_, F_d = terms(k)
-        _, d_hat, gamma = r4skf.extract(x_prev, u, y, dm, C, F_d)
-        x_hat = onestep.one_step_estimate(y, C)
+        t = terms(k)
+        _, d_hat, gamma = r4skf.extract(x_prev, u, y, t.dm, t.C, t.F_d)
+        x_hat = onestep.one_step_estimate(y, t.C)
         return x_hat, (x_hat, d_hat, gamma)
 
     return (lambda n: _repeat(config.x0_hat, n)), step
@@ -319,8 +319,8 @@ def _uio_runner(config):
 
     # observer_step is the four-step recursion with the fixed gain L
     def step(x_hat, k, u, y):
-        dm, C, *_, F_d = terms(k)
-        _, d_hat, gamma, _, x_hat = r4skf.four_step(x_hat, u, y, dm, C, F_d, L)
+        t = terms(k)
+        _, d_hat, gamma, _, x_hat = r4skf.four_step(x_hat, u, y, t.dm, t.C, t.F_d, L)
         return x_hat, (x_hat, d_hat, gamma)
 
     return (lambda n: _repeat(config.x0_hat, n)), step
@@ -344,15 +344,21 @@ def _run_estimator(name: str, config: ScenarioConfig, u: np.ndarray, y: np.ndarr
     cols = [np.zeros((n, K, m)) for m in (model.n_x, model.n_d, model.n_y, model.n_d)]
     state = init(n)
     try:
-        for k in range(K):
-            state, row = step(state, k, u[:, k], y[:, k])
-            for col, value in zip(cols, row):
-                col[:, k] = value
-    except (RankConditionError, IllConditionedError) as exc:
+        # an overflow, invalid value or division by zero raises at its step instead
+        # of turning the rest of the run into inf or NaN
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for k in range(K):
+                state, row = step(state, k, u[:, k], y[:, k])
+                for col, value in zip(cols, row):
+                    col[:, k] = value
+    except (RankConditionError, IllConditionedError, FloatingPointError) as exc:
         # an error without index comes from a model term every seed shares, so the
-        # first seed fails first; index None marks r4skf's shared covariance sequence
+        # first seed fails first; index None marks r4skf's shared covariance sequence;
+        # numpy raises a FloatingPointError for the whole stack, so it names no seed
         index = getattr(exc, "index", 0)
-        if index is None:
+        if isinstance(exc, FloatingPointError):
+            where = f"step {k + 1}"
+        elif index is None:
             where = f"step {k + 1}, all seeds (shared covariance sequence)"
         else:
             where = f"seed {config.seeds[index]}, step {k + 1}"

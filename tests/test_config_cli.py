@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import yaml
@@ -318,3 +320,30 @@ class TestNonFiniteStepAndDuration:
         assert cli.main(["check", "stability", "--dt", "1e10"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("estimator failure: benchmark: ") and "Traceback" not in err
+
+
+class TestFloatingPointFailure:
+    """An overflow, invalid value or division by zero inside a filter run
+    exits 2 with one line naming the estimator and the step, without a
+    printed warning or a traceback."""
+
+    @staticmethod
+    def run_quietly(capsys, argv):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            rc = cli.main(argv)
+        err = capsys.readouterr().err
+        assert caught == [] and "Traceback" not in err and err.count("\n") == 1, err
+        return rc, err
+
+    @pytest.mark.parametrize("dt", ["1e-300", "1e300"])
+    def test_check_stability_with_extreme_dt_exits_2(self, capsys, dt):
+        rc, err = self.run_quietly(capsys, ["check", "stability", "--dt", dt])
+        assert rc == 2
+        assert err.startswith("estimator failure: benchmark: r4skf, step 1: overflow encountered")
+
+    def test_reproduce_with_extreme_dt_exits_2(self, tmp_path, capsys):
+        argv = ["reproduce", "--case", "1", "--dt", "1e-300", "--duration", "1e-298", "--seeds", "1", "--out", str(tmp_path)]
+        rc, err = self.run_quietly(capsys, argv)
+        assert rc == 2
+        assert err.startswith("estimator failure: r4skf, step 1: overflow encountered")

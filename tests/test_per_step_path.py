@@ -58,7 +58,7 @@ def reference_step_blocks(model, t, k):
     C, R = (np.asarray(M(k), dtype=float) for M in (model.C, model.R))
     Q, G = (np.asarray(M(t), dtype=float) for M in (model.Q, model.G))
     return a2kf.StepBlocks(
-        A_da=np.eye(model.n_x + model.n_d) + am.A_a * dm.dt, B_da=am.B_a * dm.dt, G_a=am.G_a, Q_a=am.Q_a,
+        A_da=np.eye(model.n_x + model.n_d) + am.A_a * dm.dt, B_da=am.B_a * dm.dt, GQG=G @ Q @ G.T * dm.dt,
         C_a=am.C_a, R=R, CGQGC=C @ G @ Q @ G.T @ C.T * dm.dt, M=moore_penrose_pinv(C @ dm.E_d), dt=dm.dt,
     )
 

@@ -123,3 +123,12 @@ def test_a_linalg_error_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
     assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
     assert err == "estimator failure: Eigenvalues did not converge\n"
+
+
+@pytest.mark.parametrize("estimator", ["r4skf", "a2kf"])
+def test_a_floating_point_error_names_estimator_and_step(estimator):
+    before = np.geterr()
+    cfg = benchmark_case(1, dt=1e-300, duration=1e-298, seeds=(1, 2), estimators=(estimator,))
+    with pytest.raises(FloatingPointError, match=rf"^{estimator}, step 1: overflow encountered"):
+        run_scenario(cfg)
+    assert np.geterr() == before
