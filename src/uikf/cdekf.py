@@ -157,7 +157,7 @@ def cd_four_step(
     K, L, P_post = r4skf.correct(P_pred, C, R, dm.E_d, F_d)
     innov = y - np.asarray(model.h(x_pred), dtype=float)
     x_hat = x_pred + K @ innov
-    Pd = r4skf.unknown_input_error_cov(state.P, dm, C, Q, R, F_d, G=G)
+    Pd = r4skf.unknown_input_error_cov(state.P, r4skf.StepTerms(dm, C, R, Q, G, F_d))
 
     new_state = FilterState(x_hat=x_hat, P=P_post, d_hat=d_hat, Pd=Pd, gamma=gamma, k=state.k + 1)
     report = StepReport(x_star=x_star, x_pred=x_pred, d_hat=d_hat, F_d=F_d, K=K, L=L, dm=dm, C=C)

@@ -13,6 +13,7 @@ import numpy as np
 from . import a2kf, onestep, r4skf, uio
 from .a2kf import A2KFConfig
 from .benchmark import benchmark_model
+from .errors import ESTIMATOR_FAILURES
 from .model import SystemModel, discretize, identity, moore_penrose_pinv
 from .sim import simulate
 
@@ -166,8 +167,9 @@ def run_property_checks() -> List[CheckResult]:
 
 def stability_report(model: SystemModel, steps: int = 1000, seed: int = 0) -> Dict[str, float]:
     """Spectral radii of the predictor and filter error-dynamics matrices
-    after running the filter to (near) steady state. An overflow, invalid
-    value or division by zero raises a FloatingPointError naming the step."""
+    after running the filter to (near) steady state. A filter failure, an
+    overflow, invalid value or division by zero included, is raised again
+    with the same type and a message that names r4skf and the step."""
     rng = np.random.default_rng(seed)
     state = r4skf.initial_state(model, np.zeros(model.n_x))
     u = np.zeros(model.n_u)
@@ -177,8 +179,8 @@ def stability_report(model: SystemModel, steps: int = 1000, seed: int = 0) -> Di
                 y = rng.standard_normal(model.n_y) * np.sqrt(np.diag(np.asarray(model.R(k + 1), dtype=float)))
                 state, rep = r4skf.step(state, u, y, model)
             A_bar, A_tilde = rep.A_bar, rep.A_tilde
-    except FloatingPointError as exc:
-        raise FloatingPointError(f"r4skf, step {k + 1}: {exc}") from exc
+    except ESTIMATOR_FAILURES as exc:
+        raise type(exc)(f"r4skf, step {k + 1}: {exc}") from exc
     return {
         "rho_A_bar": float(np.max(np.abs(np.linalg.eigvals(A_bar)))),
         "rho_A_tilde": float(np.max(np.abs(np.linalg.eigvals(A_tilde)))),

@@ -21,17 +21,14 @@ from dataclasses import replace
 from pathlib import Path
 from typing import Optional
 
-import numpy as np
-
 from . import benchmark, checks, sim
 from .config import load_scenario
-from .errors import ConfigError, IllConditionedError, RankConditionError
+from .errors import ESTIMATOR_FAILURES, ConfigError
 
 EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_ESTIMATOR = 2
 EXIT_IO = 3
-ESTIMATOR_FAILURES = (RankConditionError, IllConditionedError, FloatingPointError, np.linalg.LinAlgError)
 
 
 def _parse_seeds(text: Optional[str]):

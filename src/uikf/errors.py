@@ -1,5 +1,7 @@
 """Exception types shared across the filtering modules."""
 
+import numpy as np
+
 
 class DimensionError(ValueError):
     """Matrix or vector dimensions do not conform."""
@@ -21,3 +23,7 @@ class ConfigError(ValueError):
 
     The message names the offending field.
     """
+
+
+# what a filter run can raise; the CLI maps each to exit 2
+ESTIMATOR_FAILURES = (RankConditionError, IllConditionedError, FloatingPointError, np.linalg.LinAlgError)

@@ -192,32 +192,13 @@ class StepTerms:
         return output_noise(self.C, self.G, self.Q, self.dm.dt)
 
 
-def _terms(dm: StepTerms | DiscretizedModel, C, Q, R, F_d, G) -> StepTerms:
-    """dm when it is a StepTerms, else the StepTerms of dm and the given
-    matrices, with G defaulting to G_d / dt."""
-    if isinstance(dm, StepTerms):
-        return dm
-    return StepTerms(dm, C, R, Q, dm.G_d / dm.dt if G is None else G, F_d)
-
-
-def gain_and_covariance(
-    P_prev: np.ndarray,
-    dm: StepTerms | DiscretizedModel,
-    C: Optional[np.ndarray] = None,
-    Q: Optional[np.ndarray] = None,
-    R: Optional[np.ndarray] = None,
-    F_d: Optional[np.ndarray] = None,
-    G: Optional[np.ndarray] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Covariance prediction, Kalman gain, combined gain and Joseph update.
-
-    dm is the StepTerms of the step, or a DiscretizedModel given with C, Q, R,
-    F_d and G, which defaults to G_d / dt (the continuous-time noise matrix).
-    The process noise enters as G Q G^T dt, one factor of dt.
+def gain_and_covariance(P_prev: np.ndarray, terms: StepTerms) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Covariance prediction, Kalman gain, combined gain and Joseph update on
+    the StepTerms of the step: (P_pred, K, L, P_post). The process noise
+    enters as G Q G^T dt, one factor of dt.
     """
-    t = _terms(dm, C, Q, R, F_d, G)
-    P_pred = t.dm.A_d @ P_prev @ t.dm.A_d.T + t.GQG
-    return (P_pred, *correct(P_pred, t.C, t.R, t.dm.E_d, t.F_d))
+    P_pred = terms.dm.A_d @ P_prev @ terms.dm.A_d.T + terms.GQG
+    return (P_pred, *correct(P_pred, terms.C, terms.R, terms.dm.E_d, terms.F_d))
 
 
 def correct(P_pred: np.ndarray, C: np.ndarray, R: np.ndarray, E_d: np.ndarray, F_d: np.ndarray) -> Tuple[np.ndarray, ...]:
@@ -286,24 +267,15 @@ def stability_matrices(
     return A_bar, A_tilde, G_bar, D_bar, G_tilde, D_tilde
 
 
-def unknown_input_error_cov(
-    P_prev: np.ndarray,
-    dm: StepTerms | DiscretizedModel,
-    C: Optional[np.ndarray] = None,
-    Q: Optional[np.ndarray] = None,
-    R: Optional[np.ndarray] = None,
-    F_d: Optional[np.ndarray] = None,
-    G: Optional[np.ndarray] = None,
-) -> np.ndarray:
-    """Covariance of the unknown-input estimation error d - d̂; dm and the
-    model arguments as for gain_and_covariance.
+def unknown_input_error_cov(P_prev: np.ndarray, terms: StepTerms) -> np.ndarray:
+    """Covariance of the unknown-input estimation error d - d̂ on the StepTerms
+    of the step.
 
     In quiescence (P small) this reduces to F_d (C G Q G^T C^T dt + R) F_d^T;
     since F_d scales like 1/dt, measurement noise is magnified by 1/dt^2.
     """
-    t = _terms(dm, C, Q, R, F_d, G)
-    mid = t.CA_d @ P_prev @ t.dm.A_d.T @ t.C.T + t.CGQGC + t.R
-    Pd = t.F_d @ mid @ t.F_d.T
+    mid = terms.CA_d @ P_prev @ terms.dm.A_d.T @ terms.C.T + terms.CGQGC + terms.R
+    Pd = terms.F_d @ mid @ terms.F_d.T
     return 0.5 * (Pd + Pd.T)
 
 

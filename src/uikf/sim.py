@@ -199,43 +199,54 @@ def _at(model: SystemModel, name: str, args, f=None) -> np.ndarray:
 
 
 def simulate(
-    model: SystemModel, x0, d: np.ndarray, rng: np.random.Generator, u: Optional[np.ndarray] = None
+    model: SystemModel, x0, d: np.ndarray, rng, u: Optional[np.ndarray] = None
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Euler-Maruyama forward simulation over len(d) steps with
     w ~ N(0, Q/dt), so the discrete process-noise covariance is G Q G^T dt.
 
     d[k] and u[k] (zero when omitted) drive the step from t_k to t_{k+1}.
     Returns the states x (K+1, n_x), starting at x0, and the measurements
-    y (K, n_y), y[k] taken at t_{k+1}.
+    y (K, n_y), y[k] taken at t_{k+1}. rng is one np.random.Generator, or a
+    sequence of them, one per seed: then x and y carry a leading seed axis and
+    the seeds share d, u and every model matrix, evaluated once.
 
-    Step k draws n_w process-noise then n_y measurement-noise normals; they
-    are drawn as one (K, n_w + n_y) block, which is the same stream. The
-    noise and input terms are formed before the loop, one gemv per step.
+    Step k draws n_w process-noise then n_y measurement-noise normals; each
+    seed draws them as one (K, n_w + n_y) block, which is the same stream. The
+    noise and input terms are formed before the loop, one gemv per step and
+    seed. A truth that leaves the finite numbers raises a FloatingPointError
+    with its first bad step as ``step`` and, in a sequence, the position of
+    the first such seed as ``index``.
     """
     K = d.shape[0]
-    dt, n_x, n_w = model.dt, model.n_x, model.n_w
+    dt, n_x, n_w, n_z = model.dt, model.n_x, model.n_w, model.n_w + model.n_y
     if u is None:
         u = np.zeros((K, model.n_u))
     t = [k * dt for k in range(K)]
-    z = rng.standard_normal((K, n_w + model.n_y))
-    w = matvec(_at(model, "Q", t, cov_factor), z[:, :n_w]) / math.sqrt(dt)
+    if isinstance(rng, np.random.Generator):
+        z = rng.standard_normal((K, n_z))
+    else:
+        z = np.stack([r.standard_normal((K, n_z)) for r in rng])
+    w = matvec(_at(model, "Q", t, cov_factor), z[..., :n_w]) / math.sqrt(dt)
     g = matvec(_at(model, "G", t), w) * dt
     bu = matvec(_at(model, "B", t), u)
     ed = matvec(_at(model, "E", t), d)
     A = np.broadcast_to(_at(model, "A", t), (K, n_x, n_x))
 
-    x = np.zeros((K + 1, n_x))
-    x[0] = np.asarray(x0, dtype=float)
+    x = np.zeros(z.shape[:-2] + (K + 1, n_x))
+    x[..., 0, :] = np.asarray(x0, dtype=float)
+    xs, gs = np.moveaxis(x, -2, 0), np.moveaxis(g, -2, 0)      # step-major views
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(K):
-            x[k + 1] = x[k] + dt * (A[k] @ x[k] + bu[k] + ed[k]) + g[k]
-    diverged = np.flatnonzero(~np.isfinite(x[1:]).all(axis=1))
-    if diverged.size:
-        exc = FloatingPointError(f"truth diverged to non-finite values at step {diverged[0] + 1}")
-        exc.step = int(diverged[0]) + 1
+            xs[k + 1] = xs[k] + dt * (matvec(A[k], xs[k]) + bu[k] + ed[k]) + gs[k]
+    diverged = np.atleast_2d(~np.isfinite(x[..., 1:, :]).all(axis=-1))     # (seeds, K)
+    if diverged.any():
+        i = int(np.argmax(diverged.any(axis=1)))
+        step = int(np.argmax(diverged[i])) + 1
+        exc = FloatingPointError(f"truth diverged to non-finite values at step {step}")
+        exc.index, exc.step = i, step
         raise exc
     steps = range(1, K + 1)
-    y = matvec(_at(model, "C", steps), x[1:]) + matvec(_at(model, "R", steps, cov_factor), z[:, n_w:])
+    y = matvec(_at(model, "C", steps), x[..., 1:, :]) + matvec(_at(model, "R", steps, cov_factor), z[..., n_w:])
     return x, y
 
 
@@ -373,37 +384,38 @@ def _run_estimator(name: str, config: ScenarioConfig, u: np.ndarray, y: np.ndarr
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     """Drive every selected estimator over the same per-seed measurement
     streams, all seeds step by step together; RMSEs are aggregated as the
-    mean of per-seed RMSEs."""
-    model = config.model
+    mean of per-seed RMSEs. The signals are sampled and the truth of all
+    seeds simulated once, each seed with its own default_rng(seed)."""
+    model, K, seeds = config.model, config.n_steps, config.seeds
     # keep at least one sample when the horizon is shorter than the burn-in
-    skip = min(int(round(config.rmse_skip / model.dt)), config.n_steps - 1)
-    truths: Dict[int, TruthTrajectory] = {}
-    for seed in config.seeds:
-        try:
-            truths[seed] = generate_truth(config, seed)
-        except FloatingPointError as exc:
-            raise FloatingPointError(f"truth, seed {seed}, step {exc.step}: diverged to non-finite values") from exc
-    u = np.stack([truths[s].u for s in config.seeds])
-    y = np.stack([truths[s].y for s in config.seeds])
+    skip = min(int(round(config.rmse_skip / model.dt)), K - 1)
+    d = sample_signals(config)
+    u = np.zeros((len(seeds), K, model.n_u))
+    try:
+        x, y = simulate(model, config.x0_true, d, [np.random.default_rng(s) for s in seeds], u[0])
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"truth, seed {seeds[exc.index]}, step {exc.step}: diverged to non-finite values") from exc
+    t = np.arange(K + 1) * model.dt
+    truths = {seed: TruthTrajectory(t=t, x=x[i], d=d, y=y[i], u=u[i]) for i, seed in enumerate(seeds)}
 
-    runs: Dict[int, Dict[str, EstimatorRun]] = {seed: {} for seed in config.seeds}
+    runs: Dict[int, Dict[str, EstimatorRun]] = {seed: {} for seed in seeds}
+    rmse_per_seed: Dict[int, Dict[str, Dict[str, np.ndarray]]] = {seed: {} for seed in seeds}
+    rmse_mean = {}
     for name in config.estimators:
-        for seed, run in zip(config.seeds, _run_estimator(name, config, u, y)):
+        for seed, run in zip(seeds, _run_estimator(name, config, u, y)):
             runs[seed][name] = run
-    rmse_per_seed = {
-        seed: {
-            name: {
-                "x": rmse(run.x_hat[skip:], truths[seed].x[1:][skip:]),
-                "d": rmse(run.d_hat[skip:], truths[seed].d[skip:]),
-            }
-            for name, run in runs[seed].items()
-        }
-        for seed in config.seeds
-    }
-    rmse_mean = {
-        name: {key: np.mean([rmse_per_seed[s][name][key] for s in config.seeds], axis=0) for key in ("x", "d")}
-        for name in config.estimators
-    }
+        try:
+            # finite but huge estimates overflow here rather than in a filter step
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                for seed in seeds:
+                    run, truth = runs[seed][name], truths[seed]
+                    rmse_per_seed[seed][name] = {
+                        "x": rmse(run.x_hat[skip:], truth.x[1:][skip:]),
+                        "d": rmse(run.d_hat[skip:], truth.d[skip:]),
+                    }
+                rmse_mean[name] = {key: np.mean([rmse_per_seed[s][name][key] for s in seeds], axis=0) for key in ("x", "d")}
+        except FloatingPointError as exc:
+            raise FloatingPointError(f"{name}, rmse: {exc}") from exc
     return ScenarioResult(
         config=config,
         truths=truths,

@@ -1,3 +1,4 @@
+import re
 import warnings
 
 import numpy as np
@@ -347,3 +348,17 @@ class TestFloatingPointFailure:
         rc, err = self.run_quietly(capsys, argv)
         assert rc == 2
         assert err.startswith("estimator failure: r4skf, step 1: overflow encountered")
+
+    def test_simulate_with_overflowing_rmse_exits_2(self, tmp_path, capsys):
+        """The observer's estimates stay finite but are huge, so the RMSE overflows."""
+        doc = deep_update(MINIMAL_DOC, ("scenario", "estimators"), ["uio"])
+        doc = deep_update(deep_update(doc, ("model", "dt"), 1.0e-300), ("scenario", "duration"), 1.0e-298)
+        argv = ["simulate", "--config", write_doc(tmp_path, doc), "--out", str(tmp_path)]
+        rc, err = self.run_quietly(capsys, argv)
+        assert rc == 2
+        assert err == "estimator failure: uio, rmse: overflow encountered in square\n"
+
+    def test_check_stability_names_the_step_of_a_singular_innovation_covariance(self, capsys):
+        rc, err = self.run_quietly(capsys, ["check", "stability", "--dt", "1e10"])
+        assert rc == 2
+        assert re.match(r"estimator failure: benchmark: r4skf, step \d+: innovation covariance .* numerically singular$", err)

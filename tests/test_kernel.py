@@ -40,7 +40,7 @@ def reference_step(state, u, y, model, gain_override=None):
     x_star = r4skf.predict_no_input(state.x_hat, u, dm)
     d_hat, F_d, gamma = r4skf.estimate_unknown_input(y, x_star, dm, C)
     x_pred = r4skf.predict_with_input(x_star, d_hat, dm)
-    Pd = r4skf.unknown_input_error_cov(state.P, dm, C, Q, R, F_d, G=G)
+    Pd = r4skf.unknown_input_error_cov(state.P, r4skf.StepTerms(dm, C, R, Q, G, F_d))
     P_pred = dm.A_d @ state.P @ dm.A_d.T + G @ Q @ G.T * dm.dt
     K, L, P_post = reference_correct(P_pred, C, R, dm.E_d, F_d)
     K_used = K if gain_override is None else gain_override

@@ -139,7 +139,7 @@ def test_step_report_stability_matrices_of_r4skf_step(override):
     dm = discretize(model, 0.0)
     C, R, Q, G = model.C(1), model.R(1), model.Q(0.0), model.G(0.0)
     F_d = r4skf.unknown_input_gain(C, dm.E_d)
-    K = gain if override else r4skf.gain_and_covariance(state.P, dm, C, Q, R, F_d, G=G)[1]
+    K = gain if override else r4skf.gain_and_covariance(state.P, r4skf.StepTerms(dm, C, R, Q, G, F_d))[1]
     A_bar, A_tilde, *_ = r4skf.stability_matrices(dm, C, F_d, K)
     assert np.array_equal(rep.A_bar, A_bar)
     assert np.array_equal(rep.A_tilde, A_tilde)

@@ -110,7 +110,7 @@ class TestGainAndCovariance:
         dm = make_dm(np.eye(2), np.zeros((2, 1)), np.eye(2), np.eye(2))
         F_d = moore_penrose_pinv(np.eye(2) @ dm.E_d)
         _, K, L, _ = r4skf.gain_and_covariance(
-            np.eye(2), dm, np.eye(2), np.eye(2), 0.1 * np.eye(2), F_d, G=np.eye(2)
+            np.eye(2), r4skf.StepTerms(dm, np.eye(2), 0.1 * np.eye(2), np.eye(2), np.eye(2), F_d)
         )
         assert np.allclose(L, np.eye(2), atol=1e-12)
 
@@ -118,7 +118,7 @@ class TestGainAndCovariance:
         dm = make_dm(np.eye(2), np.zeros((2, 1)), np.eye(2), np.eye(2))
         F_d = np.eye(2)
         P_pred, K, L, _ = r4skf.gain_and_covariance(
-            np.zeros((2, 2)), dm, np.eye(2), np.zeros((2, 2)), np.eye(2), F_d, G=np.eye(2)
+            np.zeros((2, 2)), r4skf.StepTerms(dm, np.eye(2), np.eye(2), np.zeros((2, 2)), np.eye(2), F_d)
         )
         assert np.allclose(P_pred, 0.0)
         assert np.allclose(K, 0.0)
@@ -132,7 +132,7 @@ class TestGainAndCovariance:
         Q = np.asarray(model.Q(0.0), dtype=float)
         R = np.asarray(model.R(0), dtype=float)
         for _ in range(1000):
-            P_pred, K, L, P = r4skf.gain_and_covariance(P, dm, C_PLANT, Q, R, F_d)
+            P_pred, K, L, P = r4skf.gain_and_covariance(P, r4skf.StepTerms(dm, C_PLANT, R, Q, dm.G_d / dm.dt, F_d))
             assert np.trace(P) < np.trace(P_pred)
 
     def test_joseph_form_symmetric_psd(self):
@@ -143,7 +143,7 @@ class TestGainAndCovariance:
         R = np.asarray(model.R(0), dtype=float)
         P = 10.0 * np.eye(4)
         for _ in range(200):
-            _, _, _, P = r4skf.gain_and_covariance(P, dm, C_PLANT, Q, R, F_d)
+            _, _, _, P = r4skf.gain_and_covariance(P, r4skf.StepTerms(dm, C_PLANT, R, Q, dm.G_d / dm.dt, F_d))
             assert np.abs(P - P.T).max() <= 1e-12
             assert np.linalg.eigvalsh(P).min() >= -1e-10 * np.trace(P)
 
@@ -230,7 +230,7 @@ class TestUnknownInputErrorCov:
         R = np.diag([0.3, 0.7])
         F_d = np.eye(2)
         Pd = r4skf.unknown_input_error_cov(
-            np.zeros((2, 2)), dm, np.eye(2), np.zeros((2, 2)), R, F_d, G=np.eye(2)
+            np.zeros((2, 2)), r4skf.StepTerms(dm, np.eye(2), R, np.zeros((2, 2)), np.eye(2), F_d)
         )
         assert np.allclose(Pd, R)
 
@@ -242,7 +242,7 @@ class TestUnknownInputErrorCov:
         R = np.diag([1e-7, 3e-7])
         F_d = moore_penrose_pinv(np.eye(2) @ dm.E_d)
         Pd = r4skf.unknown_input_error_cov(
-            np.zeros((2, 2)), dm, np.eye(2), Q, R, F_d, G=np.eye(2)
+            np.zeros((2, 2)), r4skf.StepTerms(dm, np.eye(2), R, Q, np.eye(2), F_d)
         )
         assert np.allclose(Pd, (Q * dt + R) / dt ** 2, rtol=1e-10)
 

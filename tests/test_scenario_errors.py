@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 import yaml
 
-from uikf import cli, r4skf
-from uikf.benchmark import benchmark_case
+from uikf import checks, cli, r4skf
+from uikf.benchmark import benchmark_case, benchmark_model
 from uikf.errors import ConfigError, IllConditionedError, RankConditionError
 from uikf.model import SystemModel
 from uikf.sim import ScenarioConfig, SignalSpec, run_scenario
@@ -132,3 +132,8 @@ def test_a_floating_point_error_names_estimator_and_step(estimator):
     with pytest.raises(FloatingPointError, match=rf"^{estimator}, step 1: overflow encountered"):
         run_scenario(cfg)
     assert np.geterr() == before
+
+
+def test_stability_report_names_the_step_and_keeps_the_error_type():
+    with pytest.raises(IllConditionedError, match=r"^r4skf, step \d+: innovation covariance C P C\^T \+ R is numerically singular$"):
+        checks.stability_report(benchmark_model(dt=1e10))
