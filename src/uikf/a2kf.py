@@ -6,6 +6,10 @@ the augmented system while Q^d is re-estimated every step from a short
 window of innovations: the excess innovation covariance (what process and
 measurement noise cannot explain) is mapped back through (C E_d)^+.
 
+A step reads the model only through r4skf's StepTerms, as every estimator
+does; so a C E_d of rank below n_d is refused. augment assembles the
+continuous-time blocks for inspection; no step calls it.
+
 advance, innovation_covariance and the Q^d projection also run on states
 stacked along leading axes (one row per seed): x_a (S, n_a), P_a
 (S, n_a, n_a), the innovation window (S, N, n_y) and Q^d (S, n_d, n_d).
@@ -19,7 +23,8 @@ from typing import Tuple
 import numpy as np
 
 from . import r4skf
-from .r4skf import matvec
+from .errors import ConfigError
+from .r4skf import StepTerms, matvec
 # discretize stays importable from this module as part of its namespace
 from .model import DiscretizedModel, SystemModel, discretize, identity, moore_penrose_pinv  # noqa: F401
 
@@ -34,7 +39,13 @@ class A2KFConfig:
 
     def __post_init__(self):
         if self.window < 1:
-            raise ValueError(f"window must be at least 1, got {self.window}")
+            raise ConfigError(f"a2kf.window: must be at least 1, got {self.window}")
+        if self.negative_check not in ("post", "pre"):
+            raise ConfigError(f"a2kf.negative_check: must be 'post' or 'pre', got {self.negative_check!r}")
+        for name in ("qd_floor", "qd_init"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ConfigError(f"a2kf.{name}: must be a finite number >= 0, got {value}")
 
 
 @dataclass(frozen=True)
@@ -129,47 +140,16 @@ def innovation_covariance(innov_window) -> np.ndarray:
     return G.swapaxes(-1, -2) @ G / G.shape[-2]
 
 
-@dataclass
-class StepBlocks:
-    """What one a2kf step reads from the model; constant for a time-invariant
-    model, so sim._per_step forms it once per scenario."""
-
-    A_da: np.ndarray                  # I + A_a dt
-    B_da: np.ndarray                  # B_a dt
-    GQG: np.ndarray                   # G Q G^T dt
-    C_a: np.ndarray
-    R: np.ndarray
-    CGQGC: np.ndarray                 # C G Q G^T C^T dt
-    M: np.ndarray                     # (C E_d)^+
-    dt: float
-
-
-def _process_noise(b: StepBlocks, Qd_hat: np.ndarray) -> np.ndarray:
+def _process_noise(terms: StepTerms, Qd_hat: np.ndarray) -> np.ndarray:
     """The augmented process noise G_a Q_a G_a^T dt for each Q^d of a stack,
     assembled as the block matrix [[G Q G^T dt, 0], [0, Q^d dt]]: with
     G_a = blkdiag(G, I) and Q_a = blkdiag(Q, Q^d) every other product is zero."""
-    n_x = b.GQG.shape[0]
-    Qproc = np.zeros(Qd_hat.shape[:-2] + b.A_da.shape)
-    Qproc[..., :n_x, :n_x] = b.GQG
-    Qproc[..., n_x:, n_x:] = Qd_hat * b.dt
+    n_x = terms.GQG.shape[0]
+    n_a = n_x + Qd_hat.shape[-1]
+    Qproc = np.zeros(Qd_hat.shape[:-2] + (n_a, n_a))
+    Qproc[..., :n_x, :n_x] = terms.GQG
+    Qproc[..., n_x:, n_x:] = Qd_hat * terms.dm.dt
     return Qproc
-
-
-def _qd_terms(C: np.ndarray, E_d: np.ndarray, Q: np.ndarray, G: np.ndarray, dt: float):
-    """The model terms of the Q^d estimate: C G Q G^T C^T dt and (C E_d)^+."""
-    return r4skf.output_noise(C, G, Q, dt), moore_penrose_pinv(C @ E_d)
-
-
-def step_blocks(model: SystemModel, t: float, k: int) -> StepBlocks:
-    """Evaluate the model once for the step from time t to measurement k;
-    E_d, C, G and Q are read back from the augmented blocks."""
-    n_x, n_w, dt = model.n_x, model.n_w, model.dt
-    am = augment(model, t=t, k=k)
-    A_da = identity(n_x + model.n_d) + am.A_a * dt
-    E_d, C, G, Q = A_da[:n_x, n_x:], am.C_a[:, :n_x], am.G_a[:n_x, :n_w], am.Q_a[:n_w, :n_w]
-    R = np.asarray(model.R(k), dtype=float)
-    GQG = r4skf.process_noise(G, Q, dt)
-    return StepBlocks(A_da, am.B_a * dt, GQG, am.C_a, R, *_qd_terms(C, E_d, Q, G, dt), dt)
 
 
 def estimate_Qd(
@@ -192,12 +172,13 @@ def estimate_Qd(
     C_gamma0 in "pre" mode) only the main diagonal is kept; the diagonal is
     always clamped from below at qd_floor.
     """
-    return _project_Qd(Cgamma, *_qd_terms(C, dm.E_d, Q, G, dm.dt), R, dm.dt, cfg)
+    CGQGC = r4skf.output_noise(C, G, Q, dm.dt)
+    return _project_Qd(Cgamma, CGQGC, moore_penrose_pinv(C @ dm.E_d), R, dm.dt, cfg)
 
 
 def _project_Qd(Cgamma, CGQGC, M, R, dt, cfg) -> np.ndarray:
-    """estimate_Qd on precomputed model terms; Cgamma may be a stack
-    (..., n_y, n_y), and the diagonal fallback is decided per matrix."""
+    """estimate_Qd on precomputed model terms, M = (C E_d)^+; Cgamma may be a
+    stack (..., n_y, n_y), and the diagonal fallback is decided per matrix."""
     Cg0 = Cgamma - CGQGC - R
     Qd = M @ Cg0 @ M.T
     Qd = 0.5 * (Qd + Qd.swapaxes(-1, -2))
@@ -233,27 +214,26 @@ def a2kf_step(
     """One predict/update on the augmented system with the current Q^d,
     then a causal refresh of Q^d from the innovation window (the refreshed
     value is first used at the next step)."""
-    return advance(state, u, y, step_blocks(model, state.k * model.dt, state.k + 1), cfg)
+    return advance(state, u, y, r4skf.step_terms(model, state.k), cfg)
 
 
 def advance(
-    state: A2KFState, u: np.ndarray, y: np.ndarray, b: StepBlocks, cfg: A2KFConfig = A2KFConfig()
+    state: A2KFState, u: np.ndarray, y: np.ndarray, terms: StepTerms, cfg: A2KFConfig = A2KFConfig()
 ) -> Tuple[A2KFState, A2KFStepReport]:
-    """a2kf_step on model blocks b evaluated beforehand (see step_blocks).
-    The state may be a stack along leading axes; u and y then carry the
-    same leading axes."""
-    u = np.asarray(u, dtype=float)
-    y = np.asarray(y, dtype=float)
-
-    x_pred = matvec(b.A_da, state.x_a) + matvec(b.B_da, u)
-    P_pred = b.A_da @ state.P_a @ b.A_da.T + _process_noise(b, state.Qd_hat)
-    K = r4skf.kalman_gain(P_pred, b.C_a, b.R)
-    gamma = y - matvec(b.C_a, x_pred)
+    """a2kf_step on the StepTerms of the step, evaluated beforehand (see
+    r4skf.step_terms). The state may be a stack along leading axes; u and y
+    then carry the same leading axes."""
+    u, y = np.asarray(u, dtype=float), np.asarray(y, dtype=float)
+    A_da, B_da, C_a = terms.augmented
+    x_pred = matvec(A_da, state.x_a) + matvec(B_da, u)
+    P_pred = A_da @ state.P_a @ A_da.T + _process_noise(terms, state.Qd_hat)
+    K = r4skf.kalman_gain(P_pred, C_a, terms.R)
+    gamma = y - matvec(C_a, x_pred)
     x_new = x_pred + matvec(K, gamma)
-    P_new = r4skf.joseph_update(P_pred, K, b.C_a, b.R)
+    P_new = r4skf.joseph_update(P_pred, K, C_a, terms.R)
 
     window = np.concatenate([state.innov_window, gamma[..., None, :]], axis=-2)[..., -cfg.window:, :]
-    Qd_next = _project_Qd(innovation_covariance(window), b.CGQGC, b.M, b.R, b.dt, cfg)
+    Qd_next = _project_Qd(innovation_covariance(window), terms.CGQGC, terms.F_d, terms.R, terms.dm.dt, cfg)
 
     new_state = A2KFState(x_a=x_new, P_a=P_new, innov_window=window, Qd_hat=Qd_next, k=state.k + 1)
     report = A2KFStepReport(gamma=gamma, K=K, Qd_used=state.Qd_hat, x_pred=x_pred)

@@ -97,18 +97,13 @@ def _parse_signal(doc: Dict[str, Any], field: str) -> SignalSpec:
 
 
 def parse_a2kf(doc: Dict[str, Any]) -> A2KFConfig:
-    check = doc.get("negative_check", "post")
-    if check not in ("post", "pre"):
-        raise ConfigError("a2kf.negative_check: must be 'post' or 'pre'")
-    window = int(doc.get("window", 10))
-    if window < 1:
-        raise ConfigError(f"a2kf.window: must be at least 1, got {window}")
+    """The a2kf settings; A2KFConfig checks their values."""
     return A2KFConfig(
-        window=window,
+        window=int(doc.get("window", 10)),
         qd_floor=float(doc.get("qd_floor", 1e-12)),
         qd_init=float(doc.get("qd_init", 1e-6)),
         rescale_by_dt=bool(doc.get("rescale_by_dt", False)),
-        negative_check=check,
+        negative_check=doc.get("negative_check", "post"),
     )
 
 

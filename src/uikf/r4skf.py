@@ -15,7 +15,8 @@ Each half of a step has one implementation here: the state half extract /
 four_step (steps 1-2 / 1-4 with a given gain, e.g. the observer's fixed L)
 and the covariance half unknown_input_error_cov / gain_and_covariance, whose
 tail correct cdekf shares. advance runs both on the StepTerms of a step;
-step = advance(step_terms).
+step = advance(step_terms). StepTerms is what every estimator step reads
+from the model, the a2kf's included.
 The state half, kalman_gain and joseph_update also take stacks with leading
 axes, e.g. one row per Monte-Carlo seed. Every product in a stack is the
 same BLAS call (gemv, gemm, syrk) as for a single problem, so each row is
@@ -165,12 +166,14 @@ def output_noise(C: np.ndarray, G: np.ndarray, Q: np.ndarray, dt: float) -> np.n
 
 @dataclass
 class StepTerms:
-    """What one step reads from the model (see step_terms) and the model-only
-    products of the covariance recursion. Each product is formed when first
-    read and then kept, so for a time-invariant scenario, whose terms
-    sim._per_step keeps, it is formed once per scenario. Only whole terms and
-    the leading product C A_d are kept: numpy evaluates C A_d P A_d^T C^T left
-    to right, and A_d^T C^T formed beforehand would round differently."""
+    """What one step of any estimator reads from the model (see step_terms),
+    the model-only products of the r4skf and a2kf covariance recursions, and
+    the a2kf's augmented blocks. Each product is formed when first read and
+    then kept, so for a time-invariant scenario, whose one StepTerms
+    sim.run_scenario hands to every estimator, it is formed once per scenario.
+    Only whole terms and the leading product C A_d are kept: numpy evaluates
+    C A_d P A_d^T C^T left to right, and A_d^T C^T formed beforehand would
+    round differently."""
 
     dm: DiscretizedModel
     C: np.ndarray
@@ -190,6 +193,20 @@ class StepTerms:
     @cached_property
     def CGQGC(self) -> np.ndarray:
         return output_noise(self.C, self.G, self.Q, self.dm.dt)
+
+    @cached_property
+    def augmented(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The a2kf's discrete blocks of [x; d]: [[A_d, E_d], [0, I]], [B_d; 0]
+        and [C 0]. One property, as the first read of each takes a lock."""
+        n_y, n_x = self.C.shape
+        n_a = n_x + self.F_d.shape[0]
+        A_da = np.array(identity(n_a))
+        A_da[:n_x, :n_x], A_da[:n_x, n_x:] = self.dm.A_d, self.dm.E_d
+        B_da = np.zeros((n_a, self.dm.B_d.shape[1]))
+        B_da[:n_x] = self.dm.B_d
+        C_a = np.zeros((n_y, n_a))
+        C_a[:, :n_x] = self.C
+        return A_da, B_da, C_a
 
 
 def gain_and_covariance(P_prev: np.ndarray, terms: StepTerms) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -88,6 +88,12 @@ class ScenarioConfig:
             raise ConfigError(
                 f"uio.gain: expected shape ({self.model.n_x}, {self.model.n_y}), got {np.shape(self.uio_gain)}"
             )
+        given = {"scenario.x0_true": self.x0_true, "scenario.x0_hat": self.x0_hat, "uio.gain": self.uio_gain}
+        for field, value in given.items():
+            if value is not None and not np.isfinite(value).all():
+                raise ConfigError(f"{field}: values must be finite")
+        if not (np.isfinite(self.rmse_skip) and self.rmse_skip >= 0):
+            raise ConfigError(f"scenario.rmse_skip: must be a finite number >= 0, got {self.rmse_skip}")
         for j, spec in enumerate(self.signals):
             if spec.kind == "custom" and spec.samples is not None and len(spec.samples) < self.n_steps:
                 raise ConfigError(
@@ -259,13 +265,14 @@ def generate_truth(config: ScenarioConfig, seed: int) -> TruthTrajectory:
     return TruthTrajectory(t=np.arange(config.n_steps + 1) * model.dt, x=x, d=d, y=y, u=u)
 
 
-# Estimator runners, built once per scenario: runner(config) -> (init, step). All seeds
-# advance together: init(n) is the state of n seeds, stacked along a leading seed axis, and
-# step(state, k, u, y) takes u_k and y_k of every seed, (n, n_u) and (n, n_y), and returns
-# (state, row) with row = (x_hat, d_hat, gamma[, per-step covariance diagonal]) of every
-# seed after step k + 1. The model terms of a step serve every seed (_per_step). The r4skf,
-# uio and onestep runners run r4skf's own kernel (advance, four_step, extract) on the stack,
-# so each row is bitwise equal to the per-seed step functions (r4skf.step, a2kf.a2kf_step, ...).
+# Estimator runners, built once per scenario: runner(config, terms) -> (init, step), with
+# terms(k) the r4skf.StepTerms of step k (_per_step), one reader of the model shared by every
+# runner and every seed. All seeds advance together: init(n) is the state of n seeds, stacked
+# along a leading seed axis, and step(state, k, u, y) takes u_k and y_k of every seed,
+# (n, n_u) and (n, n_y), and returns (state, row) with row = (x_hat, d_hat, gamma[, per-step
+# covariance diagonal]) of every seed after step k + 1. Each runner runs the kernel of its
+# step function (r4skf.advance, four_step, extract, a2kf.advance) on the stack, so each row
+# is bitwise equal to the per-seed step functions (r4skf.step, a2kf.a2kf_step, ...).
 def _per_step(model, build):
     """k -> build(model, k), the model terms of the step from t_k to measurement
     k + 1. A time-invariant model is evaluated once, at the first step: inside
@@ -281,9 +288,8 @@ def _repeat(value, n: int) -> np.ndarray:
     return np.repeat(np.asarray(value, dtype=float)[None], n, axis=0)
 
 
-def _r4skf_runner(config):
+def _r4skf_runner(config, terms):
     start = r4skf.initial_state(config.model, config.x0_hat)
-    terms = _per_step(config.model, r4skf.step_terms)
 
     def step(state, k, u, y):
         try:
@@ -296,24 +302,21 @@ def _r4skf_runner(config):
     return (lambda n: replace(start, x_hat=_repeat(start.x_hat, n))), step
 
 
-def _a2kf_runner(config):
+def _a2kf_runner(config, terms):
     model, cfg = config.model, config.a2kf_config
-    blocks = _per_step(model, lambda m, k: a2kf.step_blocks(m, k * m.dt, k + 1))
 
     def init(n):
         state = a2kf.initial_state(model, config.x0_hat, cfg=cfg)
         return replace(state, **{f.name: _repeat(getattr(state, f.name), n) for f in fields(state) if f.name != "k"})
 
     def step(state, k, u, y):
-        state, report = a2kf.advance(state, u, y, blocks(k), cfg)
+        state, report = a2kf.advance(state, u, y, terms(k), cfg)
         return state, (state.x_hat, state.d_hat, report.gamma, np.diagonal(state.Qd_hat, axis1=-2, axis2=-1))
 
     return init, step
 
 
-def _onestep_runner(config):
-    terms = _per_step(config.model, r4skf.step_terms)
-
+def _onestep_runner(config, terms):
     def step(x_prev, k, u, y):
         t = terms(k)
         _, d_hat, gamma = r4skf.extract(x_prev, u, y, t.dm, t.C, t.F_d)
@@ -323,10 +326,9 @@ def _onestep_runner(config):
     return (lambda n: _repeat(config.x0_hat, n)), step
 
 
-def _uio_runner(config):
+def _uio_runner(config, terms):
     L = config.uio_gain
     L = np.asarray(moore_penrose_pinv(np.asarray(config.model.C(0), dtype=float)) if L is None else L, dtype=float)
-    terms = _per_step(config.model, r4skf.step_terms)
 
     # observer_step is the four-step recursion with the fixed gain L
     def step(x_hat, k, u, y):
@@ -346,11 +348,12 @@ _ESTIMATORS = {
 }
 
 
-def _run_estimator(name: str, config: ScenarioConfig, u: np.ndarray, y: np.ndarray) -> List[EstimatorRun]:
+def _run_estimator(name: str, config: ScenarioConfig, terms, u: np.ndarray, y: np.ndarray) -> List[EstimatorRun]:
     """Feed the measurements of all seeds, u (n, K, n_u) and y (n, K, n_y), step by step
-    to an estimator and record its outputs, one EstimatorRun per seed. An error names
-    the estimator, the step, and at that step the first failing seed in config order."""
-    init, step = _ESTIMATORS[name][0](config)
+    to an estimator on the model terms k -> terms(k) and record its outputs, one
+    EstimatorRun per seed. An error names the estimator, the step, and at that step the
+    first failing seed in config order."""
+    init, step = _ESTIMATORS[name][0](config, terms)
     model, K, n = config.model, config.n_steps, len(config.seeds)
     cols = [np.zeros((n, K, m)) for m in (model.n_x, model.n_d, model.n_y, model.n_d)]
     state = init(n)
@@ -385,7 +388,9 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     """Drive every selected estimator over the same per-seed measurement
     streams, all seeds step by step together; RMSEs are aggregated as the
     mean of per-seed RMSEs. The signals are sampled and the truth of all
-    seeds simulated once, each seed with its own default_rng(seed)."""
+    seeds simulated once, each seed with its own default_rng(seed), and
+    every estimator reads the same step terms, so a time-invariant model is
+    evaluated once for all of them."""
     model, K, seeds = config.model, config.n_steps, config.seeds
     # keep at least one sample when the horizon is shorter than the burn-in
     skip = min(int(round(config.rmse_skip / model.dt)), K - 1)
@@ -401,8 +406,9 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     runs: Dict[int, Dict[str, EstimatorRun]] = {seed: {} for seed in seeds}
     rmse_per_seed: Dict[int, Dict[str, Dict[str, np.ndarray]]] = {seed: {} for seed in seeds}
     rmse_mean = {}
+    terms = _per_step(model, r4skf.step_terms)
     for name in config.estimators:
-        for seed, run in zip(seeds, _run_estimator(name, config, u, y)):
+        for seed, run in zip(seeds, _run_estimator(name, config, terms, u, y)):
             runs[seed][name] = run
         try:
             # finite but huge estimates overflow here rather than in a filter step

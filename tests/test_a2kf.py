@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from uikf import a2kf
 from uikf.a2kf import A2KFConfig
 from uikf.benchmark import B_PLANT, benchmark_model
+from uikf.errors import ConfigError
 from uikf.model import SystemModel, discretize
 
 
@@ -205,6 +206,21 @@ class TestA2KFStep:
 
 
 class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("window", 0),
+            ("negative_check", "Pre"),
+            ("qd_floor", -1.0),
+            ("qd_floor", float("nan")),
+            ("qd_init", -1e-6),
+            ("qd_init", float("inf")),
+        ],
+    )
+    def test_bad_setting_is_a_config_error_naming_the_field(self, field, value):
+        with pytest.raises(ConfigError, match=rf"^a2kf\.{field}: "):
+            A2KFConfig(**{field: value})
+
     def test_window_below_one_rejected(self):
         # a zero window used to slice with [-0:] and keep every innovation
         with pytest.raises(ValueError, match="window"):

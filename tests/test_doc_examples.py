@@ -1,0 +1,32 @@
+"""The documented config examples run: the yaml block under "Config format
+(schema 1)" in README.md and the example document in the docstring of
+uikf.config, each through `uikf simulate`."""
+
+import re
+import textwrap
+from pathlib import Path
+
+import pytest
+
+from uikf import cli, config
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def readme_example() -> str:
+    section = README.read_text().split("### Config format (schema 1)", 1)[1]
+    return re.search(r"```yaml\n(.*?)```", section, re.S).group(1)
+
+
+def docstring_example() -> str:
+    doc = config.__doc__.split("Example document:", 1)[1]
+    return textwrap.dedent(doc)
+
+
+@pytest.mark.parametrize("example", [readme_example, docstring_example], ids=["readme", "config-docstring"])
+def test_documented_config_runs(tmp_path, capsys, example):
+    path = tmp_path / "scenario.yaml"
+    path.write_text(example())
+    assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert (tmp_path / "scenario_summary.csv").exists()
+    assert capsys.readouterr().err == ""

@@ -57,9 +57,9 @@ def test_stacked_a2kf_advance_equals_per_seed_steps(plant, cfg):
     stacked = replace(
         seeds[0], **{name: np.stack([getattr(s, name) for s in seeds]) for name in ("x_a", "P_a", "innov_window", "Qd_hat")}
     )
-    blocks = a2kf.step_blocks(model, 0.0, 1)
+    terms = r4skf.step_terms(model, 0)
     for k in range(steps):
-        stacked, _ = a2kf.advance(stacked, u[k], y[k], blocks, cfg)
+        stacked, _ = a2kf.advance(stacked, u[k], y[k], terms, cfg)
         seeds = [a2kf.a2kf_step(seeds[s], u[k, s], y[k, s], model, cfg)[0] for s in range(n)]
         for s, state in enumerate(seeds):
             for name in ("x_a", "P_a", "innov_window", "Qd_hat"):
@@ -72,10 +72,21 @@ def test_block_assembled_process_noise_equals_G_a_Q_a_G_a_T_dt(plant):
     model, rng = plant
     M = rng.standard_normal((3, model.n_d, model.n_d))
     Qd = M @ M.swapaxes(-1, -2) * 10.0 ** rng.uniform(-8, 0, (3, 1, 1))
-    got = a2kf._process_noise(a2kf.step_blocks(model, 0.0, 1), Qd)
+    got = a2kf._process_noise(r4skf.step_terms(model, 0), Qd)
     for s in range(3):
         am = a2kf.augment(model, 0.0, 1, Qd=Qd[s])
         assert np.array_equal(got[s], am.G_a @ am.Q_a @ am.G_a.T * model.dt), s
+
+
+@settings(max_examples=50, deadline=None)
+@given(plants(), st.booleans(), st.integers(0, 1000))
+def test_augmented_blocks_equal_the_discretized_augment(plant, time_varying, k):
+    model = varying(plant[0]) if time_varying else plant[0]
+    am = a2kf.augment(model, k * model.dt, k + 1)
+    A_da, B_da, C_a = r4skf.step_terms(model, k).augmented
+    assert np.array_equal(A_da, np.eye(model.n_x + model.n_d) + am.A_a * model.dt)
+    assert np.array_equal(B_da, am.B_a * model.dt)
+    assert np.array_equal(C_a, am.C_a)
 
 
 def test_step_terms_products_are_the_written_out_expressions():
@@ -105,8 +116,8 @@ def test_products_are_formed_once_per_time_invariant_scenario(monkeypatch, time_
         cfg = replace(cfg, model=varying(cfg.model))
     gqg, cgqgc = count_calls(monkeypatch, r4skf, "process_noise"), count_calls(monkeypatch, r4skf, "output_noise")
     run_scenario(cfg)
-    per_estimator = 1 if time_invariant else cfg.n_steps       # r4skf's StepTerms, a2kf's StepBlocks
-    assert len(gqg) == len(cgqgc) == 2 * per_estimator
+    # one StepTerms for both filters, or one per step of each
+    assert len(gqg) == len(cgqgc) == (1 if time_invariant else 2 * cfg.n_steps)
 
 
 def test_cd_four_step_forms_no_process_noise_product(monkeypatch):

@@ -52,14 +52,15 @@ def reference_augment(model, t, k, Qd=None):
 
 
 def reference_step_blocks(model, t, k):
-    """The step blocks with every model matrix evaluated on its own."""
+    """What an a2kf step from time t to measurement k reads, with every model
+    matrix evaluated on its own and the augmented blocks assembled with np.block."""
     am = reference_augment(model, t, k)
     dm = discretize(model, t)
     C, R = (np.asarray(M(k), dtype=float) for M in (model.C, model.R))
     Q, G = (np.asarray(M(t), dtype=float) for M in (model.Q, model.G))
-    return a2kf.StepBlocks(
+    return dict(
         A_da=np.eye(model.n_x + model.n_d) + am.A_a * dm.dt, B_da=am.B_a * dm.dt, GQG=G @ Q @ G.T * dm.dt,
-        C_a=am.C_a, R=R, CGQGC=C @ G @ Q @ G.T @ C.T * dm.dt, M=moore_penrose_pinv(C @ dm.E_d), dt=dm.dt,
+        C_a=am.C_a, R=R, CGQGC=C @ G @ Q @ G.T @ C.T * dm.dt, F_d=moore_penrose_pinv(C @ dm.E_d),
     )
 
 
@@ -82,7 +83,11 @@ def test_augment_equals_np_block(plant, t, k):
 @pytest.mark.parametrize("t, k", [(0.0, 1), (0.37, 38), (2.5, 251)])
 def test_step_blocks_equal_separate_evaluation(plant, t, k):
     model = PLANTS[plant]()
-    assert_fields_equal(a2kf.step_blocks(model, t, k), reference_step_blocks(model, t, k))
+    assert (k - 1) * model.dt == t     # step k - 1 runs from t to measurement k
+    terms = r4skf.step_terms(model, k - 1)
+    got = dict(zip(("A_da", "B_da", "C_a"), terms.augmented), GQG=terms.GQG, R=terms.R, CGQGC=terms.CGQGC, F_d=terms.F_d)
+    for name, want in reference_step_blocks(model, t, k).items():
+        assert np.array_equal(got[name], want), name
 
 
 def count_calls(monkeypatch, module, name):
@@ -98,9 +103,11 @@ def count_calls(monkeypatch, module, name):
 
 
 def test_step_blocks_evaluates_the_model_once(monkeypatch):
+    """a2kf_step reads the model through r4skf.step_terms, as r4skf.step does,
+    and never through augment. step_terms reads G twice: in discretize and
+    for G Q G^T dt."""
     model = time_varying_model()
     augments = count_calls(monkeypatch, a2kf, "augment")
-    discretizations = count_calls(monkeypatch, a2kf, "discretize")
     evaluations = {n: 0 for n in ("A", "B", "E", "G", "Q", "C", "R")}
 
     def counted(name):
@@ -113,10 +120,15 @@ def test_step_blocks_evaluates_the_model_once(monkeypatch):
         return call
 
     model = replace(model, **{n: counted(n) for n in evaluations})
+    u, y = np.zeros(model.n_u), np.array([0.3, -0.2, 0.1])
+    state = a2kf.initial_state(model, np.ones(model.n_x))
     evaluations.update(dict.fromkeys(evaluations, 0))   # building the model evaluated each once
-    a2kf.step_blocks(model, 0.5, 51)
-    assert len(augments) == 1 and len(discretizations) == 0
-    assert evaluations == dict.fromkeys(evaluations, 1)
+    a2kf.a2kf_step(replace(state, k=50), u, y, model)
+    by_a2kf = dict(evaluations)
+    evaluations.update(dict.fromkeys(evaluations, 0))
+    r4skf.step(replace(r4skf.initial_state(model, np.ones(model.n_x)), k=50), u, y, model)
+    assert len(augments) == 0
+    assert by_a2kf == evaluations == dict(dict.fromkeys(evaluations, 1), G=2)
 
 
 def linear_nl_model(model):

@@ -1,5 +1,6 @@
-"""Bad scenarios fail fast: wrong initial-state lengths and non-finite model
-matrices are config errors naming the field, and estimator errors raised
+"""Bad scenarios fail fast: wrong initial-state lengths, non-finite or
+out-of-range scenario values and non-finite model matrices are config errors
+naming the field, and estimator errors raised
 inside run_scenario keep their type while naming the estimator, the seed and
 the 1-based step."""
 
@@ -66,11 +67,41 @@ RANK_DEFICIENT = dict(C=np.array([[1.0, 0.0]]), E=np.array([[0.0], [1.0]]), R=np
         (RANK_DEFICIENT, RankConditionError, ("r4skf",), True, "r4skf, step 1, all seeds"),
         (RANK_DEFICIENT, RankConditionError, ("r4skf",), False, "r4skf, step 1, all seeds"),
         (RANK_DEFICIENT, RankConditionError, ("uio",), True, "uio, seed 7, step 1"),
+        # the a2kf reads the rank-checked F_d of the step terms
+        (RANK_DEFICIENT, RankConditionError, ("a2kf",), True, "a2kf, seed 7, step 1"),
+        (RANK_DEFICIENT, RankConditionError, ("a2kf",), False, "a2kf, seed 7, step 1"),
     ],
 )
 def test_estimator_errors_name_estimator_seed_and_step(plant, error, estimators, time_invariant, where):
     with pytest.raises(error, match=where):
         run_scenario(scenario(estimators=estimators, time_invariant=time_invariant, **plant))
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "section, key, value, field",
+    [
+        ("uio", "gain", [[NAN, 0.0], [0.0, 1.0]], "uio.gain"),
+        ("scenario", "rmse_skip", -0.05, "scenario.rmse_skip"),
+        ("scenario", "rmse_skip", NAN, "scenario.rmse_skip"),
+        ("scenario", "x0_hat", [NAN, 0.0], "scenario.x0_hat"),
+        ("scenario", "x0_true", [NAN, 0.0], "scenario.x0_true"),
+        ("a2kf", "qd_floor", NAN, "a2kf.qd_floor"),
+        ("a2kf", "qd_floor", -1.0, "a2kf.qd_floor"),
+        ("a2kf", "qd_init", -1.0, "a2kf.qd_init"),
+    ],
+)
+def test_a_bad_scenario_value_exits_1_naming_the_field(tmp_path, capsys, section, key, value, field):
+    doc = copy.deepcopy(DOC)
+    doc["scenario"]["estimators"] = ["r4skf", "a2kf", "uio"]
+    doc.setdefault(section, {})[key] = value
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}: ") and err.count("\n") == 1
 
 
 def test_ill_conditioned_scenario_exits_2_with_context(tmp_path, capsys):

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 import yaml
 
-from uikf import a2kf, config, r4skf
+from uikf import config, r4skf
 from uikf.a2kf import A2KFConfig
 from uikf.benchmark import benchmark_case, benchmark_model
 from uikf.model import SystemModel
@@ -88,7 +88,7 @@ def count_calls(monkeypatch, module, name):
 
 def test_covariance_sequence_and_blocks_are_computed_once_per_scenario(monkeypatch):
     gains = count_calls(monkeypatch, r4skf, "gain_and_covariance")
-    blocks = count_calls(monkeypatch, a2kf, "augment")
+    blocks = count_calls(monkeypatch, r4skf, "step_terms")
     cfg = benchmark_case(1, duration=0.5, seeds=(1, 2, 3))
     run_scenario(cfg)
     assert len(gains) == cfg.n_steps
