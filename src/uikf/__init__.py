@@ -15,7 +15,7 @@ from .model import (
     discretize,
     moore_penrose_pinv,
 )
-from .onestep import SquareCaseModel, equivalence_check, one_step_error_cov, one_step_estimate
+from .onestep import equivalence_check, one_step_error_cov, one_step_estimate
 from .r4skf import FilterState, StepReport, step
 from .sim import ScenarioConfig, ScenarioResult, SignalSpec, generate_truth, rmse, run_scenario
 from .uio import ObserverState, observer_step, verify_observer_stability
@@ -36,7 +36,6 @@ __all__ = [
     "ScenarioConfig",
     "ScenarioResult",
     "SignalSpec",
-    "SquareCaseModel",
     "StepReport",
     "SystemModel",
     "a2kf_step",

@@ -86,14 +86,17 @@ def _parse_signal(doc: Dict[str, Any], field: str) -> SignalSpec:
     samples = doc.get("samples")
     if kind == "custom" and samples is None:
         raise ConfigError(f"{field}.samples: required for kind=custom")
-    return SignalSpec(
-        kind=kind,
-        t_on=float(doc.get("t_on", 0.0)),
-        t_off=float(doc.get("t_off", 0.0)),
-        amplitude=float(doc.get("amplitude", 0.0)),
-        f0=float(doc.get("f0", 0.0)),
-        samples=None if samples is None else np.asarray(samples, dtype=float),
-    )
+    try:
+        return SignalSpec(
+            kind=kind,
+            t_on=float(doc.get("t_on", 0.0)),
+            t_off=float(doc.get("t_off", 0.0)),
+            amplitude=float(doc.get("amplitude", 0.0)),
+            f0=float(doc.get("f0", 0.0)),
+            samples=None if samples is None else np.asarray(samples, dtype=float),
+        )
+    except ConfigError as exc:          # SignalSpec names the field within the signal
+        raise ConfigError(f"{field}.{exc}") from exc
 
 
 def parse_a2kf(doc: Dict[str, Any]) -> A2KFConfig:

@@ -37,12 +37,15 @@ class _Constant:
 
 
 def _wrap(M, name):
-    """Normalize a constant array or callable (of time or step index) to a callable."""
+    """Normalize a constant array or callable (of time or step index) to a
+    callable. A constant is a read-only copy, so that later writes to the
+    caller's array, or through the returned matrix, cannot change the model."""
     if callable(M):
         return M
-    arr = np.asarray(M, dtype=float)
+    arr = np.array(M, dtype=float)
     if arr.ndim != 2:
         raise DimensionError(f"{name} must be a 2-D matrix, got shape {arr.shape}")
+    arr.flags.writeable = False
     return _Constant(arr)
 
 
@@ -52,8 +55,12 @@ class SystemModel:
 
     A, B, E, G, Q are callables of continuous time t (constant matrices are
     wrapped automatically); C and R are callables of the measurement step
-    index k. All evaluated matrices are treated as immutable.
-    time_invariant is True when every matrix was given as an array.
+    index k. All evaluated matrices are treated as immutable; a matrix given
+    as an array is stored as a read-only copy of it, so writing into
+    model.C(0) raises and writing into the caller's array changes nothing.
+    time_invariant is True when every matrix was given as an array. Such a
+    model keeps what r4skf.step_terms evaluates from it on the instance; a
+    dataclasses.replace copy starts without it.
     """
 
     A: MatrixLike
@@ -116,7 +123,7 @@ class SystemModel:
         object.__setattr__(self, "n_y", n_y)
         object.__setattr__(self, "n_w", n_w)
 
-    @property
+    @functools.cached_property
     def time_invariant(self) -> bool:
         return all(isinstance(getattr(self, name), _Constant) for name in _MATRICES)
 

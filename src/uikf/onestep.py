@@ -9,8 +9,6 @@ condition errors after the first measurement.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import IllConditionedError
@@ -26,23 +24,6 @@ def _invertible(M, name: str) -> np.ndarray:
     if np.linalg.cond(M) >= COND_LIMIT:
         raise IllConditionedError(f"{name} is not numerically invertible")
     return M
-
-
-@dataclass(frozen=True)
-class SquareCaseModel:
-    """Square system data: n_x = n_y = n_d = n, C and E invertible."""
-
-    C: np.ndarray
-    E: np.ndarray
-    R: np.ndarray
-    dt: float
-
-    def __post_init__(self):
-        n = np.shape(self.C)[0]
-        if np.shape(self.C) != (n, n) or np.shape(self.E) != (n, n):
-            raise ValueError("C and E must be square and of equal size")
-        _invertible(self.C, "C")
-        _invertible(self.E, "E")
 
 
 def one_step_estimate(y: np.ndarray, C: np.ndarray) -> np.ndarray:

@@ -169,8 +169,8 @@ class StepTerms:
     """What one step of any estimator reads from the model (see step_terms),
     the model-only products of the r4skf and a2kf covariance recursions, and
     the a2kf's augmented blocks. Each product is formed when first read and
-    then kept, so for a time-invariant scenario, whose one StepTerms
-    sim.run_scenario hands to every estimator, it is formed once per scenario.
+    then kept, so for a time-invariant model, whose one StepTerms step_terms
+    keeps on the model, it is formed once per model.
     Only whole terms and the leading product C A_d are kept: numpy evaluates
     C A_d P A_d^T C^T left to right, and A_d^T C^T formed beforehand would
     round differently."""
@@ -298,7 +298,28 @@ def unknown_input_error_cov(P_prev: np.ndarray, terms: StepTerms) -> np.ndarray:
 
 def step_terms(model: SystemModel, k: int) -> StepTerms:
     """What one step reads from the model, for the step from t_k = k dt to
-    measurement k + 1, with the rank-checked F_d = (C E_d)^+."""
+    measurement k + 1, with the rank-checked F_d = (C E_d)^+.
+
+    A time-invariant model is evaluated once per model instance: the terms of
+    step 0 (dm.t = 0) are built on the first call, kept on the model and
+    returned for every k, so r4skf.step, a2kf.a2kf_step and sim.run_scenario
+    share them; the kept matrices are read-only. A failed evaluation keeps
+    nothing, so it raises again on the next call. A time-varying model is
+    evaluated on every call."""
+    terms = model.__dict__.get("_step_terms")
+    if terms is not None:
+        return terms
+    if not model.time_invariant:
+        return _evaluate(model, k)
+    # two threads may both build the terms; the builds are equal
+    terms = _evaluate(model, 0)
+    for M in (terms.dm.A_d, terms.dm.B_d, terms.dm.E_d, terms.dm.G_d, terms.F_d):
+        M.flags.writeable = False
+    model.__dict__["_step_terms"] = terms
+    return terms
+
+
+def _evaluate(model: SystemModel, k: int) -> StepTerms:
     t = k * model.dt
     dm = discretize(model, t)
     C = np.asarray(model.C(k + 1), dtype=float)

@@ -10,7 +10,6 @@ explicit seeds; identical config + seed gives bitwise-identical results.
 from __future__ import annotations
 
 import csv
-import functools
 import math
 from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -28,7 +27,10 @@ KNOWN_ESTIMATORS = ("r4skf", "a2kf", "onestep", "uio")
 
 @dataclass(frozen=True)
 class SignalSpec:
-    """Scalar unknown-input signal on a half-open window (t_on, t_off]."""
+    """Scalar unknown-input signal on a half-open window (t_on, t_off].
+
+    Every value must be finite, else a ConfigError names the field. samples
+    is kept as a read-only copy."""
 
     kind: str = "zero"              # zero | step | windowed_sine | custom
     t_on: float = 0.0
@@ -36,6 +38,18 @@ class SignalSpec:
     amplitude: float = 0.0
     f0: float = 0.0                 # windowed_sine only
     samples: Optional[np.ndarray] = None  # custom: one value per step
+
+    def __post_init__(self):
+        for name in ("t_on", "t_off", "amplitude", "f0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name}: must be a finite number, got {getattr(self, name)}")
+        if self.samples is not None:
+            samples = np.array(self.samples, dtype=float)
+            finite = np.isfinite(samples)
+            if not finite.all():
+                raise ConfigError(f"samples: sample {int(np.argmin(finite))} is not finite")
+            samples.flags.writeable = False
+            object.__setattr__(self, "samples", samples)
 
     def value(self, t: float, k: Optional[int] = None) -> float:
         if self.kind == "zero":
@@ -265,35 +279,27 @@ def generate_truth(config: ScenarioConfig, seed: int) -> TruthTrajectory:
     return TruthTrajectory(t=np.arange(config.n_steps + 1) * model.dt, x=x, d=d, y=y, u=u)
 
 
-# Estimator runners, built once per scenario: runner(config, terms) -> (init, step), with
-# terms(k) the r4skf.StepTerms of step k (_per_step), one reader of the model shared by every
-# runner and every seed. All seeds advance together: init(n) is the state of n seeds, stacked
-# along a leading seed axis, and step(state, k, u, y) takes u_k and y_k of every seed,
-# (n, n_u) and (n, n_y), and returns (state, row) with row = (x_hat, d_hat, gamma[, per-step
-# covariance diagonal]) of every seed after step k + 1. Each runner runs the kernel of its
-# step function (r4skf.advance, four_step, extract, a2kf.advance) on the stack, so each row
+# Estimator runners, built once per scenario: runner(config) -> (init, step). Step k reads the
+# model through r4skf.step_terms(model, k), the one reader of the model shared by every runner
+# and every seed; a time-invariant model is evaluated once, inside the step loop, so that an
+# error there is reported with its step. All seeds advance together: init(n) is the state of n
+# seeds, stacked along a leading seed axis, and step(state, k, u, y) takes u_k and y_k of every
+# seed, (n, n_u) and (n, n_y), and returns (state, row) with row = (x_hat, d_hat, gamma[,
+# per-step covariance diagonal]) of every seed after step k + 1. Each runner runs the kernel of
+# its step function (r4skf.advance, four_step, extract, a2kf.advance) on the stack, so each row
 # is bitwise equal to the per-seed step functions (r4skf.step, a2kf.a2kf_step, ...).
-def _per_step(model, build):
-    """k -> build(model, k), the model terms of the step from t_k to measurement
-    k + 1. A time-invariant model is evaluated once, at the first step: inside
-    the step loop, so that an error there is reported with its step."""
-    if not model.time_invariant:
-        return functools.partial(build, model)
-    first = functools.cache(lambda: build(model, 0))
-    return lambda _k: first()
-
-
 def _repeat(value, n: int) -> np.ndarray:
     """value repeated along a new leading seed axis of length n."""
     return np.repeat(np.asarray(value, dtype=float)[None], n, axis=0)
 
 
-def _r4skf_runner(config, terms):
-    start = r4skf.initial_state(config.model, config.x0_hat)
+def _r4skf_runner(config):
+    model = config.model
+    start = r4skf.initial_state(model, config.x0_hat)
 
     def step(state, k, u, y):
         try:
-            state, _ = r4skf.advance(state, u, y, terms(k))
+            state, _ = r4skf.advance(state, u, y, r4skf.step_terms(model, k))
         except (RankConditionError, IllConditionedError) as exc:
             exc.index = None            # the shared sequence fails for every seed
             raise
@@ -302,7 +308,7 @@ def _r4skf_runner(config, terms):
     return (lambda n: replace(start, x_hat=_repeat(start.x_hat, n))), step
 
 
-def _a2kf_runner(config, terms):
+def _a2kf_runner(config):
     model, cfg = config.model, config.a2kf_config
 
     def init(n):
@@ -310,15 +316,17 @@ def _a2kf_runner(config, terms):
         return replace(state, **{f.name: _repeat(getattr(state, f.name), n) for f in fields(state) if f.name != "k"})
 
     def step(state, k, u, y):
-        state, report = a2kf.advance(state, u, y, terms(k), cfg)
+        state, report = a2kf.advance(state, u, y, r4skf.step_terms(model, k), cfg)
         return state, (state.x_hat, state.d_hat, report.gamma, np.diagonal(state.Qd_hat, axis1=-2, axis2=-1))
 
     return init, step
 
 
-def _onestep_runner(config, terms):
+def _onestep_runner(config):
+    model = config.model
+
     def step(x_prev, k, u, y):
-        t = terms(k)
+        t = r4skf.step_terms(model, k)
         _, d_hat, gamma = r4skf.extract(x_prev, u, y, t.dm, t.C, t.F_d)
         x_hat = onestep.one_step_estimate(y, t.C)
         return x_hat, (x_hat, d_hat, gamma)
@@ -326,13 +334,13 @@ def _onestep_runner(config, terms):
     return (lambda n: _repeat(config.x0_hat, n)), step
 
 
-def _uio_runner(config, terms):
-    L = config.uio_gain
-    L = np.asarray(moore_penrose_pinv(np.asarray(config.model.C(0), dtype=float)) if L is None else L, dtype=float)
+def _uio_runner(config):
+    model, L = config.model, config.uio_gain
+    L = np.asarray(moore_penrose_pinv(np.asarray(model.C(0), dtype=float)) if L is None else L, dtype=float)
 
     # observer_step is the four-step recursion with the fixed gain L
     def step(x_hat, k, u, y):
-        t = terms(k)
+        t = r4skf.step_terms(model, k)
         _, d_hat, gamma, _, x_hat = r4skf.four_step(x_hat, u, y, t.dm, t.C, t.F_d, L)
         return x_hat, (x_hat, d_hat, gamma)
 
@@ -348,12 +356,11 @@ _ESTIMATORS = {
 }
 
 
-def _run_estimator(name: str, config: ScenarioConfig, terms, u: np.ndarray, y: np.ndarray) -> List[EstimatorRun]:
+def _run_estimator(name: str, config: ScenarioConfig, u: np.ndarray, y: np.ndarray) -> List[EstimatorRun]:
     """Feed the measurements of all seeds, u (n, K, n_u) and y (n, K, n_y), step by step
-    to an estimator on the model terms k -> terms(k) and record its outputs, one
-    EstimatorRun per seed. An error names the estimator, the step, and at that step the
-    first failing seed in config order."""
-    init, step = _ESTIMATORS[name][0](config, terms)
+    to an estimator and record its outputs, one EstimatorRun per seed. An error names
+    the estimator, the step, and at that step the first failing seed in config order."""
+    init, step = _ESTIMATORS[name][0](config)
     model, K, n = config.model, config.n_steps, len(config.seeds)
     cols = [np.zeros((n, K, m)) for m in (model.n_x, model.n_d, model.n_y, model.n_d)]
     state = init(n)
@@ -406,9 +413,8 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     runs: Dict[int, Dict[str, EstimatorRun]] = {seed: {} for seed in seeds}
     rmse_per_seed: Dict[int, Dict[str, Dict[str, np.ndarray]]] = {seed: {} for seed in seeds}
     rmse_mean = {}
-    terms = _per_step(model, r4skf.step_terms)
     for name in config.estimators:
-        for seed, run in zip(seeds, _run_estimator(name, config, terms, u, y)):
+        for seed, run in zip(seeds, _run_estimator(name, config, u, y)):
             runs[seed][name] = run
         try:
             # finite but huge estimates overflow here rather than in a filter step

@@ -93,13 +93,3 @@ class TestSquareCaseStability:
             outs.append(np.array(seq))
         assert np.abs(outs[0] - outs[1]).max() <= 1e-10
 
-
-class TestSquareCaseModel:
-    def test_rejects_non_square(self):
-        with pytest.raises(ValueError):
-            onestep.SquareCaseModel(C=np.ones((2, 3)), E=np.eye(2), R=np.eye(2), dt=0.1)
-
-    def test_rejects_ill_conditioned(self):
-        C = np.array([[1.0, 1.0], [1.0, 1.0 + 1e-15]])
-        with pytest.raises(IllConditionedError):
-            onestep.SquareCaseModel(C=C, E=np.eye(2), R=np.eye(2), dt=0.1)

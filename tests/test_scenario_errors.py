@@ -104,6 +104,45 @@ def test_a_bad_scenario_value_exits_1_naming_the_field(tmp_path, capsys, section
     assert err.startswith(f"config error: {field}: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "signal, field",
+    [
+        # a traceback from math.sin before signal values were checked
+        ({"kind": "windowed_sine", "t_on": 0.1, "t_off": 0.3, "amplitude": 0.5, "f0": float("inf")}, "f0"),
+        # a diverged truth, exit 2
+        ({"kind": "step", "t_on": 0.1, "t_off": 0.3, "amplitude": NAN}, "amplitude"),
+        ({"kind": "custom", "samples": [0.0] * 10 + [NAN] * 40}, "samples"),
+        # a silently zero signal, exit 0
+        ({"kind": "step", "t_on": NAN, "t_off": 0.3, "amplitude": 0.5}, "t_on"),
+    ],
+)
+def test_a_non_finite_signal_value_exits_1_naming_the_field(tmp_path, capsys, signal, field):
+    doc = copy.deepcopy(DOC)
+    doc["scenario"]["signals"] = [signal]
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: scenario.signals[0].{field}: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("field", ["t_on", "t_off", "amplitude", "f0"])
+def test_a_signal_spec_built_in_python_refuses_a_non_finite_value(field):
+    with pytest.raises(ConfigError, match=rf"^{field}: must be a finite number, got nan$"):
+        SignalSpec(kind="step", **{field: NAN})
+
+
+def test_signal_samples_are_a_read_only_copy():
+    samples = np.zeros(5)
+    spec = SignalSpec(kind="custom", samples=samples)
+    samples[2] = NAN
+    assert spec.value(0.02, k=2) == 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        spec.samples[0] = 1.0
+    with pytest.raises(ConfigError, match=r"^samples: sample 2 is not finite$"):
+        SignalSpec(kind="custom", samples=samples)
+
+
 def test_ill_conditioned_scenario_exits_2_with_context(tmp_path, capsys):
     doc = copy.deepcopy(DOC)
     doc["model"].update(A=[[0.0, 0.0], [0.0, 0.0]], C=[[1.0, 0.0], [1.0, 0.0]], R=[[1e-20, 0.0], [0.0, 1e-20]])

@@ -88,7 +88,7 @@ def count_calls(monkeypatch, module, name):
 
 def test_covariance_sequence_and_blocks_are_computed_once_per_scenario(monkeypatch):
     gains = count_calls(monkeypatch, r4skf, "gain_and_covariance")
-    blocks = count_calls(monkeypatch, r4skf, "step_terms")
+    blocks = count_calls(monkeypatch, r4skf, "discretize")
     cfg = benchmark_case(1, duration=0.5, seeds=(1, 2, 3))
     run_scenario(cfg)
     assert len(gains) == cfg.n_steps
