@@ -8,13 +8,7 @@ from .a2kf import A2KFConfig, A2KFState, a2kf_step, augment, estimate_Qd, innova
 from .benchmark import benchmark_case, benchmark_model
 from .cdekf import NonlinearModel, cd_four_step, propagate_covariance, propagate_state
 from .errors import ConfigError, DimensionError, IllConditionedError, RankConditionError
-from .model import (
-    DiscretizedModel,
-    SystemModel,
-    check_rank_condition,
-    discretize,
-    moore_penrose_pinv,
-)
+from .model import DiscretizedModel, SystemModel, discretize, moore_penrose_pinv
 from .onestep import equivalence_check, one_step_error_cov, one_step_estimate
 from .r4skf import FilterState, StepReport, step
 from .sim import ScenarioConfig, ScenarioResult, SignalSpec, generate_truth, rmse, run_scenario
@@ -43,7 +37,6 @@ __all__ = [
     "benchmark_case",
     "benchmark_model",
     "cd_four_step",
-    "check_rank_condition",
     "discretize",
     "equivalence_check",
     "estimate_Qd",

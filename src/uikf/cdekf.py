@@ -1,19 +1,16 @@
 """Continuous-discrete extension for mildly nonlinear plants.
 
-State propagation integrates dx/dt = f(x, u, t) + E d̂ (Euler or RK4);
-covariance propagation uses the compensated Euler rule
-
-    P+ = P + [F P + P F^T + F P F^T dt + G Q G^T] dt
-       = (I + F dt) P (I + F dt)^T + G Q G^T dt
-
-so on a linear plant with Euler integration the recursion coincides with
-the linear four-step filter. The pieces that do not depend on the
-linearization are r4skf's own: the rank-checked extraction gain
-(unknown_input_gain), the covariance correction (correct: the Kalman gain
-with its singular-S check, the combined gain and the Joseph update), the
-unknown-input error covariance and the stability matrices (computed when the
-report's A_bar / A_tilde is read). Only the state half is its own, because
-it propagates through the nonlinear f and h.
+State propagation integrates dx/dt = f(x, u, t) + E d̂ (Euler or RK4); only
+this state half is cdekf's own, because it propagates through the nonlinear
+f and h. The rest is r4skf's, run on the StepTerms of the linearization
+A_d = I + F dt, E_d = E dt, C = H(x*): the rank-checked extraction gain,
+unknown_input_error_cov, gain_and_covariance (the prediction
+(I + F dt) P (I + F dt)^T + G Q G^T dt, Kalman gain, combined gain and Joseph
+update) and the report's stability matrices. So on a linear plant with Euler
+integration the recursion coincides with the linear four-step filter.
+propagate_covariance, the compensated Euler rule
+P + [F P + P F^T + F P F^T dt + G Q G^T] dt, is the same prediction written
+in continuous time; no step calls it, it is kept as the reference.
 """
 
 from __future__ import annotations
@@ -133,7 +130,6 @@ def cd_four_step(
     Q = np.asarray(model.Q, dtype=float)
     R = np.asarray(model.R, dtype=float)
     n_x = state.x_hat.shape[0]
-    n_d = E.shape[1]
 
     F_k = model.jac_f(state.x_hat, u, t)
     dm = DiscretizedModel(
@@ -145,20 +141,17 @@ def cd_four_step(
         dt=dt,
     )
 
-    zero_d = np.zeros(n_d)
-    x_star = propagate_state(state.x_hat, u, zero_d, model, method=method, t=t)
+    x_star = propagate_state(state.x_hat, u, np.zeros(E.shape[1]), model, method=method, t=t)
     C = model.jac_h(x_star)
-    F_d = r4skf.unknown_input_gain(C, dm.E_d)
+    terms = r4skf.StepTerms(dm, C, R, Q, G, r4skf.unknown_input_gain(C, dm.E_d))
     gamma = y - np.asarray(model.h(x_star), dtype=float)
-    d_hat = F_d @ gamma
+    d_hat = terms.F_d @ gamma
     x_pred = x_star + dm.E_d @ d_hat
 
-    P_pred = propagate_covariance(state.P, F_k, G, Q, dt)
-    K, L, P_post = r4skf.correct(P_pred, C, R, dm.E_d, F_d)
-    innov = y - np.asarray(model.h(x_pred), dtype=float)
-    x_hat = x_pred + K @ innov
-    Pd = r4skf.unknown_input_error_cov(state.P, r4skf.StepTerms(dm, C, R, Q, G, F_d))
+    Pd = r4skf.unknown_input_error_cov(state.P, terms)
+    _, K, L, P_post = r4skf.gain_and_covariance(state.P, terms)
+    x_hat = x_pred + K @ (y - np.asarray(model.h(x_pred), dtype=float))
 
     new_state = FilterState(x_hat=x_hat, P=P_post, d_hat=d_hat, Pd=Pd, gamma=gamma, k=state.k + 1)
-    report = StepReport(x_star=x_star, x_pred=x_pred, d_hat=d_hat, F_d=F_d, K=K, L=L, dm=dm, C=C)
+    report = StepReport(x_star=x_star, x_pred=x_pred, d_hat=d_hat, F_d=terms.F_d, K=K, L=L, dm=dm, C=C)
     return new_state, report

@@ -14,7 +14,7 @@ from . import a2kf, onestep, r4skf, uio
 from .a2kf import A2KFConfig
 from .benchmark import benchmark_model
 from .errors import ESTIMATOR_FAILURES
-from .model import SystemModel, discretize, identity, moore_penrose_pinv
+from .model import SystemModel, identity, moore_penrose_pinv
 from .sim import simulate
 
 
@@ -65,10 +65,9 @@ def check_gain_irrelevance(steps: int = 500, seed: int = 0, x0_offset: float = 1
     dev_gain = 0.0
     dev_onestep = 0.0
     for k in range(steps):
-        C = np.asarray(model.C(k + 1), dtype=float)
         s_opt, _ = r4skf.step(s_opt, u, ys[k], model)
         s_zero, _ = r4skf.step(s_zero, u, ys[k], model, gain_override=K0)
-        ref = onestep.one_step_estimate(ys[k], C)
+        ref = onestep.one_step_estimate(ys[k], r4skf.step_terms(model, k).C)
         dev_gain = max(dev_gain, float(np.linalg.norm(s_opt.x_hat - s_zero.x_hat)))
         dev_onestep = max(dev_onestep, float(np.linalg.norm(s_opt.x_hat - ref)))
     return [
@@ -108,20 +107,18 @@ def check_observer_equivalence(steps: int = 300, seed: int = 2) -> List[CheckRes
     model = square_test_model()
     ys = _simulate_square(model, steps, seed)
     u = np.zeros(model.n_u)
-    C = np.asarray(model.C(0), dtype=float)
-    Linv = np.linalg.inv(C)
+    Linv = np.linalg.inv(r4skf.step_terms(model, 0).C)
     obs = uio.initial_observer_state(np.ones(model.n_x), model.n_d)
     worst = 0.0
     for k in range(steps):
-        dm = discretize(model, k * model.dt)
-        obs = uio.observer_step(obs, ys[k], u, dm, C, Linv)
-        ref = onestep.one_step_estimate(ys[k], C)
+        t = r4skf.step_terms(model, k)
+        obs = uio.observer_step(obs, ys[k], u, t.dm, t.C, Linv)
+        ref = onestep.one_step_estimate(ys[k], t.C)
         worst = max(worst, float(np.abs(obs.x_hat - ref).max()))
     results.append(CheckResult("observer_square_case_vs_one_step", worst <= 1e-12, worst, 1e-12))
 
     model = benchmark_model()
-    C = np.asarray(model.C(0), dtype=float)
-    L = 0.5 * moore_penrose_pinv(C)
+    L = 0.5 * moore_penrose_pinv(r4skf.step_terms(model, 0).C)
     rng = np.random.default_rng(seed)
     obs = uio.initial_observer_state(np.zeros(model.n_x), model.n_d)
     filt = r4skf.initial_state(model, np.zeros(model.n_x))
@@ -129,8 +126,8 @@ def check_observer_equivalence(steps: int = 300, seed: int = 2) -> List[CheckRes
     worst = 0.0
     for k in range(steps):
         y = 0.01 * rng.standard_normal(model.n_y)
-        dm = discretize(model, k * model.dt)
-        obs = uio.observer_step(obs, y, u, dm, C, L)
+        t = r4skf.step_terms(model, k)
+        obs = uio.observer_step(obs, y, u, t.dm, t.C, L)
         filt, _ = r4skf.step(filt, u, y, model, gain_override=L)
         worst = max(worst, float(np.abs(obs.x_hat - filt.x_hat).max()))
     results.append(CheckResult("observer_general_vs_filter_fixed_gain", worst <= 1e-10, worst, 1e-10))
@@ -140,17 +137,13 @@ def check_observer_equivalence(steps: int = 300, seed: int = 2) -> List[CheckRes
 def check_qd_reconstruction(seed: int = 4) -> List[CheckResult]:
     """Forward-construct C_gamma from a chosen SPD S and invert it back."""
     model = benchmark_model()
-    dm = discretize(model, 0.0)
-    C = np.asarray(model.C(0), dtype=float)
-    Q = np.asarray(model.Q(0.0), dtype=float)
-    G = np.asarray(model.G(0.0), dtype=float)
-    R = np.asarray(model.R(0), dtype=float)
+    t = r4skf.step_terms(model, 0)
     rng = np.random.default_rng(seed)
     M = rng.standard_normal((model.n_d, model.n_d))
     S = M @ M.T + 0.5 * identity(model.n_d)
-    CEd = C @ dm.E_d
-    Cgamma = CEd @ S @ CEd.T + r4skf.output_noise(C, G, Q, dm.dt) + R
-    S_hat = a2kf.estimate_Qd(Cgamma, dm, C, Q, G, R, A2KFConfig())
+    CEd = t.C @ t.dm.E_d
+    Cgamma = CEd @ S @ CEd.T + t.CGQGC + t.R
+    S_hat = a2kf.estimate_Qd(Cgamma, t.dm, t.C, t.Q, t.G, t.R, A2KFConfig())
     err = float(np.abs(S_hat - S).max() / np.abs(S).max())
     return [CheckResult("qd_spd_round_trip", err <= 1e-10, err, 1e-10)]
 

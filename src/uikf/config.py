@@ -48,6 +48,19 @@ def _require(doc: Dict[str, Any], field: str, ctx: str):
     return doc[field]
 
 
+def _mapping(value, field: str) -> Dict[str, Any]:
+    if not isinstance(value, dict):
+        raise ConfigError(f"{field}: must be a mapping, got {type(value).__name__}")
+    return value
+
+
+def _number(value, field: str) -> float:
+    try:
+        return float(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{field}: not a number ({exc})") from exc
+
+
 def _matrix(value, field: str) -> np.ndarray:
     try:
         arr = np.asarray(value, dtype=float)
@@ -69,6 +82,7 @@ def _vector(value, field: str) -> np.ndarray:
 
 
 def parse_model(doc: Dict[str, Any]) -> SystemModel:
+    doc = _mapping(doc, "model")
     mats = {name: _matrix(_require(doc, name, "model"), f"model.{name}") for name in _MODEL_MATRICES}
     dt = _require(doc, "dt", "model")
     if not isinstance(dt, (int, float)) or not np.isfinite(dt) or dt <= 0:
@@ -80,32 +94,36 @@ def parse_model(doc: Dict[str, Any]) -> SystemModel:
 
 
 def _parse_signal(doc: Dict[str, Any], field: str) -> SignalSpec:
+    """One signal entry; every field is converted under its own name."""
+    doc = _mapping(doc, field)
     kind = doc.get("kind", "zero")
     if kind not in _SIGNAL_KINDS:
         raise ConfigError(f"{field}.kind: unknown kind {kind!r}, expected one of {_SIGNAL_KINDS}")
     samples = doc.get("samples")
     if kind == "custom" and samples is None:
         raise ConfigError(f"{field}.samples: required for kind=custom")
+    values = {name: _number(doc.get(name, 0.0), f"{field}.{name}") for name in ("t_on", "t_off", "amplitude", "f0")}
+    samples = None if samples is None else _vector(samples, f"{field}.samples")
     try:
-        return SignalSpec(
-            kind=kind,
-            t_on=float(doc.get("t_on", 0.0)),
-            t_off=float(doc.get("t_off", 0.0)),
-            amplitude=float(doc.get("amplitude", 0.0)),
-            f0=float(doc.get("f0", 0.0)),
-            samples=None if samples is None else np.asarray(samples, dtype=float),
-        )
+        return SignalSpec(kind=kind, samples=samples, **values)
     except ConfigError as exc:          # SignalSpec names the field within the signal
         raise ConfigError(f"{field}.{exc}") from exc
 
 
 def parse_a2kf(doc: Dict[str, Any]) -> A2KFConfig:
     """The a2kf settings; A2KFConfig checks their values."""
+    doc = _mapping(doc, "a2kf")
+    window = doc.get("window", 10)
+    if not isinstance(window, int) or isinstance(window, bool):
+        raise ConfigError(f"a2kf.window: must be an integer, got {window!r}")
+    rescale_by_dt = doc.get("rescale_by_dt", False)
+    if not isinstance(rescale_by_dt, bool):
+        raise ConfigError(f"a2kf.rescale_by_dt: must be true or false, got {rescale_by_dt!r}")
     return A2KFConfig(
-        window=int(doc.get("window", 10)),
-        qd_floor=float(doc.get("qd_floor", 1e-12)),
-        qd_init=float(doc.get("qd_init", 1e-6)),
-        rescale_by_dt=bool(doc.get("rescale_by_dt", False)),
+        window=window,
+        qd_floor=_number(doc.get("qd_floor", 1e-12), "a2kf.qd_floor"),
+        qd_init=_number(doc.get("qd_init", 1e-6), "a2kf.qd_init"),
+        rescale_by_dt=rescale_by_dt,
         negative_check=doc.get("negative_check", "post"),
     )
 
@@ -118,7 +136,7 @@ def parse_scenario(doc: Dict[str, Any]) -> ScenarioConfig:
     if schema != SCHEMA_VERSION:
         raise ConfigError(f"schema: unsupported version {schema!r}, expected {SCHEMA_VERSION}")
     model = parse_model(_require(doc, "model", "document"))
-    sc = _require(doc, "scenario", "document")
+    sc = _mapping(_require(doc, "scenario", "document"), "scenario")
 
     duration = _require(sc, "duration", "scenario")
     if not isinstance(duration, (int, float)):
@@ -136,7 +154,7 @@ def parse_scenario(doc: Dict[str, Any]) -> ScenarioConfig:
     if not isinstance(estimators, list) or len(estimators) == 0:
         raise ConfigError("scenario.estimators: must be a non-empty list")
 
-    uio_doc = doc.get("uio", {})
+    uio_doc = _mapping(doc.get("uio", {}), "uio")
     uio_gain = None
     if "gain" in uio_doc:
         uio_gain = _matrix(uio_doc["gain"], "uio.gain")
@@ -152,7 +170,7 @@ def parse_scenario(doc: Dict[str, Any]) -> ScenarioConfig:
             estimators=tuple(estimators),
             a2kf_config=parse_a2kf(doc.get("a2kf", {})),
             uio_gain=uio_gain,
-            rmse_skip=float(sc.get("rmse_skip", 0.0)),
+            rmse_skip=_number(sc.get("rmse_skip", 0.0), "scenario.rmse_skip"),
         )
     except ConfigError:
         raise

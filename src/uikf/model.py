@@ -7,7 +7,8 @@ The plant is
 
 where d is an unmeasured exogenous input (disturbance or actuator fault)
 with no assumed dynamics. Estimating d through the outputs requires the
-structural condition rank(C E) = rank(E) = n_d.
+structural condition rank(C E) = rank(E) = n_d, which r4skf.unknown_input_gain
+checks on every step as rank(C E_d) = n_d.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ import numpy as np
 from .errors import DimensionError
 
 MatrixLike = Union[np.ndarray, Callable[[float], np.ndarray]]
+
+RANK_TOL = 1e-10                # relative to sigma_max, see pinv_and_rank
 
 
 _MATRICES = ("A", "B", "E", "G", "Q", "C", "R")
@@ -163,38 +166,25 @@ def discretize(model: SystemModel, t: float) -> DiscretizedModel:
     )
 
 
-def pinv_and_rank(M: np.ndarray, tol: float = 1e-10) -> Tuple[np.ndarray, int]:
+def pinv_and_rank(M: np.ndarray) -> Tuple[np.ndarray, int]:
     """Moore-Penrose pseudo-inverse and numerical rank from one SVD.
 
-    Singular values below tol * sigma_max are treated as zero.
+    Singular values below RANK_TOL * sigma_max are treated as zero.
     """
     M = np.asarray(M, dtype=float)
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((M.shape[1], M.shape[0])), 0
-    kept = s > tol * s[0]
+    kept = s > RANK_TOL * s[0]
     inv = np.where(kept, 1.0 / np.where(s > 0, s, 1.0), 0.0)
     return (Vt.T * inv) @ U.T, int(np.sum(kept))
 
 
-def moore_penrose_pinv(M: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def moore_penrose_pinv(M: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudo-inverse via SVD (see pinv_and_rank)."""
-    return pinv_and_rank(M, tol)[0]
+    return pinv_and_rank(M)[0]
 
 
-def numerical_rank(M: np.ndarray, tol: float = 1e-10) -> int:
-    """Rank by counting singular values above tol * sigma_max."""
-    return pinv_and_rank(M, tol)[1]
-
-
-def check_rank_condition(C: np.ndarray, E: np.ndarray, tol: float = 1e-10) -> bool:
-    """True iff rank(C @ E) = rank(E) = n_d, i.e. every unknown-input
-    direction is visible through the outputs in one step."""
-    C = np.asarray(C, dtype=float)
-    E = np.asarray(E, dtype=float)
-    if C.shape[1] != E.shape[0]:
-        raise DimensionError(
-            f"C has {C.shape[1]} columns but E has {E.shape[0]} rows"
-        )
-    n_d = E.shape[1]
-    return numerical_rank(C @ E, tol) == n_d and numerical_rank(E, tol) == n_d
+def numerical_rank(M: np.ndarray) -> int:
+    """Rank by counting singular values above RANK_TOL * sigma_max."""
+    return pinv_and_rank(M)[1]

@@ -63,7 +63,7 @@ def equivalence_check(
     worst = 0.0
     for k in range(steps):
         state, _ = r4skf.step(state, u, ys[k], model)
-        ref = one_step_estimate(ys[k], np.asarray(model.C(k + 1), dtype=float))
+        ref = one_step_estimate(ys[k], r4skf.step_terms(model, k).C)
         dev = np.linalg.norm(state.x_hat - ref) / (1.0 + np.linalg.norm(ref))
         worst = max(worst, dev)
     return worst

@@ -13,10 +13,10 @@ L = K + (I - K C) E_d F_d, which keeps P symmetric PSD for any gain.
 
 Each half of a step has one implementation here: the state half extract /
 four_step (steps 1-2 / 1-4 with a given gain, e.g. the observer's fixed L)
-and the covariance half unknown_input_error_cov / gain_and_covariance, whose
-tail correct cdekf shares. advance runs both on the StepTerms of a step;
-step = advance(step_terms). StepTerms is what every estimator step reads
-from the model, the a2kf's included.
+and the covariance half unknown_input_error_cov / gain_and_covariance, which
+cdekf runs on the StepTerms of its linearization. advance runs both on the
+StepTerms of a step; step = advance(step_terms). StepTerms is what every
+estimator step reads from the model, the a2kf's included.
 The state half, kalman_gain and joseph_update also take stacks with leading
 axes, e.g. one row per Monte-Carlo seed. Every product in a stack is the
 same BLAS call (gemv, gemm, syrk) as for a single problem, so each row is
@@ -107,9 +107,9 @@ def predict_no_input(x_hat: np.ndarray, u: np.ndarray, dm: DiscretizedModel) -> 
     return matvec(dm.A_d, x_hat) + matvec(dm.B_d, u)
 
 
-def unknown_input_gain(C: np.ndarray, E_d: np.ndarray, tol: float = 1e-10) -> np.ndarray:
+def unknown_input_gain(C: np.ndarray, E_d: np.ndarray) -> np.ndarray:
     """F_d = (C E_d)^+, after checking rank(C E_d) = n_d on the same SVD."""
-    F_d, rank = pinv_and_rank(C @ E_d, tol)
+    F_d, rank = pinv_and_rank(C @ E_d)
     n_d = E_d.shape[1]
     if rank < n_d:
         raise RankConditionError(
@@ -124,13 +124,12 @@ def estimate_unknown_input(
     x_star: np.ndarray,
     dm: DiscretizedModel,
     C: np.ndarray,
-    tol: float = 1e-10,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Step 2: extract the unknown input from the input-free innovation.
 
     Returns (d_hat, F_d, gamma) with F_d = (C E_d)^+ and gamma = y - C x*.
     """
-    F_d = unknown_input_gain(C, dm.E_d, tol)
+    F_d = unknown_input_gain(C, dm.E_d)
     gamma = y - C @ x_star
     return F_d @ gamma, F_d, gamma
 
@@ -210,20 +209,16 @@ class StepTerms:
 
 
 def gain_and_covariance(P_prev: np.ndarray, terms: StepTerms) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Covariance prediction, Kalman gain, combined gain and Joseph update on
-    the StepTerms of the step: (P_pred, K, L, P_post). The process noise
-    enters as G Q G^T dt, one factor of dt.
+    """Covariance prediction, Kalman gain K, combined gain
+    L = K + (I - K C) E_d F_d and the Joseph update of P_pred with L on the
+    StepTerms of the step: (P_pred, K, L, P_post). The process noise enters
+    as G Q G^T dt, one factor of dt.
     """
+    C, R = terms.C, terms.R
     P_pred = terms.dm.A_d @ P_prev @ terms.dm.A_d.T + terms.GQG
-    return (P_pred, *correct(P_pred, terms.C, terms.R, terms.dm.E_d, terms.F_d))
-
-
-def correct(P_pred: np.ndarray, C: np.ndarray, R: np.ndarray, E_d: np.ndarray, F_d: np.ndarray) -> Tuple[np.ndarray, ...]:
-    """Kalman gain K, combined gain L = K + (I - K C) E_d F_d and the Joseph
-    update of P_pred with L: (K, L, P_post)."""
     K = kalman_gain(P_pred, C, R)
-    L = K + (identity(P_pred.shape[-1]) - K @ C) @ E_d @ F_d
-    return K, L, joseph_update(P_pred, L, C, R)
+    L = K + (identity(P_pred.shape[-1]) - K @ C) @ terms.dm.E_d @ terms.F_d
+    return P_pred, K, L, joseph_update(P_pred, L, C, R)
 
 
 def kalman_gain(P_pred: np.ndarray, C: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -263,25 +258,16 @@ def update(x_pred: np.ndarray, y: np.ndarray, K: np.ndarray, C: np.ndarray) -> n
 
 def stability_matrices(
     dm: DiscretizedModel, C: np.ndarray, F_d: np.ndarray, K: np.ndarray
-) -> Tuple[np.ndarray, ...]:
-    """Error-dynamics matrices of the predictor and the full filter.
-
-    Predictor:  e⁻_k = Ā e_{k-1} + Ḡ w + D̄ v
-    Filter:     e_k  = Ã e_{k-1} + G̃ w + D̃ v
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Error-dynamics matrices (A_bar, A_tilde) of the predictor and the full
+    filter: e⁻_k = Ā e_{k-1} + noise and e_k = Ã e_{k-1} + noise.
 
     The predictor (and hence the filter) is asymptotically stable iff the
     spectral radius of Ā (resp. Ã) stays below one.
     """
     n_x = dm.A_d.shape[0]
-    M = identity(n_x) - dm.E_d @ F_d @ C
-    A_bar = M @ dm.A_d
-    G_bar = M @ dm.G_d
-    D_bar = -dm.E_d @ F_d
-    ImKC = identity(n_x) - K @ C
-    A_tilde = ImKC @ A_bar
-    G_tilde = ImKC @ G_bar
-    D_tilde = ImKC @ D_bar - K
-    return A_bar, A_tilde, G_bar, D_bar, G_tilde, D_tilde
+    A_bar = (identity(n_x) - dm.E_d @ F_d @ C) @ dm.A_d
+    return A_bar, (identity(n_x) - K @ C) @ A_bar
 
 
 def unknown_input_error_cov(P_prev: np.ndarray, terms: StepTerms) -> np.ndarray:

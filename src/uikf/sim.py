@@ -179,14 +179,20 @@ def sample_signals(config: ScenarioConfig) -> np.ndarray:
     return d
 
 
-def cov_factor(M: np.ndarray) -> np.ndarray:
-    """Factor S with S S^T = M for sampling; falls back to an eigen
-    factorization for semi-definite M."""
+def cov_factor(M: np.ndarray, definite: bool = False) -> np.ndarray:
+    """Factor S with S S^T = M for sampling. When the Cholesky factorization
+    fails, a definite M is refused, and any other M falls back to an eigen
+    factorization that refuses an eigenvalue below -1e-12 max(1, max|M|), the
+    bound SystemModel applies at t = 0. A refusal is a ValueError."""
     M = np.asarray(M, dtype=float)
     try:
         return np.linalg.cholesky(M)
     except np.linalg.LinAlgError:
+        if definite:
+            raise
         w, V = np.linalg.eigh(M)
+        if w[0] < -1e-12 * max(1.0, np.abs(M).max()):
+            raise ValueError(f"not positive semi-definite (eigenvalue {w[0]:.3g})") from None
         return V * np.sqrt(np.clip(w, 0.0, None))
 
 
@@ -195,8 +201,8 @@ def _at(model: SystemModel, name: str, args, f=None) -> np.ndarray:
     f given); a matrix given as an array is evaluated once and broadcasts over
     the steps. f runs again only when the value changes, and the evaluated
     matrices are not kept. Step i + 1 reads args[i]: a value that is not finite,
-    or whose shape differs from the value at 0, is a ConfigError naming the
-    matrix and that step."""
+    whose shape differs from the value at 0 or that f refuses with a ValueError
+    is a ConfigError naming the matrix and that step."""
     M = getattr(model, name)
     if isinstance(M, _Constant) or len(args) == 0:
         M0 = np.asarray(M(0), dtype=float)
@@ -214,7 +220,10 @@ def _at(model: SystemModel, name: str, args, f=None) -> np.ndarray:
     if f is not None:                   # f keeps the shape; each value is replaced by its f
         changed = np.concatenate([[True], (out[1:] != out[:-1]).any(axis=(-2, -1))])
         for i in range(len(out)):
-            out[i] = f(out[i]) if changed[i] else out[i - 1]
+            try:
+                out[i] = f(out[i]) if changed[i] else out[i - 1]
+            except ValueError as exc:       # np.linalg.LinAlgError included
+                raise ConfigError(f"model.{name}, step {i + 1}: {exc}") from exc
     return out
 
 
@@ -266,7 +275,8 @@ def simulate(
         exc.index, exc.step = i, step
         raise exc
     steps = range(1, K + 1)
-    y = matvec(_at(model, "C", steps), x[..., 1:, :]) + matvec(_at(model, "R", steps, cov_factor), z[..., n_w:])
+    Cx = matvec(_at(model, "C", steps), x[..., 1:, :])
+    y = Cx + matvec(_at(model, "R", steps, lambda R: cov_factor(R, definite=True)), z[..., n_w:])
     return x, y
 
 

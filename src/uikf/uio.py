@@ -60,5 +60,5 @@ def verify_observer_stability(
 ) -> float:
     """Spectral radius of (I - L C) Ā; the observer error dynamics are
     asymptotically stable iff this is below one (constant system)."""
-    _, A_tilde, *_ = r4skf.stability_matrices(dm, C, F_d, L)
+    _, A_tilde = r4skf.stability_matrices(dm, C, F_d, L)
     return float(np.max(np.abs(np.linalg.eigvals(A_tilde))))

@@ -4,6 +4,7 @@ import pytest
 from uikf import cdekf, r4skf
 from uikf.benchmark import benchmark_model
 from uikf.cdekf import NonlinearModel
+from uikf.model import DiscretizedModel
 from uikf.r4skf import FilterState
 
 
@@ -140,6 +141,26 @@ class TestPropagateCovariance:
         P = np.diag([1.0, 2.0])
         out = cdekf.propagate_covariance(P, np.zeros((2, 2)), np.eye(2), np.eye(2), 0.1)
         assert np.allclose(out, P + 0.1 * np.eye(2))
+
+    def test_is_the_reference_of_the_shared_prediction(self):
+        # cd_four_step predicts P with r4skf.gain_and_covariance on
+        # A_d = I + F dt; the continuous-time rule gives the same P_pred
+        rng = np.random.default_rng(14)
+        worst = 0.0
+        for _ in range(200):
+            n_x, n_w = rng.integers(2, 6), rng.integers(1, 4)
+            M = rng.standard_normal((n_x, n_x))
+            P = M @ M.T + 0.1 * np.eye(n_x)
+            F, G = rng.standard_normal((n_x, n_x)), rng.standard_normal((n_x, n_w))
+            W = rng.standard_normal((n_w, n_w))
+            Q, dt = W @ W.T, 10.0 ** rng.uniform(-4, -1)
+            I = np.eye(n_x)
+            dm = DiscretizedModel(A_d=I + F * dt, B_d=np.zeros((n_x, 1)), E_d=I[:, :1] * dt, G_d=G * dt, t=0.0, dt=dt)
+            terms = r4skf.StepTerms(dm, I, I, Q, G, r4skf.unknown_input_gain(I, dm.E_d))
+            want = cdekf.propagate_covariance(P, F, G, Q, dt)
+            got = r4skf.gain_and_covariance(P, terms)[0]
+            worst = max(worst, np.abs(got - want).max() / np.abs(want).max())
+        assert worst <= 1e-14
 
     def test_preserves_symmetric_psd(self):
         rng = np.random.default_rng(12)

@@ -1,6 +1,6 @@
 """One four-step kernel: r4skf.step, uio.observer_step, cdekf.cd_four_step
-and the scenario runners all run r4skf's extract / four_step / correct /
-advance. The references here are independent copies of the step bodies
+and the scenario runners all run r4skf's extract / four_step /
+gain_and_covariance / advance. The references here are independent copies of the step bodies
 written out before the kernel was shared, held to the kernel with
 np.array_equal; a property test draws random plants and holds the stacked
 advance to per-seed steps.
@@ -25,7 +25,7 @@ PLANTS = {"benchmark": lambda model: model, "varying": varying}
 
 def reference_correct(P_pred, C, R, E_d, F_d):
     """The K / L / Joseph lines of the covariance step, as written out in
-    cd_four_step and gain_and_covariance."""
+    gain_and_covariance."""
     K = r4skf.kalman_gain(P_pred, C, R)
     L = K + (np.eye(P_pred.shape[0]) - K @ C) @ E_d @ F_d
     return K, L, r4skf.joseph_update(P_pred, L, C, R)
@@ -111,12 +111,13 @@ def test_cd_four_step_correction_equals_its_written_out_lines(plant):
     )
     state = r4skf.initial_state(model, cfg.x0_hat)
     for k in range(cfg.n_steps):
-        P_pred = cdekf.propagate_covariance(state.P, nl.F(state.x_hat, truth.u[k], k * nl.dt), nl.G, nl.Q, nl.dt)
+        A_d = np.eye(model.n_x) + nl.F(state.x_hat, truth.u[k], k * nl.dt) * nl.dt
+        P_pred = A_d @ state.P @ A_d.T + nl.G @ nl.Q @ nl.G.T * nl.dt
         state, rep = cdekf.cd_four_step(state, truth.u[k], truth.y[k], nl)
+        assert np.array_equal(rep.dm.A_d, A_d), k
         want = reference_correct(P_pred, C, nl.R, rep.dm.E_d, rep.F_d)
         for got, ref in zip((rep.K, rep.L, state.P), want):
             assert np.array_equal(got, ref), k
-        assert all(np.array_equal(a, b) for a, b in zip(r4skf.correct(P_pred, C, nl.R, rep.dm.E_d, rep.F_d), want))
 
 
 @st.composite

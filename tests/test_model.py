@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uikf.benchmark import A_PLANT, B_PLANT, C_PLANT, benchmark_model
+from uikf.benchmark import A_PLANT, C_PLANT, benchmark_model
 from uikf.errors import DimensionError
 from uikf.model import (
     SystemModel,
-    check_rank_condition,
     discretize,
     moore_penrose_pinv,
     numerical_rank,
@@ -101,21 +100,6 @@ class TestPinv:
 
 
 class TestRankCondition:
-    def test_full_observation_benchmark_E(self):
-        assert check_rank_condition(np.eye(4), B_PLANT)
-
-    def test_annihilated_column(self):
-        C = np.array([[1.0, 0.0], [0.0, 0.0]])
-        E = np.array([[0.0], [1.0]])
-        assert not check_rank_condition(C, E)
-
-    def test_benchmark_C_and_E(self):
-        assert check_rank_condition(C_PLANT, B_PLANT)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(DimensionError):
-            check_rank_condition(np.eye(3), np.ones((2, 1)))
-
     @settings(max_examples=60, deadline=None)
     @given(
         st.lists(st.integers(min_value=-5, max_value=5), min_size=6, max_size=6),

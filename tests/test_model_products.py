@@ -120,7 +120,8 @@ def test_products_are_formed_once_per_time_invariant_scenario(monkeypatch, time_
     assert len(gqg) == len(cgqgc) == (1 if time_invariant else 2 * cfg.n_steps)
 
 
-def test_cd_four_step_forms_no_process_noise_product(monkeypatch):
+def test_cd_four_step_forms_each_noise_product_once_per_step(monkeypatch):
+    """cd_four_step runs r4skf's covariance half on one StepTerms per step."""
     model = benchmark_case(1).model
     C = model.C(0)
     nl = cdekf.NonlinearModel(
@@ -128,7 +129,8 @@ def test_cd_four_step_forms_no_process_noise_product(monkeypatch):
         E=model.E(0.0), G=model.G(0.0), Q=model.Q(0.0), R=model.R(0), dt=model.dt,
     )
     gqg, cgqgc = count_calls(monkeypatch, r4skf, "process_noise"), count_calls(monkeypatch, r4skf, "output_noise")
+    continuous = count_calls(monkeypatch, cdekf, "propagate_covariance")
     state = r4skf.initial_state(model, np.zeros(model.n_x))
     for k in range(3):
         state, _ = cdekf.cd_four_step(state, np.zeros(model.n_u), np.full(model.n_y, 0.1 * k), nl)
-    assert len(gqg) == 0 and len(cgqgc) == 3
+    assert len(gqg) == len(cgqgc) == 3 and continuous == []

@@ -105,6 +105,38 @@ def test_a_bad_scenario_value_exits_1_naming_the_field(tmp_path, capsys, section
 
 
 @pytest.mark.parametrize(
+    "keys, value, field, what",
+    [
+        # each field is converted under its own name: no traceback, no "scenario: could
+        # not convert ...", no window truncated to 2 and no 2-D samples counted as 1
+        (("scenario", "signals", 0, "t_on"), "abc", "scenario.signals[0].t_on", "not a number"),
+        (("scenario", "signals", 0), {"kind": "custom", "samples": "abc"}, "scenario.signals[0].samples", "not a numeric vector"),
+        (("scenario", "signals", 0), {"kind": "custom", "samples": [[0.0] * 50]}, "scenario.signals[0].samples", "expected a flat array"),
+        (("scenario", "signals", 0), 3, "scenario.signals[0]", "must be a mapping"),
+        (("scenario", "rmse_skip"), "abc", "scenario.rmse_skip", "not a number"),
+        (("a2kf",), {"window": "abc"}, "a2kf.window", "must be an integer"),
+        (("a2kf",), {"window": 2.7}, "a2kf.window", "must be an integer"),
+        (("a2kf",), {"qd_floor": "abc"}, "a2kf.qd_floor", "not a number"),
+        (("a2kf",), {"rescale_by_dt": "abc"}, "a2kf.rescale_by_dt", "must be true or false"),
+        (("a2kf",), 3, "a2kf", "must be a mapping"),
+        (("model",), 3, "model", "must be a mapping"),
+        (("scenario",), 3, "scenario", "must be a mapping"),
+        (("uio",), 3, "uio", "must be a mapping"),
+    ],
+)
+def test_a_config_value_of_the_wrong_type_exits_1_naming_the_field(tmp_path, capsys, keys, value, field, what):
+    doc = node = copy.deepcopy(DOC)
+    for key in keys[:-1]:
+        node = node[key]
+    node[keys[-1]] = value
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {field}: {what}") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
     "signal, field",
     [
         # a traceback from math.sin before signal values were checked
@@ -170,6 +202,9 @@ def test_non_finite_matrix_in_yaml_exits_1(tmp_path, capsys):
         ("R", lambda R, k: R * np.nan if k >= 5 else R, "model.R, step 5: value is not finite"),
         ("A", lambda A, t: A + np.inf if t > 0.025 else A, "model.A, step 4: value is not finite"),
         ("C", lambda C, k: C[:2] if k == 3 else C, r"model.C, step 3: shape \(2, 4\), but \(3, 4\)"),
+        # finite and of the right shape, but not a covariance
+        ("R", lambda R, k: -R if k >= 5 else R, "model.R, step 5: Matrix is not positive definite"),
+        ("Q", lambda Q, t: -Q if t >= 0.05 else Q, r"model.Q, step 6: not positive semi-definite \(eigenvalue -1e-06\)"),
     ],
 )
 def test_a_bad_later_model_value_names_matrix_and_step_before_any_filter_runs(monkeypatch, name, bad, where):
