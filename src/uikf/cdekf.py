@@ -136,8 +136,6 @@ def cd_four_step(
         A_d=identity(n_x) + F_k * dt,
         B_d=np.zeros((n_x, u.shape[0])),
         E_d=E * dt,
-        G_d=G * dt,
-        t=t,
         dt=dt,
     )
 

@@ -111,14 +111,11 @@ class SystemModel:
             raise DimensionError(
                 f"n_d={n_d} exceeds n_y={n_y}; C@E_d cannot be left-invertible"
             )
-        if not np.allclose(Q0, Q0.T):
-            raise ValueError("Q must be symmetric")
-        if not np.allclose(R0, R0.T):
-            raise ValueError("R must be symmetric")
-        if np.linalg.eigvalsh(R0).min() <= 0:
-            raise ValueError("R must be positive definite")
-        if np.linalg.eigvalsh(Q0).min() < -1e-12 * max(1.0, np.abs(Q0).max()):
-            raise ValueError("Q must be positive semi-definite")
+        for name, M, definite in (("Q", Q0, False), ("R", R0, True)):
+            try:
+                cov_factor(M, definite)
+            except ValueError as exc:       # np.linalg.LinAlgError included
+                raise ValueError(f"{name}: {exc}") from exc
 
         object.__setattr__(self, "n_x", n_x)
         object.__setattr__(self, "n_u", B0.shape[1])
@@ -140,6 +137,26 @@ def identity(n: int) -> np.ndarray:
     return eye
 
 
+def cov_factor(M: np.ndarray, definite: bool = False) -> np.ndarray:
+    """S with S S^T = M, the one covariance check: of Q and R at 0 by SystemModel,
+    of every later value by the truth simulator. M must be symmetric (allclose
+    to M^T). When the Cholesky factorization fails, a definite M is refused,
+    and any other M falls back to an eigen factorization that refuses an
+    eigenvalue below -1e-12 max(1, max|M|). A refusal is a ValueError."""
+    M = np.asarray(M, dtype=float)
+    if not (M == M.T).all() and not np.allclose(M, M.T):     # allclose alone costs 10 times more
+        raise ValueError("not symmetric")
+    try:
+        return np.linalg.cholesky(M)
+    except np.linalg.LinAlgError:
+        if definite:
+            raise
+        w, V = np.linalg.eigh(M)
+        if w[0] < -1e-12 * max(1.0, np.abs(M).max()):
+            raise ValueError(f"not positive semi-definite (eigenvalue {w[0]:.3g})") from None
+        return V * np.sqrt(np.clip(w, 0.0, None))
+
+
 @dataclass(frozen=True)
 class DiscretizedModel:
     """One-step first-order-hold matrices: A_d = I + A dt, X_d = X dt."""
@@ -147,8 +164,6 @@ class DiscretizedModel:
     A_d: np.ndarray
     B_d: np.ndarray
     E_d: np.ndarray
-    G_d: np.ndarray
-    t: float
     dt: float
 
 
@@ -160,8 +175,6 @@ def discretize(model: SystemModel, t: float) -> DiscretizedModel:
         A_d=identity(model.n_x) + A * dt,
         B_d=np.asarray(model.B(t), dtype=float) * dt,
         E_d=np.asarray(model.E(t), dtype=float) * dt,
-        G_d=np.asarray(model.G(t), dtype=float) * dt,
-        t=t,
         dt=dt,
     )
 

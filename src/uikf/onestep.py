@@ -55,7 +55,7 @@ def equivalence_check(
         raise ValueError("equivalence_check requires n_x = n_y = n_d")
     rng = np.random.default_rng(seed)
     d = d_scale * rng.standard_normal((steps, model.n_d))
-    _, ys = sim.simulate(model, np.zeros(model.n_x), d, rng)
+    ys = sim.simulate(model, np.zeros(model.n_x), d, [rng])[1][0]
     state = r4skf.initial_state(
         model, np.zeros(model.n_x) if x0_hat is None else np.asarray(x0_hat, dtype=float)
     )

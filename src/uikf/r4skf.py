@@ -287,9 +287,9 @@ def step_terms(model: SystemModel, k: int) -> StepTerms:
     measurement k + 1, with the rank-checked F_d = (C E_d)^+.
 
     A time-invariant model is evaluated once per model instance: the terms of
-    step 0 (dm.t = 0) are built on the first call, kept on the model and
-    returned for every k, so r4skf.step, a2kf.a2kf_step and sim.run_scenario
-    share them; the kept matrices are read-only. A failed evaluation keeps
+    step 0 are built on the first call, kept on the model and returned for
+    every k, so r4skf.step, a2kf.a2kf_step and sim.run_scenario share them;
+    the kept matrices are read-only. A failed evaluation keeps
     nothing, so it raises again on the next call. A time-varying model is
     evaluated on every call."""
     terms = model.__dict__.get("_step_terms")
@@ -299,7 +299,7 @@ def step_terms(model: SystemModel, k: int) -> StepTerms:
         return _evaluate(model, k)
     # two threads may both build the terms; the builds are equal
     terms = _evaluate(model, 0)
-    for M in (terms.dm.A_d, terms.dm.B_d, terms.dm.E_d, terms.dm.G_d, terms.F_d):
+    for M in (terms.dm.A_d, terms.dm.B_d, terms.dm.E_d, terms.F_d):
         M.flags.writeable = False
     model.__dict__["_step_terms"] = terms
     return terms

@@ -19,7 +19,7 @@ import numpy as np
 from . import a2kf, onestep, r4skf
 from .a2kf import A2KFConfig
 from .errors import ConfigError, IllConditionedError, RankConditionError
-from .model import SystemModel, _Constant, moore_penrose_pinv
+from .model import SystemModel, _Constant, cov_factor, moore_penrose_pinv
 from .r4skf import matvec
 
 KNOWN_ESTIMATORS = ("r4skf", "a2kf", "onestep", "uio")
@@ -179,23 +179,6 @@ def sample_signals(config: ScenarioConfig) -> np.ndarray:
     return d
 
 
-def cov_factor(M: np.ndarray, definite: bool = False) -> np.ndarray:
-    """Factor S with S S^T = M for sampling. When the Cholesky factorization
-    fails, a definite M is refused, and any other M falls back to an eigen
-    factorization that refuses an eigenvalue below -1e-12 max(1, max|M|), the
-    bound SystemModel applies at t = 0. A refusal is a ValueError."""
-    M = np.asarray(M, dtype=float)
-    try:
-        return np.linalg.cholesky(M)
-    except np.linalg.LinAlgError:
-        if definite:
-            raise
-        w, V = np.linalg.eigh(M)
-        if w[0] < -1e-12 * max(1.0, np.abs(M).max()):
-            raise ValueError(f"not positive semi-definite (eigenvalue {w[0]:.3g})") from None
-        return V * np.sqrt(np.clip(w, 0.0, None))
-
-
 def _at(model: SystemModel, name: str, args, f=None) -> np.ndarray:
     """The model's matrix `name` evaluated at each of args and stacked (f(M) with
     f given); a matrix given as an array is evaluated once and broadcasts over
@@ -228,46 +211,43 @@ def _at(model: SystemModel, name: str, args, f=None) -> np.ndarray:
 
 
 def simulate(
-    model: SystemModel, x0, d: np.ndarray, rng, u: Optional[np.ndarray] = None
+    model: SystemModel, x0, d: np.ndarray, rngs: Sequence[np.random.Generator], u: Optional[np.ndarray] = None
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Euler-Maruyama forward simulation over len(d) steps with
     w ~ N(0, Q/dt), so the discrete process-noise covariance is G Q G^T dt.
 
     d[k] and u[k] (zero when omitted) drive the step from t_k to t_{k+1}.
-    Returns the states x (K+1, n_x), starting at x0, and the measurements
-    y (K, n_y), y[k] taken at t_{k+1}. rng is one np.random.Generator, or a
-    sequence of them, one per seed: then x and y carry a leading seed axis and
-    the seeds share d, u and every model matrix, evaluated once.
+    rngs holds one np.random.Generator per seed; the seeds share d, u and
+    every model matrix, evaluated once. Returns the states x (S, K+1, n_x),
+    starting at x0, and the measurements y (S, K, n_y), y[:, k] taken at
+    t_{k+1}, for the S seeds.
 
     Step k draws n_w process-noise then n_y measurement-noise normals; each
     seed draws them as one (K, n_w + n_y) block, which is the same stream. The
     noise and input terms are formed before the loop, one gemv per step and
     seed. A truth that leaves the finite numbers raises a FloatingPointError
-    with its first bad step as ``step`` and, in a sequence, the position of
-    the first such seed as ``index``.
+    with the position of the first such seed as ``index`` and its first bad
+    step as ``step``.
     """
     K = d.shape[0]
     dt, n_x, n_w, n_z = model.dt, model.n_x, model.n_w, model.n_w + model.n_y
     if u is None:
         u = np.zeros((K, model.n_u))
     t = [k * dt for k in range(K)]
-    if isinstance(rng, np.random.Generator):
-        z = rng.standard_normal((K, n_z))
-    else:
-        z = np.stack([r.standard_normal((K, n_z)) for r in rng])
+    z = np.stack([r.standard_normal((K, n_z)) for r in rngs])
     w = matvec(_at(model, "Q", t, cov_factor), z[..., :n_w]) / math.sqrt(dt)
     g = matvec(_at(model, "G", t), w) * dt
     bu = matvec(_at(model, "B", t), u)
     ed = matvec(_at(model, "E", t), d)
     A = np.broadcast_to(_at(model, "A", t), (K, n_x, n_x))
 
-    x = np.zeros(z.shape[:-2] + (K + 1, n_x))
+    x = np.zeros((len(z), K + 1, n_x))
     x[..., 0, :] = np.asarray(x0, dtype=float)
     xs, gs = np.moveaxis(x, -2, 0), np.moveaxis(g, -2, 0)      # step-major views
     with np.errstate(over="ignore", invalid="ignore"):
         for k in range(K):
             xs[k + 1] = xs[k] + dt * (matvec(A[k], xs[k]) + bu[k] + ed[k]) + gs[k]
-    diverged = np.atleast_2d(~np.isfinite(x[..., 1:, :]).all(axis=-1))     # (seeds, K)
+    diverged = ~np.isfinite(x[:, 1:]).all(axis=-1)     # (seeds, K)
     if diverged.any():
         i = int(np.argmax(diverged.any(axis=1)))
         step = int(np.argmax(diverged[i])) + 1
@@ -280,13 +260,26 @@ def simulate(
     return x, y
 
 
-def generate_truth(config: ScenarioConfig, seed: int) -> TruthTrajectory:
-    """Truth trajectory of the scenario's signals, simulated from x0_true."""
-    model = config.model
+def _truths(config: ScenarioConfig, seeds: Sequence[int]) -> Dict[int, TruthTrajectory]:
+    """The truth of each seed, simulated from x0_true with its own
+    default_rng(seed) in one call of simulate, on signals sampled once. A truth
+    that leaves the finite numbers is a FloatingPointError naming the first such
+    seed and its first bad step."""
+    model, K = config.model, config.n_steps
     d = sample_signals(config)
-    u = np.zeros((config.n_steps, model.n_u))
-    x, y = simulate(model, config.x0_true, d, np.random.default_rng(seed), u)
-    return TruthTrajectory(t=np.arange(config.n_steps + 1) * model.dt, x=x, d=d, y=y, u=u)
+    u = np.zeros((len(seeds), K, model.n_u))
+    try:
+        x, y = simulate(model, config.x0_true, d, [np.random.default_rng(s) for s in seeds], u[0])
+    except FloatingPointError as exc:
+        raise FloatingPointError(f"truth, seed {seeds[exc.index]}, step {exc.step}: diverged to non-finite values") from exc
+    t = np.arange(K + 1) * model.dt
+    return {seed: TruthTrajectory(t=t, x=x[i], d=d, y=y[i], u=u[i]) for i, seed in enumerate(seeds)}
+
+
+def generate_truth(config: ScenarioConfig, seed: int) -> TruthTrajectory:
+    """Truth trajectory of the scenario's signals for one seed, as run_scenario
+    simulates it."""
+    return _truths(config, [seed])[seed]
 
 
 # Estimator runners, built once per scenario: runner(config) -> (init, step). Step k reads the
@@ -411,14 +404,8 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     model, K, seeds = config.model, config.n_steps, config.seeds
     # keep at least one sample when the horizon is shorter than the burn-in
     skip = min(int(round(config.rmse_skip / model.dt)), K - 1)
-    d = sample_signals(config)
-    u = np.zeros((len(seeds), K, model.n_u))
-    try:
-        x, y = simulate(model, config.x0_true, d, [np.random.default_rng(s) for s in seeds], u[0])
-    except FloatingPointError as exc:
-        raise FloatingPointError(f"truth, seed {seeds[exc.index]}, step {exc.step}: diverged to non-finite values") from exc
-    t = np.arange(K + 1) * model.dt
-    truths = {seed: TruthTrajectory(t=t, x=x[i], d=d, y=y[i], u=u[i]) for i, seed in enumerate(seeds)}
+    truths = _truths(config, seeds)
+    u, y = (np.stack([getattr(truths[s], name) for s in seeds]) for name in ("u", "y"))
 
     runs: Dict[int, Dict[str, EstimatorRun]] = {seed: {} for seed in seeds}
     rmse_per_seed: Dict[int, Dict[str, Dict[str, np.ndarray]]] = {seed: {} for seed in seeds}

@@ -93,7 +93,7 @@ def test_criterion_05_unbiasedness():
 
 
 def test_criterion_06_gain_irrelevance():
-    results = checks.check_gain_irrelevance(steps=500, x0_offset=100.0)
+    results = checks.check_gain_irrelevance()
     ok = all(r.passed for r in results)
     report(6, "square-case gain irrelevance under 100-unit initial error", ok,
            "; ".join(f"{r.name}={r.value:.3g}" for r in results))

@@ -155,7 +155,7 @@ class TestPropagateCovariance:
             W = rng.standard_normal((n_w, n_w))
             Q, dt = W @ W.T, 10.0 ** rng.uniform(-4, -1)
             I = np.eye(n_x)
-            dm = DiscretizedModel(A_d=I + F * dt, B_d=np.zeros((n_x, 1)), E_d=I[:, :1] * dt, G_d=G * dt, t=0.0, dt=dt)
+            dm = DiscretizedModel(A_d=I + F * dt, B_d=np.zeros((n_x, 1)), E_d=I[:, :1] * dt, dt=dt)
             terms = r4skf.StepTerms(dm, I, I, Q, G, r4skf.unknown_input_gain(I, dm.E_d))
             want = cdekf.propagate_covariance(P, F, G, Q, dt)
             got = r4skf.gain_and_covariance(P, terms)[0]

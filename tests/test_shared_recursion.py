@@ -153,9 +153,9 @@ def test_onestep_runner_is_unchanged():
 def test_simulate_is_the_truth_generator():
     cfg = benchmark_case(2, duration=0.5, seeds=(4,))
     truth = sim.generate_truth(cfg, 4)
-    x, y = sim.simulate(cfg.model, cfg.x0_true, truth.d, np.random.default_rng(4))
-    assert np.array_equal(x, truth.x)
-    assert np.array_equal(y, truth.y)
+    x, y = sim.simulate(cfg.model, cfg.x0_true, truth.d, [np.random.default_rng(4)])
+    assert np.array_equal(x[0], truth.x)
+    assert np.array_equal(y[0], truth.y)
 
 
 def test_unknown_input_gain_is_the_pseudo_inverse():

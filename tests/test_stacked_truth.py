@@ -32,16 +32,6 @@ def test_stacked_truths_equal_generate_truth(n_seeds, plant):
             assert np.array_equal(getattr(truths[seed], name), getattr(want, name)), (seed, name)
 
 
-@pytest.mark.parametrize("plant", ["arrays", "varying"])
-def test_a_list_of_one_generator_adds_a_leading_seed_axis(plant):
-    cfg = scenario(plant, (3,))
-    d = sim.sample_signals(cfg)
-    x, y = sim.simulate(cfg.model, cfg.x0_true, d, np.random.default_rng(3))
-    xs, ys = sim.simulate(cfg.model, cfg.x0_true, d, [np.random.default_rng(3)])
-    assert xs.shape == (1, *x.shape) and ys.shape == (1, *y.shape)
-    assert np.array_equal(xs[0], x) and np.array_equal(ys[0], y)
-
-
 @pytest.mark.parametrize("n_seeds", sorted(SEEDS))
 def test_the_truth_evaluates_C_once_per_step_for_all_seeds(n_seeds):
     cfg = scenario("arrays", SEEDS[n_seeds])
