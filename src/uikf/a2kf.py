@@ -17,6 +17,7 @@ stacked along leading axes (one row per seed): x_a (S, n_a), P_a
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Tuple
 
@@ -38,13 +39,17 @@ class A2KFConfig:
     negative_check: str = "post"      # "post": diagonal of Q^d; "pre": entries of C_gamma0
 
     def __post_init__(self):
+        if not isinstance(self.window, numbers.Integral) or isinstance(self.window, bool):
+            raise ConfigError(f"a2kf.window: must be an integer, got {self.window!r}")
+        if not isinstance(self.rescale_by_dt, bool):
+            raise ConfigError(f"a2kf.rescale_by_dt: must be true or false, got {self.rescale_by_dt!r}")
         if self.window < 1:
             raise ConfigError(f"a2kf.window: must be at least 1, got {self.window}")
         if self.negative_check not in ("post", "pre"):
             raise ConfigError(f"a2kf.negative_check: must be 'post' or 'pre', got {self.negative_check!r}")
         for name in ("qd_floor", "qd_init"):
             value = getattr(self, name)
-            if not (np.isfinite(value) and value >= 0):
+            if not (isinstance(value, numbers.Real) and np.isfinite(value) and value >= 0):
                 raise ConfigError(f"a2kf.{name}: must be a finite number >= 0, got {value}")
 
 

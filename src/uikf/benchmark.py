@@ -93,10 +93,10 @@ def benchmark_case(
         model=benchmark_model(dt=dt, r_scale=r_scale),
         signals=benchmark_signals(f0),
         duration=duration,
-        seeds=tuple(seeds) if seeds is not None else DEFAULT_SEEDS,
+        seeds=DEFAULT_SEEDS if seeds is None else seeds,
         x0_true=np.zeros(4),
         x0_hat=np.full(4, 10.0),
-        estimators=tuple(estimators),
+        estimators=estimators,
         a2kf_config=a2kf_config,
         rmse_skip=rmse_skip,
     )

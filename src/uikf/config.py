@@ -26,31 +26,36 @@ Matrices are written row-major as arrays of arrays. Example document:
 
 from __future__ import annotations
 
+from dataclasses import MISSING, fields
 from typing import Any, Dict
 
 import numpy as np
 import yaml
 
 from .a2kf import A2KFConfig
-from .errors import ConfigError, DimensionError
-from .model import SystemModel
+from .errors import ConfigError
+from .model import _MATRICES, SystemModel
 from .sim import ScenarioConfig, SignalSpec
 
 SCHEMA_VERSION = 1
 
-_MODEL_MATRICES = ("A", "B", "E", "G", "C", "Q", "R")
-_SIGNAL_KINDS = ("zero", "step", "windowed_sine", "custom")
 
-
-def _require(doc: Dict[str, Any], field: str, ctx: str):
-    if field not in doc:
-        raise ConfigError(f"{ctx}.{field}: required field is missing")
-    return doc[field]
-
-
-def _mapping(value, field: str) -> Dict[str, Any]:
+def _mapping(value, field: str, keys, required=()) -> Dict[str, Any]:
+    """value, a mapping whose every key is one of keys and that has every key in required."""
     if not isinstance(value, dict):
         raise ConfigError(f"{field}: must be a mapping, got {type(value).__name__}")
+    for key in value:
+        if key not in keys:
+            raise ConfigError(f"{field}.{key}: unknown key, expected one of {', '.join(keys)}")
+    for key in required:
+        if key not in value:
+            raise ConfigError(f"{field}.{key}: required field is missing")
+    return value
+
+
+def _list(value, field: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigError(f"{field}: must be a list, got {type(value).__name__}")
     return value
 
 
@@ -61,124 +66,67 @@ def _number(value, field: str) -> float:
         raise ConfigError(f"{field}: not a number ({exc})") from exc
 
 
-def _matrix(value, field: str) -> np.ndarray:
+def _array(value, field: str) -> np.ndarray:
     try:
-        arr = np.asarray(value, dtype=float)
+        return np.asarray(value, dtype=float)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{field}: not a numeric matrix ({exc})") from exc
-    if arr.ndim != 2:
-        raise ConfigError(f"{field}: expected a matrix (array of arrays), got ndim={arr.ndim}")
-    return arr
+        raise ConfigError(f"{field}: not a numeric array ({exc})") from exc
 
 
-def _vector(value, field: str) -> np.ndarray:
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{field}: not a numeric vector ({exc})") from exc
-    if arr.ndim != 1:
-        raise ConfigError(f"{field}: expected a flat array, got ndim={arr.ndim}")
-    return arr
+def _fields(cls, doc, field: str, convert: Dict[str, Any], given=()) -> Dict[str, Any]:
+    """The mapping doc as keyword arguments of the dataclass cls, the value of a
+    key in convert converted by convert[key](value, name). Every key must name
+    an init field of cls not in given, which the caller passes itself, and each
+    such field without a default must be present; cls checks the values."""
+    keys = [f.name for f in fields(cls) if f.init and f.name not in given]
+    doc = _mapping(doc, field, keys, [f.name for f in fields(cls) if f.name in keys and f.default is MISSING])
+    return {key: convert[key](value, f"{field}.{key}") if key in convert else value for key, value in doc.items()}
 
 
 def parse_model(doc: Dict[str, Any]) -> SystemModel:
-    doc = _mapping(doc, "model")
-    mats = {name: _matrix(_require(doc, name, "model"), f"model.{name}") for name in _MODEL_MATRICES}
-    dt = _require(doc, "dt", "model")
-    if not isinstance(dt, (int, float)) or not np.isfinite(dt) or dt <= 0:
-        raise ConfigError("model.dt: must be a positive finite number")
+    values = _fields(SystemModel, doc, "model", {"dt": _number, **dict.fromkeys(_MATRICES, _array)})
     try:
-        return SystemModel(dt=float(dt), **mats)
-    except (DimensionError, ValueError) as exc:
-        raise ConfigError(f"model: {exc}") from exc
+        return SystemModel(**values)
+    except ValueError as exc:           # SystemModel names the field; DimensionError included
+        raise ConfigError(str(exc)) from exc
 
 
 def _parse_signal(doc: Dict[str, Any], field: str) -> SignalSpec:
-    """One signal entry; every field is converted under its own name."""
-    doc = _mapping(doc, field)
-    kind = doc.get("kind", "zero")
-    if kind not in _SIGNAL_KINDS:
-        raise ConfigError(f"{field}.kind: unknown kind {kind!r}, expected one of {_SIGNAL_KINDS}")
-    samples = doc.get("samples")
-    if kind == "custom" and samples is None:
-        raise ConfigError(f"{field}.samples: required for kind=custom")
-    values = {name: _number(doc.get(name, 0.0), f"{field}.{name}") for name in ("t_on", "t_off", "amplitude", "f0")}
-    samples = None if samples is None else _vector(samples, f"{field}.samples")
+    numbers = dict.fromkeys(("t_on", "t_off", "amplitude", "f0"), _number)
+    values = _fields(SignalSpec, doc, field, {**numbers, "samples": _array})
     try:
-        return SignalSpec(kind=kind, samples=samples, **values)
+        return SignalSpec(**values)
     except ConfigError as exc:          # SignalSpec names the field within the signal
         raise ConfigError(f"{field}.{exc}") from exc
 
 
 def parse_a2kf(doc: Dict[str, Any]) -> A2KFConfig:
-    """The a2kf settings; A2KFConfig checks their values."""
-    doc = _mapping(doc, "a2kf")
-    window = doc.get("window", 10)
-    if not isinstance(window, int) or isinstance(window, bool):
-        raise ConfigError(f"a2kf.window: must be an integer, got {window!r}")
-    rescale_by_dt = doc.get("rescale_by_dt", False)
-    if not isinstance(rescale_by_dt, bool):
-        raise ConfigError(f"a2kf.rescale_by_dt: must be true or false, got {rescale_by_dt!r}")
-    return A2KFConfig(
-        window=window,
-        qd_floor=_number(doc.get("qd_floor", 1e-12), "a2kf.qd_floor"),
-        qd_init=_number(doc.get("qd_init", 1e-6), "a2kf.qd_init"),
-        rescale_by_dt=rescale_by_dt,
-        negative_check=doc.get("negative_check", "post"),
-    )
+    return A2KFConfig(**_fields(A2KFConfig, doc, "a2kf", {"qd_floor": _number, "qd_init": _number}))
 
 
 def parse_scenario(doc: Dict[str, Any]) -> ScenarioConfig:
-    """Validate a full config document and build the scenario."""
-    if not isinstance(doc, dict):
-        raise ConfigError("document: top level must be a mapping")
-    schema = _require(doc, "schema", "document")
-    if schema != SCHEMA_VERSION:
-        raise ConfigError(f"schema: unsupported version {schema!r}, expected {SCHEMA_VERSION}")
-    model = parse_model(_require(doc, "model", "document"))
-    sc = _mapping(_require(doc, "scenario", "document"), "scenario")
-
-    duration = _require(sc, "duration", "scenario")
-    if not isinstance(duration, (int, float)):
-        raise ConfigError("scenario.duration: must be a positive number")
-    seeds = _require(sc, "seeds", "scenario")
-    if not isinstance(seeds, list) or len(seeds) == 0 or not all(isinstance(s, int) for s in seeds):
-        raise ConfigError("scenario.seeds: must be a non-empty list of integers")
-    signals_doc = _require(sc, "signals", "scenario")
-    if not isinstance(signals_doc, list):
-        raise ConfigError("scenario.signals: must be a list")
-    signals = tuple(
-        _parse_signal(s, f"scenario.signals[{i}]") for i, s in enumerate(signals_doc)
-    )
-    estimators = sc.get("estimators", ["r4skf", "a2kf"])
-    if not isinstance(estimators, list) or len(estimators) == 0:
-        raise ConfigError("scenario.estimators: must be a non-empty list")
-
-    uio_doc = _mapping(doc.get("uio", {}), "uio")
-    uio_gain = None
-    if "gain" in uio_doc:
-        uio_gain = _matrix(uio_doc["gain"], "uio.gain")
-
-    try:
-        return ScenarioConfig(
-            model=model,
-            signals=signals,
-            duration=float(duration),
-            seeds=tuple(seeds),
-            x0_true=_vector(_require(sc, "x0_true", "scenario"), "scenario.x0_true"),
-            x0_hat=_vector(_require(sc, "x0_hat", "scenario"), "scenario.x0_hat"),
-            estimators=tuple(estimators),
-            a2kf_config=parse_a2kf(doc.get("a2kf", {})),
-            uio_gain=uio_gain,
-            rmse_skip=_number(sc.get("rmse_skip", 0.0), "scenario.rmse_skip"),
-        )
-    except ConfigError:
-        raise
-    except (DimensionError, ValueError) as exc:
-        raise ConfigError(f"scenario: {exc}") from exc
+    """Build the scenario of a full config document; the dataclasses check the values."""
+    doc = _mapping(doc, "document", ("schema", "model", "scenario", "a2kf", "uio"), ("schema", "model", "scenario"))
+    if doc["schema"] != SCHEMA_VERSION:
+        raise ConfigError(f"schema: unsupported version {doc['schema']!r}, expected {SCHEMA_VERSION}")
+    model = parse_model(doc["model"])
+    sc = _fields(ScenarioConfig, doc["scenario"], "scenario", {
+        "duration": _number, "rmse_skip": _number, "x0_true": _array, "x0_hat": _array,
+        "seeds": _list, "estimators": _list, "signals": _list,
+    }, given=("model", "a2kf_config", "uio_gain"))
+    sc["signals"] = tuple(_parse_signal(s, f"scenario.signals[{i}]") for i, s in enumerate(sc["signals"]))
+    if "a2kf" in doc:
+        sc["a2kf_config"] = parse_a2kf(doc["a2kf"])
+    uio = _mapping(doc.get("uio", {}), "uio", ("gain",))
+    if "gain" in uio:
+        sc["uio_gain"] = _array(uio["gain"], "uio.gain")
+    return ScenarioConfig(model=model, **sc)
 
 
 def load_scenario(path) -> ScenarioConfig:
     with open(path) as fh:
-        doc = yaml.safe_load(fh)
+        try:
+            doc = yaml.safe_load(fh)
+        except yaml.YAMLError as exc:   # its message spans several lines
+            raise ConfigError(f"document: not valid YAML ({' '.join(str(exc).split())})") from exc
     return parse_scenario(doc)

@@ -14,7 +14,8 @@ checks on every step as rank(C E_d) = n_d.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, field
 from typing import Callable, Tuple, Union
 
 import numpy as np
@@ -39,15 +40,13 @@ class _Constant:
         return self.arr
 
 
-def _wrap(M, name):
+def _wrap(M):
     """Normalize a constant array or callable (of time or step index) to a
     callable. A constant is a read-only copy, so that later writes to the
     caller's array, or through the returned matrix, cannot change the model."""
     if callable(M):
         return M
     arr = np.array(M, dtype=float)
-    if arr.ndim != 2:
-        raise DimensionError(f"{name} must be a 2-D matrix, got shape {arr.shape}")
     arr.flags.writeable = False
     return _Constant(arr)
 
@@ -63,7 +62,8 @@ class SystemModel:
     model.C(0) raises and writing into the caller's array changes nothing.
     time_invariant is True when every matrix was given as an array. Such a
     model keeps what r4skf.step_terms evaluates from it on the instance; a
-    dataclasses.replace copy starts without it.
+    dataclasses.replace copy starts without it. An error names the field, as
+    in `model.R: not symmetric`; n_x, ... are read from the matrices.
     """
 
     A: MatrixLike
@@ -74,48 +74,50 @@ class SystemModel:
     Q: MatrixLike
     R: MatrixLike
     dt: float
-    n_x: int = 0
-    n_u: int = 0
-    n_d: int = 0
-    n_y: int = 0
-    n_w: int = 0
+    n_x: int = field(init=False, default=0)
+    n_u: int = field(init=False, default=0)
+    n_d: int = field(init=False, default=0)
+    n_y: int = field(init=False, default=0)
+    n_w: int = field(init=False, default=0)
 
     def __post_init__(self):
-        if not (np.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"model.dt: must be a positive finite number, got {self.dt}")
+        if not (isinstance(self.dt, numbers.Real) and np.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"model.dt: must be a positive finite number, got {self.dt!r}")
         for name in _MATRICES:
-            object.__setattr__(self, name, _wrap(getattr(self, name), name))
+            object.__setattr__(self, name, _wrap(getattr(self, name)))
 
         A0, B0, E0, G0, Q0 = (np.asarray(M(0.0), dtype=float) for M in (self.A, self.B, self.E, self.G, self.Q))
         C0, R0 = (np.asarray(M(0), dtype=float) for M in (self.C, self.R))
         for name, M in zip(_MATRICES, (A0, B0, E0, G0, Q0, C0, R0)):
+            if M.ndim != 2:
+                raise DimensionError(f"model.{name}: must be a 2-D matrix, got shape {M.shape}")
             if not np.isfinite(M).all():
-                raise ValueError(f"{name} must be finite")
+                raise ValueError(f"model.{name}: must be finite")
 
         n_x = A0.shape[0]
         if A0.shape != (n_x, n_x):
-            raise DimensionError(f"A must be square, got {A0.shape}")
+            raise DimensionError(f"model.A: must be square, got {A0.shape}")
         for name, M, rows in (("B", B0, n_x), ("E", E0, n_x), ("G", G0, n_x)):
             if M.shape[0] != rows:
-                raise DimensionError(f"{name} must have {rows} rows, got {M.shape}")
+                raise DimensionError(f"model.{name}: must have {rows} rows, got {M.shape}")
         if C0.shape[1] != n_x:
-            raise DimensionError(f"C must have {n_x} columns, got {C0.shape}")
+            raise DimensionError(f"model.C: must have {n_x} columns, got {C0.shape}")
         n_w = G0.shape[1]
         if Q0.shape != (n_w, n_w):
-            raise DimensionError(f"Q must be {n_w}x{n_w}, got {Q0.shape}")
+            raise DimensionError(f"model.Q: must be {n_w}x{n_w}, got {Q0.shape}")
         n_y = C0.shape[0]
         if R0.shape != (n_y, n_y):
-            raise DimensionError(f"R must be {n_y}x{n_y}, got {R0.shape}")
+            raise DimensionError(f"model.R: must be {n_y}x{n_y}, got {R0.shape}")
         n_d = E0.shape[1]
         if n_d > n_y:
             raise DimensionError(
-                f"n_d={n_d} exceeds n_y={n_y}; C@E_d cannot be left-invertible"
+                f"model.E: n_d={n_d} exceeds n_y={n_y}; C@E_d cannot be left-invertible"
             )
         for name, M, definite in (("Q", Q0, False), ("R", R0, True)):
             try:
                 cov_factor(M, definite)
             except ValueError as exc:       # np.linalg.LinAlgError included
-                raise ValueError(f"{name}: {exc}") from exc
+                raise ValueError(f"model.{name}: {exc}") from exc
 
         object.__setattr__(self, "n_x", n_x)
         object.__setattr__(self, "n_u", B0.shape[1])
@@ -139,12 +141,12 @@ def identity(n: int) -> np.ndarray:
 
 def cov_factor(M: np.ndarray, definite: bool = False) -> np.ndarray:
     """S with S S^T = M, the one covariance check: of Q and R at 0 by SystemModel,
-    of every later value by the truth simulator. M must be symmetric (allclose
-    to M^T). When the Cholesky factorization fails, a definite M is refused,
-    and any other M falls back to an eigen factorization that refuses an
-    eigenvalue below -1e-12 max(1, max|M|). A refusal is a ValueError."""
+    of every later value by the truth simulator. M must equal M^T to 1e-12 max|M|
+    entrywise. A definite M whose Cholesky factorization fails is refused; any
+    other M falls back to an eigen factorization that refuses an eigenvalue
+    below -1e-12 max(1, max|M|). A refusal is a ValueError."""
     M = np.asarray(M, dtype=float)
-    if not (M == M.T).all() and not np.allclose(M, M.T):     # allclose alone costs 10 times more
+    if not (M == M.T).all() and np.abs(M - M.T).max() > 1e-12 * np.abs(M).max():     # exact test first: it is cheaper
         raise ValueError("not symmetric")
     try:
         return np.linalg.cholesky(M)

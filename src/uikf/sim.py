@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import csv
 import math
+import numbers
 from dataclasses import dataclass, fields, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -23,16 +24,18 @@ from .model import SystemModel, _Constant, cov_factor, moore_penrose_pinv
 from .r4skf import matvec
 
 KNOWN_ESTIMATORS = ("r4skf", "a2kf", "onestep", "uio")
+SIGNAL_KINDS = ("zero", "step", "windowed_sine", "custom")
 
 
 @dataclass(frozen=True)
 class SignalSpec:
     """Scalar unknown-input signal on a half-open window (t_on, t_off].
 
-    Every value must be finite, else a ConfigError names the field. samples
-    is kept as a read-only copy."""
+    kind is one of SIGNAL_KINDS, and custom needs samples, a flat array. Every
+    value must be a finite number. A violation is a ConfigError naming the
+    field. samples is kept as a read-only copy."""
 
-    kind: str = "zero"              # zero | step | windowed_sine | custom
+    kind: str = "zero"              # one of SIGNAL_KINDS
     t_on: float = 0.0
     t_off: float = 0.0
     amplitude: float = 0.0
@@ -40,11 +43,18 @@ class SignalSpec:
     samples: Optional[np.ndarray] = None  # custom: one value per step
 
     def __post_init__(self):
+        if self.kind not in SIGNAL_KINDS:
+            raise ConfigError(f"kind: unknown kind {self.kind!r}, expected one of {SIGNAL_KINDS}")
+        if self.kind == "custom" and self.samples is None:
+            raise ConfigError("samples: required for kind=custom")
         for name in ("t_on", "t_off", "amplitude", "f0"):
-            if not math.isfinite(getattr(self, name)):
-                raise ConfigError(f"{name}: must be a finite number, got {getattr(self, name)}")
+            value = getattr(self, name)
+            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
+                raise ConfigError(f"{name}: must be a finite number, got {value}")
         if self.samples is not None:
             samples = np.array(self.samples, dtype=float)
+            if samples.ndim != 1:
+                raise ConfigError(f"samples: expected a flat array, got ndim={samples.ndim}")
             finite = np.isfinite(samples)
             if not finite.all():
                 raise ConfigError(f"samples: sample {int(np.argmin(finite))} is not finite")
@@ -60,12 +70,8 @@ class SignalSpec:
             if self.t_on < t <= self.t_off:
                 return self.amplitude * math.sin(2.0 * math.pi * self.f0 * (t - self.t_on))
             return 0.0
-        if self.kind == "custom":
-            if self.samples is None:
-                raise ConfigError("signals: custom signal requires samples")
-            idx = min(k if k is not None else 0, len(self.samples) - 1)
-            return float(self.samples[idx])
-        raise ConfigError(f"signals.kind: unknown signal kind {self.kind!r}")
+        idx = min(k if k is not None else 0, len(self.samples) - 1)     # custom
+        return float(self.samples[idx])
 
 
 @dataclass(frozen=True)
@@ -82,14 +88,22 @@ class ScenarioConfig:
     rmse_skip: float = 0.0                  # seconds excluded from RMSE at the start
 
     def __post_init__(self):
-        if not (np.isfinite(self.duration) and self.duration > 0):
+        object.__setattr__(self, "seeds", tuple(self.seeds))
+        object.__setattr__(self, "estimators", tuple(self.estimators))
+        if not (isinstance(self.duration, numbers.Real) and np.isfinite(self.duration) and self.duration > 0):
             raise ConfigError("scenario.duration: must be a positive finite number")
         if self.n_steps == 0:
             raise ConfigError(
                 f"scenario.duration: {self.duration} is shorter than one step (dt = {self.model.dt})"
             )
-        if len(self.seeds) == 0:
-            raise ConfigError("scenario.seeds: at least one seed required")
+        if not self.seeds or not all(isinstance(s, numbers.Integral) and not isinstance(s, bool) for s in self.seeds):
+            raise ConfigError(f"scenario.seeds: must be a non-empty list of integers, got {list(self.seeds)}")
+        if not self.estimators:
+            raise ConfigError("scenario.estimators: must be a non-empty list")
+        for key, values in (("seeds", self.seeds), ("estimators", self.estimators)):
+            for i, value in enumerate(values):
+                if value in values[:i]:
+                    raise ConfigError(f"scenario.{key}: {value!r} is repeated")
         if len(self.signals) != self.model.n_d:
             raise ConfigError(
                 f"scenario.signals: expected {self.model.n_d} entries, got {len(self.signals)}"
@@ -106,7 +120,7 @@ class ScenarioConfig:
         for field, value in given.items():
             if value is not None and not np.isfinite(value).all():
                 raise ConfigError(f"{field}: values must be finite")
-        if not (np.isfinite(self.rmse_skip) and self.rmse_skip >= 0):
+        if not (isinstance(self.rmse_skip, numbers.Real) and np.isfinite(self.rmse_skip) and self.rmse_skip >= 0):
             raise ConfigError(f"scenario.rmse_skip: must be a finite number >= 0, got {self.rmse_skip}")
         for j, spec in enumerate(self.signals):
             if spec.kind == "custom" and spec.samples is not None and len(spec.samples) < self.n_steps:

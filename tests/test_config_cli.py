@@ -81,6 +81,17 @@ class TestConfigParsing:
         assert cfg.seeds == (1, 2)
         assert cfg.signals[0].kind == "step"
 
+    def test_numbers_with_an_exponent_load_as_numbers(self, tmp_path):
+        # PyYAML reads 1e-2, an exponent without a dot, as a string
+        text = yaml.safe_dump(MINIMAL_DOC)
+        raw = text.replace("dt: 0.01", "dt: 1e-2").replace("duration: 1.0", "duration: 1e0")
+        assert raw != text and "1e-2" in raw and "1e0" in raw
+        plain = config.load_scenario(write_doc(tmp_path, MINIMAL_DOC))
+        path = tmp_path / "raw.yaml"
+        path.write_text(raw)
+        cfg = config.load_scenario(str(path))
+        assert (cfg.model.dt, cfg.duration, cfg.n_steps) == (plain.model.dt, plain.duration, plain.n_steps) == (0.01, 1.0, 100)
+
     def test_missing_schema(self):
         doc = {k: v for k, v in MINIMAL_DOC.items() if k != "schema"}
         with pytest.raises(ConfigError, match="schema"):
@@ -218,6 +229,13 @@ class TestCliSimulate:
         path = write_doc(tmp_path, deep_update(MINIMAL_DOC, ("schema",), 99))
         assert cli.main(["simulate", "--config", path, "--out", str(tmp_path)]) == 1
         assert "config error" in capsys.readouterr().err
+
+    def test_malformed_yaml_exits_1_with_one_line(self, tmp_path, capsys):
+        path = tmp_path / "scenario.yaml"
+        path.write_text("schema: 1\nmodel: [1, 2\n")
+        assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("config error: document: not valid YAML (") and err.count("\n") == 1
 
     def test_missing_file_exits_1(self, tmp_path, capsys):
         rc = cli.main(["simulate", "--config", str(tmp_path / "none.yaml"),

@@ -13,6 +13,7 @@ import yaml
 from hypothesis import example, given, settings, strategies as st
 
 from uikf import checks, cli, r4skf
+from uikf.a2kf import A2KFConfig
 from uikf.benchmark import benchmark_case, benchmark_model
 from uikf.errors import ConfigError, IllConditionedError, RankConditionError
 from uikf.model import SystemModel
@@ -111,7 +112,7 @@ def test_a_bad_scenario_value_exits_1_naming_the_field(tmp_path, capsys, section
         # each field is converted under its own name: no traceback, no "scenario: could
         # not convert ...", no window truncated to 2 and no 2-D samples counted as 1
         (("scenario", "signals", 0, "t_on"), "abc", "scenario.signals[0].t_on", "not a number"),
-        (("scenario", "signals", 0), {"kind": "custom", "samples": "abc"}, "scenario.signals[0].samples", "not a numeric vector"),
+        (("scenario", "signals", 0), {"kind": "custom", "samples": "abc"}, "scenario.signals[0].samples", "not a numeric array"),
         (("scenario", "signals", 0), {"kind": "custom", "samples": [[0.0] * 50]}, "scenario.signals[0].samples", "expected a flat array"),
         (("scenario", "signals", 0), 3, "scenario.signals[0]", "must be a mapping"),
         (("scenario", "rmse_skip"), "abc", "scenario.rmse_skip", "not a number"),
@@ -123,6 +124,28 @@ def test_a_bad_scenario_value_exits_1_naming_the_field(tmp_path, capsys, section
         (("model",), 3, "model", "must be a mapping"),
         (("scenario",), 3, "scenario", "must be a mapping"),
         (("uio",), 3, "uio", "must be a mapping"),
+        # a scalar where a list belongs is not read as a tuple of characters
+        (("scenario", "seeds"), 5, "scenario.seeds", "must be a list"),
+        (("scenario", "estimators"), "r4skf", "scenario.estimators", "must be a list"),
+        (("scenario", "signals"), 3, "scenario.signals", "must be a list"),
+        # the dataclasses refuse these, also when built in Python
+        (("scenario", "signals", 0), {"kind": "ramp"}, "scenario.signals[0].kind", "unknown kind 'ramp'"),
+        (("scenario", "signals", 0), {"kind": "custom"}, "scenario.signals[0].samples", "required for kind=custom"),
+        (("scenario", "seeds"), [1.5], "scenario.seeds", "must be a non-empty list of integers"),
+        (("scenario", "seeds"), [1, 2, 1], "scenario.seeds", "1 is repeated"),
+        (("scenario", "estimators"), [], "scenario.estimators", "must be a non-empty list"),
+        (("scenario", "estimators"), ["r4skf", "r4skf"], "scenario.estimators", "'r4skf' is repeated"),
+        (("scenario", "duration"), "abc", "scenario.duration", "not a number"),
+        (("model", "dt"), "abc", "model.dt", "not a number"),
+        (("model", "R"), [[1e-7, 9e-9], [0.0, 1e-7]], "model.R", "not symmetric"),
+        # a key that the schema does not define
+        (("extra",), 1, "document.extra", "unknown key"),
+        (("model", "D"), [[0.0]], "model.D", "unknown key"),
+        (("model", "n_x"), 2, "model.n_x", "unknown key"),
+        (("scenario", "seed"), [1], "scenario.seed", "unknown key"),
+        (("scenario", "signals", 0, "amp"), 0.5, "scenario.signals[0].amp", "unknown key"),
+        (("a2kf",), {"windw": 5}, "a2kf.windw", "unknown key"),
+        (("uio",), {"gian": [[1.0, 0.0], [0.0, 1.0]]}, "uio.gian", "unknown key"),
     ],
 )
 def test_a_config_value_of_the_wrong_type_exits_1_naming_the_field(tmp_path, capsys, keys, value, field, what):
@@ -165,6 +188,39 @@ def test_a_signal_spec_built_in_python_refuses_a_non_finite_value(field):
         SignalSpec(kind="step", **{field: NAN})
 
 
+CASE = benchmark_case(1, duration=0.5, seeds=(1, 2))
+
+
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: SignalSpec(kind="ramp"), r"^kind: unknown kind 'ramp', expected one of \("),
+        (lambda: SignalSpec(kind="custom"), r"^samples: required for kind=custom$"),
+        (lambda: SignalSpec(kind="custom", samples=np.zeros((2, 5))), r"^samples: expected a flat array, got ndim=2$"),
+        (lambda: A2KFConfig(window=2.5), r"^a2kf\.window: must be an integer, got 2\.5$"),
+        (lambda: A2KFConfig(rescale_by_dt="no"), r"^a2kf\.rescale_by_dt: must be true or false, got 'no'$"),
+        (lambda: replace(CASE, seeds=(1.5,)), r"^scenario\.seeds: must be a non-empty list of integers, got \[1\.5\]$"),
+        (lambda: replace(CASE, seeds=(1, 2, 1)), r"^scenario\.seeds: 1 is repeated$"),
+        (lambda: replace(CASE, estimators=()), r"^scenario\.estimators: must be a non-empty list$"),
+        (lambda: replace(CASE, estimators=("r4skf", "a2kf", "r4skf")), r"^scenario\.estimators: 'r4skf' is repeated$"),
+        (lambda: replace(CASE, duration="5"), r"^scenario\.duration: must be a positive finite number$"),
+        (lambda: replace(CASE.model, dt="0.01"), r"^model\.dt: must be a positive finite number, got '0\.01'$"),
+        # a callable matrix is checked at 0 as an array is
+        (lambda: replace(CASE.model, C=lambda k: np.ones(4)), r"^model\.C: must be a 2-D matrix, got shape \(4,\)$"),
+        # off by 9 % of R = 1e-7 I, below an absolute tolerance of 1e-8
+        (lambda: replace(CASE.model, R=1e-7 * np.array([[1.0, 0.09, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])), r"^model\.R: not symmetric$"),
+    ],
+)
+def test_a_config_built_in_python_refuses_a_bad_value_naming_the_field(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
+def test_a_config_built_in_python_keeps_its_seeds_and_estimators_as_tuples():
+    cfg = replace(CASE, seeds=[np.int64(3), 4], estimators=["uio"])
+    assert cfg.seeds == (3, 4) and cfg.estimators == ("uio",)
+
+
 def test_signal_samples_are_a_read_only_copy():
     samples = np.zeros(5)
     spec = SignalSpec(kind="custom", samples=samples)
@@ -194,7 +250,7 @@ def test_non_finite_matrix_in_yaml_exits_1(tmp_path, capsys):
     assert ".nan" in path.read_text()
     assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 1
     err = capsys.readouterr().err
-    assert "model: C must be finite" in err and "Traceback" not in err
+    assert "model.C: must be finite" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize(
@@ -209,6 +265,8 @@ def test_non_finite_matrix_in_yaml_exits_1(tmp_path, capsys):
         # a factorization reads one triangle only, so these pass it
         ("R", lambda R, k: R + np.triu(np.full_like(R, 1e-3), 1) if k >= 5 else R, "model.R, step 5: not symmetric"),
         ("Q", lambda Q, t: Q + np.triu(np.full_like(Q, 1e-3), 1) if t >= 0.05 else Q, "model.Q, step 6: not symmetric"),
+        # off by 9 % of R = 1e-7 I, below an absolute tolerance of 1e-8
+        ("R", lambda R, k: R + np.triu(np.full_like(R, 9e-9), 1) if k >= 5 else R, "model.R, step 5: not symmetric"),
     ],
 )
 def test_a_bad_later_model_value_names_matrix_and_step_before_any_filter_runs(monkeypatch, name, bad, where):
@@ -255,7 +313,7 @@ def test_a_later_covariance_is_refused_exactly_when_the_model_refuses_it_at_0(na
     assert (at_0 is None) == (later is None), (at_0, later)
     if at_0 is not None:                # the same reason, named by the model at 0 and by the step later
         step = 1 if name == "R" else 2
-        assert later == f"model.{name}, step {step}: " + at_0.removeprefix(f"{name}: ")
+        assert later == f"model.{name}, step {step}: " + at_0.removeprefix(f"model.{name}: ")
 
 
 def test_a_linalg_error_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
