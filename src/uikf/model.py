@@ -60,10 +60,14 @@ class SystemModel:
     index k. All evaluated matrices are treated as immutable; a matrix given
     as an array is stored as a read-only copy of it, so writing into
     model.C(0) raises and writing into the caller's array changes nothing.
-    time_invariant is True when every matrix was given as an array. Such a
-    model keeps what r4skf.step_terms evaluates from it on the instance; a
-    dataclasses.replace copy starts without it. An error names the field, as
-    in `model.R: not symmetric`; n_x, ... are read from the matrices.
+    A callable matrix must return the same values for the same argument, and
+    its result must not be written to afterwards: the model keeps the last
+    StepTerms that r4skf.step_terms evaluated from it, so estimators that step
+    it at the same k share one evaluation. time_invariant is True when every
+    matrix was given as an array; such a model is evaluated once per
+    instance. A dataclasses.replace copy starts without kept terms. An error
+    names the field, as in `model.R: not symmetric`; n_x, ... are read from
+    the matrices.
     """
 
     A: MatrixLike

@@ -168,8 +168,8 @@ class StepTerms:
     """What one step of any estimator reads from the model (see step_terms),
     the model-only products of the r4skf and a2kf covariance recursions, and
     the a2kf's augmented blocks. Each product is formed when first read and
-    then kept, so for a time-invariant model, whose one StepTerms step_terms
-    keeps on the model, it is formed once per model.
+    then kept, so every estimator that reads the StepTerms step_terms keeps
+    on the model shares it: once per step, or once per time-invariant model.
     Only whole terms and the leading product C A_d are kept: numpy evaluates
     C A_d P A_d^T C^T left to right, and A_d^T C^T formed beforehand would
     round differently."""
@@ -286,22 +286,24 @@ def step_terms(model: SystemModel, k: int) -> StepTerms:
     """What one step reads from the model, for the step from t_k = k dt to
     measurement k + 1, with the rank-checked F_d = (C E_d)^+.
 
-    A time-invariant model is evaluated once per model instance: the terms of
-    step 0 are built on the first call, kept on the model and returned for
-    every k, so r4skf.step, a2kf.a2kf_step and sim.run_scenario share them;
-    the kept matrices are read-only. A failed evaluation keeps
-    nothing, so it raises again on the next call. A time-varying model is
-    evaluated on every call."""
-    terms = model.__dict__.get("_step_terms")
-    if terms is not None:
-        return terms
-    if not model.time_invariant:
-        return _evaluate(model, k)
-    # two threads may both build the terms; the builds are equal
-    terms = _evaluate(model, 0)
+    The model keeps the last StepTerms evaluated from it, keyed by k, or by
+    None, "every step", for a time-invariant model. So estimators that step
+    one model at the same k (r4skf.step, a2kf.a2kf_step, the runners of
+    sim.run_scenario) share one evaluation, and a time-invariant model is
+    evaluated once per instance. This holds as long as a callable matrix
+    returns the same values for the same argument and its results are not
+    written to. The kept A_d, B_d, E_d and F_d are read-only; C, R, Q and G
+    are the arrays the model returned. A failed evaluation keeps nothing, so
+    it raises again on the next call."""
+    kept = model.__dict__.get("_step_terms")
+    if kept is not None and (kept[0] is None or kept[0] == k):
+        return kept[1]
+    terms = _evaluate(model, k)
     for M in (terms.dm.A_d, terms.dm.B_d, terms.dm.E_d, terms.F_d):
         M.flags.writeable = False
-    model.__dict__["_step_terms"] = terms
+    # one assignment of an immutable pair: two threads may both build the
+    # terms, but neither sees a torn entry
+    model.__dict__["_step_terms"] = (None if model.time_invariant else k, terms)
     return terms
 
 

@@ -74,6 +74,16 @@ class SignalSpec:
         return float(self.samples[idx])
 
 
+def _sequence(value, field: str) -> tuple:
+    """The items of value, which must be an iterable other than a str."""
+    if not isinstance(value, str):
+        try:
+            return tuple(value)
+        except TypeError:
+            pass
+    raise ConfigError(f"scenario.{field}: must be a list, got {type(value).__name__}")
+
+
 @dataclass(frozen=True)
 class ScenarioConfig:
     model: SystemModel
@@ -88,8 +98,8 @@ class ScenarioConfig:
     rmse_skip: float = 0.0                  # seconds excluded from RMSE at the start
 
     def __post_init__(self):
-        object.__setattr__(self, "seeds", tuple(self.seeds))
-        object.__setattr__(self, "estimators", tuple(self.estimators))
+        for name in ("signals", "seeds", "estimators"):
+            object.__setattr__(self, name, _sequence(getattr(self, name), name))
         if not (isinstance(self.duration, numbers.Real) and np.isfinite(self.duration) and self.duration > 0):
             raise ConfigError("scenario.duration: must be a positive finite number")
         if self.n_steps == 0:

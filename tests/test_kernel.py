@@ -10,11 +10,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from uikf import cdekf, r4skf, uio
 from uikf.benchmark import benchmark_case
 from uikf.cdekf import NonlinearModel
+from uikf.errors import IllConditionedError
 from uikf.model import SystemModel, discretize, moore_penrose_pinv
 from uikf.sim import generate_truth
 
@@ -120,17 +121,14 @@ def test_cd_four_step_correction_equals_its_written_out_lines(plant):
             assert np.array_equal(got, ref), k
 
 
-@st.composite
-def plants(draw):
-    """A random plant with n_d <= n_y <= n_x in 2..4 and a well-conditioned C E."""
-    n_x = draw(st.integers(2, 4))
-    n_y = draw(st.integers(1, n_x))
-    n_d = draw(st.integers(1, n_y))
-    dt = draw(st.sampled_from((0.005, 0.01, 0.05)))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+def random_plant(n_x, n_y, n_d, dt, seed):
+    """A plant drawn from default_rng(seed) and the generator to draw its data
+    from, or None when C E is not well-conditioned."""
+    rng = np.random.default_rng(seed)
     E, C = rng.standard_normal((n_x, n_d)), rng.standard_normal((n_y, n_x))
     s = np.linalg.svd(C @ E, compute_uv=False)
-    assume(s[-1] > 0.1 * s[0])
+    if s[-1] <= 0.1 * s[0]:
+        return None
     model = SystemModel(
         A=rng.uniform(-1.0, 1.0, (n_x, n_x)), B=rng.standard_normal((n_x, 1)), E=E, G=np.eye(n_x), C=C,
         Q=np.diag(rng.uniform(1e-4, 1e-2, n_x)), R=np.diag(rng.uniform(1e-4, 1e-2, n_y)), dt=dt,
@@ -138,19 +136,50 @@ def plants(draw):
     return model, rng
 
 
-@settings(max_examples=25, deadline=None)
-@given(plants())
-def test_stacked_advance_equals_per_seed_steps_and_keeps_P_psd(plant):
-    model, rng = plant
-    n, steps = 3, 50
+@st.composite
+def plants(draw):
+    """The arguments of a random_plant with n_d <= n_y <= n_x in 2..4; every
+    such plant is kept, an unstable one included."""
+    n_x = draw(st.integers(2, 4))
+    n_y = draw(st.integers(1, n_x))
+    n_d = draw(st.integers(1, n_y))
+    dt = draw(st.sampled_from((0.005, 0.01, 0.05)))
+    plant = n_x, n_y, n_d, dt, draw(st.integers(0, 2**32 - 1))
+    assume(random_plant(*plant) is not None)
+    return plant
+
+
+# its predictor is unstable, rho(A_bar) = 1.82: P grows to about 1e14 and S is
+# numerically singular at step 33
+UNSTABLE_PLANT = (3, 2, 1, 0.05, 1048577)
+
+
+def outcome(f, *args):
+    """The new state of f(*args), or the type of the error it raised."""
+    try:
+        return f(*args)[0]
+    except Exception as exc:
+        return type(exc)
+
+
+def stacked_against_per_seed(plant, n=3, steps=50):
+    """Run the stacked advance and n per-seed steps of the plant side by side,
+    holding them equal and P symmetric PSD after every step. Where either
+    side raises, both must raise the same error at the same step; returns
+    that step's index and error type, or None when every step ran."""
+    model, rng = random_plant(*plant)
     x0 = rng.standard_normal((n, model.n_x))
     u = rng.standard_normal((steps, n, model.n_u))
     y = rng.standard_normal((steps, n, model.n_y))
     stacked = replace(r4skf.initial_state(model, x0[0]), x_hat=x0)
     seeds = [r4skf.initial_state(model, x0[s]) for s in range(n)]
     for k in range(steps):
-        stacked, _ = r4skf.advance(stacked, u[k], y[k], r4skf.step_terms(model, k))
-        seeds = [r4skf.step(seeds[s], u[k, s], y[k, s], model)[0] for s in range(n)]
+        stacked = outcome(r4skf.advance, stacked, u[k], y[k], r4skf.step_terms(model, k))
+        seeds = [outcome(r4skf.step, seeds[s], u[k, s], y[k, s], model) for s in range(n)]
+        errors = [r for r in (stacked, *seeds) if isinstance(r, type)]
+        if errors:
+            assert errors == [stacked] * (n + 1), (k, errors)
+            return k, stacked
         for s, state in enumerate(seeds):
             for name in ("x_hat", "d_hat", "gamma"):
                 assert np.array_equal(getattr(stacked, name)[s], getattr(state, name)), (k, s, name)
@@ -159,3 +188,15 @@ def test_stacked_advance_equals_per_seed_steps_and_keeps_P_psd(plant):
         assert np.array_equal(P, P.T)
         w = np.linalg.eigvalsh(P)
         assert w.min() >= -1e-12 * max(1.0, w.max()), k
+    return None
+
+
+@settings(max_examples=25, deadline=None)
+@given(plants())
+@example(UNSTABLE_PLANT)
+def test_stacked_advance_equals_per_seed_steps_and_keeps_P_psd(plant):
+    stacked_against_per_seed(plant)
+
+
+def test_an_unstable_plant_fails_on_both_sides_at_the_same_step():
+    assert stacked_against_per_seed(UNSTABLE_PLANT) == (32, IllConditionedError)

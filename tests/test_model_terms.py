@@ -1,9 +1,12 @@
-"""A time-invariant model is evaluated once per model instance: r4skf.step_terms
-keeps the StepTerms of its first call on the model, and r4skf.step,
-a2kf.a2kf_step and run_scenario all read that one. These tests hold the kept
-terms to the same outputs, bit for bit, as a plant evaluated every step, count
-the evaluations, and check that nothing can make the kept terms stale: constant
-matrices are read-only copies and a failed evaluation keeps nothing.
+"""r4skf.step_terms keeps the last StepTerms it evaluated on the model, keyed
+by the step index, or for every step when the model is time-invariant: a
+time-invariant model is evaluated once per model instance, and r4skf.step,
+a2kf.a2kf_step and run_scenario all read that one; estimators that step a
+time-varying model at the same k share one evaluation. These tests hold the
+kept terms to the same outputs, bit for bit, as a plant evaluated every step,
+count the evaluations, and check that nothing can make the kept terms stale:
+constant matrices are read-only copies, a new k is evaluated afresh and a
+failed evaluation keeps nothing.
 """
 
 from dataclasses import replace
@@ -17,6 +20,7 @@ from uikf.benchmark import benchmark_model
 from uikf.errors import RankConditionError
 from uikf.model import SystemModel
 
+from test_per_step_path import time_varying_model
 from test_scenario_errors import DOC
 from test_time_invariant import MATRICES, as_callables, count_calls
 
@@ -82,6 +86,68 @@ def test_a_time_varying_model_is_evaluated_every_step(monkeypatch):
     gains = count_calls(monkeypatch, r4skf, "unknown_input_gain")
     run_r4skf(as_callables(benchmark_model()))
     assert len(evaluations) == len(gains) == STEPS
+
+
+def test_interleaved_steps_on_one_model_equal_each_filter_alone():
+    """r4skf.step and a2kf.a2kf_step at the same k share the terms of k; each
+    run alone on its own copy of the model evaluates them itself."""
+    model = time_varying_model()
+    u, ys = measurements(model)
+    fs, as_ = r4skf.initial_state(model, np.ones(model.n_x)), a2kf.initial_state(model, np.ones(model.n_x))
+    shared = []
+    for y in ys:
+        fs, _ = r4skf.step(fs, u, y, model)
+        as_, _ = a2kf.a2kf_step(as_, u, y, model)
+        shared.append((fs.x_hat, fs.P, fs.d_hat, fs.Pd, fs.gamma, as_.x_a, as_.P_a, as_.Qd_hat))
+    alone = [a[:5] + b[:3] for a, b in zip(run_r4skf(replace(model)), run_a2kf(replace(model)), strict=True)]
+    for got, want in zip(shared, alone, strict=True):
+        for a, b in zip(got, want, strict=True):
+            assert np.array_equal(a, b)
+
+
+def test_a_step_back_is_evaluated_afresh(monkeypatch):
+    model = time_varying_model()
+    evaluations = count_calls(monkeypatch, r4skf, "discretize")
+    first = r4skf.step_terms(model, 40)
+    assert r4skf.step_terms(model, 40) is first and len(evaluations) == 1
+    before = r4skf.step_terms(model, 39)
+    again = r4skf.step_terms(model, 40)
+    assert len(evaluations) == 3 and again is not first
+    assert not np.array_equal(before.C, first.C)
+    for name in ("C", "R", "Q", "G", "F_d", "GQG", "CGQGC", "CA_d"):
+        assert np.array_equal(getattr(again, name), getattr(first, name)), name
+    for name in ("A_d", "B_d", "E_d"):
+        assert np.array_equal(getattr(again.dm, name), getattr(first.dm, name)), name
+
+
+def test_a_rank_deficient_step_raises_on_every_call_and_keeps_nothing(monkeypatch):
+    """C(5) does not see the unknown input, so the step to measurement 5 fails;
+    the steps on either side of it work."""
+    E = np.array([[0.0], [1.0]])
+    model = SystemModel(
+        A=np.zeros((2, 2)), B=np.zeros((2, 1)), E=E, G=np.eye(2),
+        C=lambda k: np.array([[1.0, 0.0]]) if k == 5 else np.array([[1.0, 1.0]]),
+        Q=1e-6 * np.eye(2), R=np.array([[1e-7]]), dt=0.01,
+    )
+    gains = count_calls(monkeypatch, r4skf, "unknown_input_gain")
+    kept = r4skf.step_terms(model, 3)
+    for _ in range(2):
+        with pytest.raises(RankConditionError):
+            r4skf.step_terms(model, 4)
+    assert r4skf.step_terms(model, 3) is kept
+    state = replace(r4skf.initial_state(model, np.zeros(2)), k=5)
+    assert np.isfinite(r4skf.step(state, np.zeros(1), np.zeros(1), model)[0].x_hat).all()
+    assert len(gains) == 4
+
+
+def test_arrays_returned_by_the_model_keep_their_writeable_flag():
+    returned = {name: np.array(getattr(benchmark_model(), name)(0)) for name in MATRICES}
+    model = SystemModel(dt=0.01, **{name: (lambda _arg, M=M: M) for name, M in returned.items()})
+    terms = r4skf.step_terms(model, 0)
+    assert all(M.flags.writeable for M in returned.values())
+    for M in (terms.dm.A_d, terms.dm.B_d, terms.dm.E_d, terms.F_d):
+        with pytest.raises(ValueError, match="read-only"):
+            M[0, 0] = 1.0
 
 
 def test_the_kept_matrices_are_read_only():

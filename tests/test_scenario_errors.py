@@ -216,9 +216,24 @@ def test_a_config_built_in_python_refuses_a_bad_value_naming_the_field(build, me
         build()
 
 
+@pytest.mark.parametrize(
+    "field, value, got",
+    [
+        ("seeds", 5, "int"), ("seeds", "12", "str"), ("seeds", np.int64(5), "int64"), ("seeds", np.array(5), "ndarray"),
+        ("estimators", "r4skf", "str"), ("estimators", None, "NoneType"),
+        ("signals", SignalSpec(), "SignalSpec"), ("signals", "zero", "str"),
+    ],
+)
+def test_a_config_built_in_python_refuses_a_str_or_non_iterable_list(field, value, got):
+    with pytest.raises(ConfigError, match=rf"^scenario\.{field}: must be a list, got {got}$"):
+        replace(CASE, **{field: value})
+
+
 def test_a_config_built_in_python_keeps_its_seeds_and_estimators_as_tuples():
-    cfg = replace(CASE, seeds=[np.int64(3), 4], estimators=["uio"])
-    assert cfg.seeds == (3, 4) and cfg.estimators == ("uio",)
+    signals = [SignalSpec(), SignalSpec()]
+    cfg = replace(CASE, seeds=[np.int64(3), 4], estimators=["uio"], signals=signals)
+    assert cfg.seeds == (3, 4) and cfg.estimators == ("uio",) and cfg.signals == tuple(signals)
+    assert replace(CASE, seeds=(n for n in (1, 2))).seeds == (1, 2)
 
 
 def test_signal_samples_are_a_read_only_copy():
