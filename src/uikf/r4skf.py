@@ -328,7 +328,9 @@ def step(
 
     gain_override replaces the Kalman gain in the measurement update (the
     covariance bookkeeping still runs); this is how a fixed observer gain
-    is reproduced on the filter code path.
+    is reproduced on the filter code path. y is not checked: a NaN leaves
+    the covariance sequence, which never reads y, as it is and the estimate
+    NaN from then on.
     """
     return advance(state, u, y, step_terms(model, state.k), gain_override)
 

@@ -13,7 +13,7 @@ import csv
 import math
 import numbers
 from dataclasses import dataclass, fields, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -306,14 +306,13 @@ def generate_truth(config: ScenarioConfig, seed: int) -> TruthTrajectory:
     return _truths(config, [seed])[seed]
 
 
-# Estimator runners, built once per scenario: runner(config) -> (init, step). Step k reads the
-# model through r4skf.step_terms(model, k), the one reader of the model shared by every runner
-# and every seed; a time-invariant model is evaluated once, inside the step loop, so that an
-# error there is reported with its step. All seeds advance together: init(n) is the state of n
-# seeds, stacked along a leading seed axis, and step(state, k, u, y) takes u_k and y_k of every
-# seed, (n, n_u) and (n, n_y), and returns (state, row) with row = (x_hat, d_hat, gamma[,
-# per-step covariance diagonal]) of every seed after step k + 1. Each runner runs the kernel of
-# its step function (r4skf.advance, four_step, extract, a2kf.advance) on the stack, so each row
+# Estimator runners, built once per scenario: runner(config) -> (init, step). All seeds advance
+# together: init(n) is the state of n seeds, stacked along a leading seed axis, and
+# step(state, terms, u, y) takes the StepTerms of step k, which run_scenario reads once per step
+# through r4skf.step_terms and hands to every runner, and u_k and y_k of every seed, (n, n_u) and
+# (n, n_y). It returns (state, row) with row = (x_hat, d_hat, gamma[, per-step covariance
+# diagonal]) of every seed after step k + 1. No step reads the model. Each runner runs the kernel
+# of its step function (r4skf.advance, four_step, extract, a2kf.advance) on the stack, so each row
 # is bitwise equal to the per-seed step functions (r4skf.step, a2kf.a2kf_step, ...).
 def _repeat(value, n: int) -> np.ndarray:
     """value repeated along a new leading seed axis of length n."""
@@ -321,39 +320,31 @@ def _repeat(value, n: int) -> np.ndarray:
 
 
 def _r4skf_runner(config):
-    model = config.model
-    start = r4skf.initial_state(model, config.x0_hat)
+    start = r4skf.initial_state(config.model, config.x0_hat)
 
-    def step(state, k, u, y):
-        try:
-            state, _ = r4skf.advance(state, u, y, r4skf.step_terms(model, k))
-        except (RankConditionError, IllConditionedError) as exc:
-            exc.index = None            # the shared sequence fails for every seed
-            raise
+    def step(state, terms, u, y):
+        state, _ = r4skf.advance(state, u, y, terms)
         return state, (state.x_hat, state.d_hat, state.gamma, np.diag(state.Pd))
 
     return (lambda n: replace(start, x_hat=_repeat(start.x_hat, n))), step
 
 
 def _a2kf_runner(config):
-    model, cfg = config.model, config.a2kf_config
+    cfg = config.a2kf_config
 
     def init(n):
-        state = a2kf.initial_state(model, config.x0_hat, cfg=cfg)
+        state = a2kf.initial_state(config.model, config.x0_hat, cfg=cfg)
         return replace(state, **{f.name: _repeat(getattr(state, f.name), n) for f in fields(state) if f.name != "k"})
 
-    def step(state, k, u, y):
-        state, report = a2kf.advance(state, u, y, r4skf.step_terms(model, k), cfg)
+    def step(state, terms, u, y):
+        state, report = a2kf.advance(state, u, y, terms, cfg)
         return state, (state.x_hat, state.d_hat, report.gamma, np.diagonal(state.Qd_hat, axis1=-2, axis2=-1))
 
     return init, step
 
 
 def _onestep_runner(config):
-    model = config.model
-
-    def step(x_prev, k, u, y):
-        t = r4skf.step_terms(model, k)
+    def step(x_prev, t, u, y):
         _, d_hat, gamma = r4skf.extract(x_prev, u, y, t.dm, t.C, t.F_d)
         x_hat = onestep.one_step_estimate(y, t.C)
         return x_hat, (x_hat, d_hat, gamma)
@@ -362,89 +353,88 @@ def _onestep_runner(config):
 
 
 def _uio_runner(config):
-    model, L = config.model, config.uio_gain
-    L = np.asarray(moore_penrose_pinv(np.asarray(model.C(0), dtype=float)) if L is None else L, dtype=float)
+    L = config.uio_gain
+    L = np.asarray(moore_penrose_pinv(np.asarray(config.model.C(0), dtype=float)) if L is None else L, dtype=float)
 
     # observer_step is the four-step recursion with the fixed gain L
-    def step(x_hat, k, u, y):
-        t = r4skf.step_terms(model, k)
+    def step(x_hat, t, u, y):
         _, d_hat, gamma, _, x_hat = r4skf.four_step(x_hat, u, y, t.dm, t.C, t.F_d, L)
         return x_hat, (x_hat, d_hat, gamma)
 
     return (lambda n: _repeat(config.x0_hat, n)), step
 
 
-# estimator -> (runner, EstimatorRun field of the per-step diagonal)
+# estimator -> (runner, EstimatorRun field of the per-step diagonal, whether a RankConditionError
+# or IllConditionedError fails every seed: the r4skf's covariance sequence is shared)
 _ESTIMATORS = {
-    "r4skf": (_r4skf_runner, "Pd_diag"),
-    "a2kf": (_a2kf_runner, "Qd_diag"),
-    "onestep": (_onestep_runner, None),
-    "uio": (_uio_runner, None),
+    "r4skf": (_r4skf_runner, "Pd_diag", True),
+    "a2kf": (_a2kf_runner, "Qd_diag", False),
+    "onestep": (_onestep_runner, None, False),
+    "uio": (_uio_runner, None, False),
 }
-
-
-def _run_estimator(name: str, config: ScenarioConfig, u: np.ndarray, y: np.ndarray) -> List[EstimatorRun]:
-    """Feed the measurements of all seeds, u (n, K, n_u) and y (n, K, n_y), step by step
-    to an estimator and record its outputs, one EstimatorRun per seed. An error names
-    the estimator, the step, and at that step the first failing seed in config order."""
-    init, step = _ESTIMATORS[name][0](config)
-    model, K, n = config.model, config.n_steps, len(config.seeds)
-    cols = [np.zeros((n, K, m)) for m in (model.n_x, model.n_d, model.n_y, model.n_d)]
-    state = init(n)
-    try:
-        # an overflow, invalid value or division by zero raises at its step instead
-        # of turning the rest of the run into inf or NaN
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            for k in range(K):
-                state, row = step(state, k, u[:, k], y[:, k])
-                for col, value in zip(cols, row):
-                    col[:, k] = value
-    except (RankConditionError, IllConditionedError, FloatingPointError) as exc:
-        # an error without index comes from a model term every seed shares, so the
-        # first seed fails first; index None marks r4skf's shared covariance sequence;
-        # numpy raises a FloatingPointError for the whole stack, so it names no seed
-        index = getattr(exc, "index", 0)
-        if isinstance(exc, FloatingPointError):
-            where = f"step {k + 1}"
-        elif index is None:
-            where = f"step {k + 1}, all seeds (shared covariance sequence)"
-        else:
-            where = f"seed {config.seeds[index]}, step {k + 1}"
-        raise type(exc)(f"{name}, {where}: {exc}") from exc
-    diag_field = _ESTIMATORS[name][1]
-    return [
-        EstimatorRun(x_hat=cols[0][i], d_hat=cols[1][i], gamma=cols[2][i], **({diag_field: cols[3][i]} if diag_field else {}))
-        for i in range(n)
-    ]
 
 
 def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     """Drive every selected estimator over the same per-seed measurement
-    streams, all seeds step by step together; RMSEs are aggregated as the
-    mean of per-seed RMSEs. The signals are sampled and the truth of all
-    seeds simulated once, each seed with its own default_rng(seed), and
-    every estimator reads the same step terms, so a time-invariant model is
-    evaluated once for all of them."""
-    model, K, seeds = config.model, config.n_steps, config.seeds
+    streams, all seeds and all estimators step by step together; RMSEs are
+    aggregated as the mean of per-seed RMSEs. The signals are sampled and the
+    truth of all seeds simulated once, each seed with its own
+    default_rng(seed). Step k reads the model once, through r4skf.step_terms,
+    and hands the terms to each estimator in config order; a time-invariant
+    model is evaluated once, inside the loop, so that an error there is
+    reported with its step. The error raised is at the earliest failing step
+    over all estimators, from the first failing estimator in config order at
+    that step (the first estimator, when the step terms fail), and names the
+    estimator, the step and the first failing seed."""
+    model, K, seeds, names = config.model, config.n_steps, config.seeds, config.estimators
     # keep at least one sample when the horizon is shorter than the burn-in
     skip = min(int(round(config.rmse_skip / model.dt)), K - 1)
     truths = _truths(config, seeds)
     u, y = (np.stack([getattr(truths[s], name) for s in seeds]) for name in ("u", "y"))
 
+    steps, states, cols = {}, {}, {}
+    for name in names:
+        init, steps[name] = _ESTIMATORS[name][0](config)
+        states[name] = init(len(seeds))
+        cols[name] = [np.zeros((len(seeds), K, m)) for m in (model.n_x, model.n_d, model.n_y, model.n_d)]
+    try:
+        # an overflow, invalid value or division by zero raises at its step instead
+        # of turning the rest of the run into inf or NaN
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for k in range(K):
+                name = names[0]         # a failure of the step terms is the first estimator's
+                terms, u_k, y_k = r4skf.step_terms(model, k), u[:, k], y[:, k]
+                for name, step in steps.items():
+                    states[name], row = step(states[name], terms, u_k, y_k)
+                    for col, value in zip(cols[name], row):
+                        col[:, k] = value
+    except (RankConditionError, IllConditionedError, FloatingPointError) as exc:
+        # an error without index comes from a model term every seed shares, so the
+        # first seed fails first; numpy raises a FloatingPointError for the whole
+        # stack, so it names no seed
+        if isinstance(exc, FloatingPointError):
+            where = f"step {k + 1}"
+        elif _ESTIMATORS[name][2]:
+            where = f"step {k + 1}, all seeds (shared covariance sequence)"
+        else:
+            where = f"seed {seeds[getattr(exc, 'index', 0)]}, step {k + 1}"
+        raise type(exc)(f"{name}, {where}: {exc}") from exc
+
     runs: Dict[int, Dict[str, EstimatorRun]] = {seed: {} for seed in seeds}
     rmse_per_seed: Dict[int, Dict[str, Dict[str, np.ndarray]]] = {seed: {} for seed in seeds}
     rmse_mean = {}
-    for name in config.estimators:
-        for seed, run in zip(seeds, _run_estimator(name, config, u, y)):
-            runs[seed][name] = run
+    for name, (x_hat, d_hat, gamma, diag) in cols.items():
+        diag_field = _ESTIMATORS[name][1]
         try:
             # finite but huge estimates overflow here rather than in a filter step
             with np.errstate(over="raise", invalid="raise", divide="raise"):
-                for seed in seeds:
-                    run, truth = runs[seed][name], truths[seed]
+                for i, seed in enumerate(seeds):
+                    run = runs[seed][name] = EstimatorRun(
+                        x_hat=x_hat[i], d_hat=d_hat[i], gamma=gamma[i], **({diag_field: diag[i]} if diag_field else {})
+                    )
                     rmse_per_seed[seed][name] = {
-                        "x": rmse(run.x_hat[skip:], truth.x[1:][skip:]),
-                        "d": rmse(run.d_hat[skip:], truth.d[skip:]),
+                        "x": rmse(run.x_hat[skip:], truths[seed].x[1:][skip:]),
+                        "d": rmse(run.d_hat[skip:], truths[seed].d[skip:]),
                     }
                 rmse_mean[name] = {key: np.mean([rmse_per_seed[s][name][key] for s in seeds], axis=0) for key in ("x", "d")}
         except FloatingPointError as exc:

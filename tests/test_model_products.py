@@ -116,8 +116,8 @@ def test_products_are_formed_once_per_time_invariant_scenario(monkeypatch, time_
         cfg = replace(cfg, model=varying(cfg.model))
     gqg, cgqgc = count_calls(monkeypatch, r4skf, "process_noise"), count_calls(monkeypatch, r4skf, "output_noise")
     run_scenario(cfg)
-    # one StepTerms for both filters, or one per step of each
-    assert len(gqg) == len(cgqgc) == (1 if time_invariant else 2 * cfg.n_steps)
+    # one StepTerms for both filters, once per scenario or once per step
+    assert len(gqg) == len(cgqgc) == (1 if time_invariant else cfg.n_steps)
 
 
 def test_cd_four_step_forms_each_noise_product_once_per_step(monkeypatch):

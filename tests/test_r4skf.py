@@ -195,6 +195,28 @@ class TestStep:
         sigma = late.std(axis=0)
         assert np.all(np.abs(late.mean(axis=0)) <= 3.0 * sigma)
 
+    def test_a_nan_measurement_is_not_checked(self):
+        """The step functions do not check y. A NaN measurement leaves the r4skf's
+        covariance sequence, which never reads y, bitwise unchanged and its estimate
+        NaN for good; the a2kf's Q^d estimate reads y, so its next steps fail."""
+        from uikf import a2kf
+
+        model, u = benchmark_model(), np.zeros(2)
+        ys = 1e-3 * np.random.default_rng(0).standard_normal((10, 3))
+        bad = ys.copy()
+        bad[2, 0] = np.nan
+        clean = dirty = r4skf.initial_state(model, np.zeros(4))
+        for k in range(len(ys)):
+            clean, _ = r4skf.step(clean, u, ys[k], model)
+            dirty, _ = r4skf.step(dirty, u, bad[k], model)
+            assert np.array_equal(dirty.P, clean.P) and np.array_equal(dirty.Pd, clean.Pd)
+            assert np.isnan(dirty.x_hat).all() if k >= 2 else np.array_equal(dirty.x_hat, clean.x_hat)
+        state = a2kf.initial_state(model, np.zeros(4))
+        with pytest.raises(np.linalg.LinAlgError):
+            for y in bad:
+                state, _ = a2kf.a2kf_step(state, u, y, model)
+        assert 3 <= state.k <= 5                # step 3 read the NaN, one of the next three raised
+
 
 class TestStabilityMatrices:
     def test_square_annihilation(self):

@@ -79,6 +79,32 @@ def test_estimator_errors_name_estimator_seed_and_step(plant, error, estimators,
         run_scenario(scenario(estimators=estimators, time_invariant=time_invariant, **plant))
 
 
+# from step 6 on, both outputs see the first state only and are almost noise-free
+LATE_SINGULAR_S = dict(
+    C=lambda k: np.eye(2) if k < 6 else SINGULAR_S["C"], E=SINGULAR_S["E"], R=lambda k: (1e-7 if k < 6 else 1e-30) * np.eye(2)
+)
+
+
+@pytest.mark.parametrize(
+    "plant, estimators, error, where",
+    [
+        # the observer's huge gain overflows at step 2, before the r4skf's S turns singular
+        # at step 6, though the r4skf comes first in config order
+        (LATE_SINGULAR_S, ("r4skf", "uio"), FloatingPointError, "uio, step 2: overflow"),
+        (LATE_SINGULAR_S, ("r4skf",), IllConditionedError, "r4skf, step 6, all seeds"),
+        # a failure of the step terms is a tie at its step: the first estimator reports it
+        (RANK_DEFICIENT, ("r4skf", "uio"), RankConditionError, "r4skf, step 1, all seeds"),
+        (RANK_DEFICIENT, ("uio", "r4skf"), RankConditionError, "uio, seed 7, step 1"),
+    ],
+)
+def test_the_earliest_failing_step_over_all_estimators_is_reported(plant, estimators, error, where):
+    cfg = scenario(estimators=estimators, **plant)
+    if plant is LATE_SINGULAR_S:
+        cfg = replace(cfg, uio_gain=1e160 * np.ones((2, 2)))
+    with pytest.raises(error, match=rf"^{where}"):
+        run_scenario(cfg)
+
+
 NAN = float("nan")
 
 

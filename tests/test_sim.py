@@ -167,7 +167,8 @@ class TestGenerateTruth:
             model=model, signals=(SignalSpec(),), duration=1.0,
             seeds=tuple(range(2000)), x0_true=np.zeros(1), x0_hat=np.zeros(1),
         )
-        finals = np.array([sim.generate_truth(cfg, s).x[-1, 0] for s in cfg.seeds])
+        truths = sim._truths(cfg, cfg.seeds)              # all seeds in one simulation
+        finals = np.array([truths[s].x[-1, 0] for s in cfg.seeds])
         expected = q * 1.0
         assert abs(finals.var() - expected) <= 0.1 * expected
 

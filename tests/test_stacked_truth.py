@@ -48,7 +48,7 @@ def test_the_truth_evaluates_C_once_per_step_for_all_seeds(n_seeds):
     assert len(calls) == cfg.n_steps + 1               # C(0) for the shape, then steps 1..K
     calls.clear()
     sim.run_scenario(cfg)                                # r4skf and a2kf read C(k + 1) once per step
-    assert len(calls) == 3 * cfg.n_steps + 1
+    assert len(calls) == 2 * cfg.n_steps + 1
 
 
 @pytest.mark.parametrize("seeds", [(0, 3), (3, 0)])
