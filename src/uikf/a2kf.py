@@ -188,21 +188,26 @@ def _project_Qd(Cgamma, CGQGC, M, R, dt, cfg) -> np.ndarray:
     Qd = M @ Cg0 @ M.T
     Qd = 0.5 * (Qd + Qd.swapaxes(-1, -2))
     n_d = Qd.shape[-1]
+    diag = Qd.diagonal(0, -2, -1)      # the diagonal fallback below keeps it
     if cfg.negative_check == "pre":
         triggered = (Cg0 < 0).any(axis=(-2, -1))
     else:
-        triggered = (Qd.diagonal(0, -2, -1) < 0).any(axis=-1)
+        triggered = (diag < 0).any(axis=-1)
     if n_d > 1 and not triggered.all():
         # off-diagonal dominance can leave an indefinite matrix even with a
         # non-negative diagonal; fall back to the diagonal to stay PSD;
-        # eigvalsh runs only on the matrices not caught above
-        rest = ~triggered
-        triggered = np.array(triggered)
-        triggered[rest] = np.linalg.eigvalsh(Qd[rest]).min(axis=-1) < 0
+        # eigvalsh runs only on the matrices not caught above (on a copy of
+        # them when some were), and sorts ascending: w[..., 0] is the smallest
+        if not triggered.any():
+            triggered = np.linalg.eigvalsh(Qd)[..., 0] < 0
+        else:
+            rest = ~triggered
+            triggered = np.array(triggered)
+            triggered[rest] = np.linalg.eigvalsh(Qd[rest])[..., 0] < 0
     eye = identity(n_d)
     if triggered.any():
         Qd = np.where(triggered[..., None, None] & (eye == 0.0), 0.0, Qd)
-    lift = np.clip(cfg.qd_floor - Qd.diagonal(0, -2, -1), 0.0, None)
+    lift = np.maximum(cfg.qd_floor - diag, 0.0)
     Qd = Qd + lift[..., None] * eye
     if cfg.rescale_by_dt:
         Qd = Qd / dt

@@ -188,15 +188,15 @@ def discretize(model: SystemModel, t: float) -> DiscretizedModel:
 def pinv_and_rank(M: np.ndarray) -> Tuple[np.ndarray, int]:
     """Moore-Penrose pseudo-inverse and numerical rank from one SVD.
 
-    Singular values below RANK_TOL * sigma_max are treated as zero.
+    Singular values below RANK_TOL * sigma_max are treated as zero. The SVD
+    sorts them in descending order, so the kept ones are the first r.
     """
     M = np.asarray(M, dtype=float)
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((M.shape[1], M.shape[0])), 0
-    kept = s > RANK_TOL * s[0]
-    inv = np.where(kept, 1.0 / np.where(s > 0, s, 1.0), 0.0)
-    return (Vt.T * inv) @ U.T, int(np.sum(kept))
+    r = int(np.count_nonzero(s > RANK_TOL * s[0]))
+    return (Vt[:r].T * (1.0 / s[:r])) @ U[:, :r].T, r
 
 
 def moore_penrose_pinv(M: np.ndarray) -> np.ndarray:

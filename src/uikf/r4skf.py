@@ -227,21 +227,26 @@ def kalman_gain(P_pred: np.ndarray, C: np.ndarray, R: np.ndarray) -> np.ndarray:
     On a stack of P the error raised for the first refused S carries its
     flat position in the stack as ``index``.
     """
-    S = C @ P_pred @ C.T + R
+    CP = C @ P_pred
+    S = CP @ C.T + R
     S = 0.5 * (S + S.swapaxes(-1, -2))
-    # the |eigenvalues| of the symmetric S are its singular values, so this is
-    # the 2-norm test 1 / cond(S) > RCOND_FLOOR without an SVD
-    w = np.abs(np.linalg.eigvalsh(S))
-    ok = w.min(axis=-1) > RCOND_FLOOR * w.max(axis=-1)
-    if not ok.all():
-        i = int(np.argmin(ok))          # the first refused S
-        if np.isnan(S.reshape(-1, *S.shape[-2:])[i]).any():
-            exc = np.linalg.LinAlgError("innovation covariance C P C^T + R contains NaN")
-        else:
-            exc = IllConditionedError("innovation covariance C P C^T + R is numerically singular")
-        exc.index = i
-        raise exc
-    return np.linalg.solve(S, C @ P_pred).swapaxes(-1, -2)
+    # the |eigenvalues| of the symmetric S are its singular values, so the |w|
+    # test is the 2-norm test 1 / cond(S) > RCOND_FLOOR without an SVD; eigvalsh
+    # sorts w ascending, and w[0] > RCOND_FLOOR * w[-1] holds only when every w
+    # is positive, where it is the |w| test; any other S takes the |w| test
+    w = np.linalg.eigvalsh(S)
+    if not (w[..., 0] > RCOND_FLOOR * w[..., -1]).all():
+        w = np.abs(w)
+        ok = w.min(axis=-1) > RCOND_FLOOR * w.max(axis=-1)
+        if not ok.all():
+            i = int(np.argmin(ok))          # the first refused S
+            if np.isnan(S.reshape(-1, *S.shape[-2:])[i]).any():
+                exc = np.linalg.LinAlgError("innovation covariance C P C^T + R contains NaN")
+            else:
+                exc = IllConditionedError("innovation covariance C P C^T + R is numerically singular")
+            exc.index = i
+            raise exc
+    return np.linalg.solve(S, CP).swapaxes(-1, -2)
 
 
 def joseph_update(P_pred: np.ndarray, L: np.ndarray, C: np.ndarray, R: np.ndarray) -> np.ndarray:

@@ -98,6 +98,8 @@ class ScenarioConfig:
     rmse_skip: float = 0.0                  # seconds excluded from RMSE at the start
 
     def __post_init__(self):
+        if not isinstance(self.model, SystemModel):
+            raise ConfigError(f"scenario.model: must be a SystemModel, got {type(self.model).__name__}")
         for name in ("signals", "seeds", "estimators"):
             object.__setattr__(self, name, _sequence(getattr(self, name), name))
         if not (isinstance(self.duration, numbers.Real) and np.isfinite(self.duration) and self.duration > 0):
@@ -324,7 +326,7 @@ def _r4skf_runner(config):
 
     def step(state, terms, u, y):
         state, _ = r4skf.advance(state, u, y, terms)
-        return state, (state.x_hat, state.d_hat, state.gamma, np.diag(state.Pd))
+        return state, (state.x_hat, state.d_hat, state.gamma, state.Pd.diagonal())
 
     return (lambda n: replace(start, x_hat=_repeat(start.x_hat, n))), step
 
@@ -338,7 +340,7 @@ def _a2kf_runner(config):
 
     def step(state, terms, u, y):
         state, report = a2kf.advance(state, u, y, terms, cfg)
-        return state, (state.x_hat, state.d_hat, report.gamma, np.diagonal(state.Qd_hat, axis1=-2, axis2=-1))
+        return state, (state.x_hat, state.d_hat, report.gamma, state.Qd_hat.diagonal(0, -2, -1))
 
     return init, step
 

@@ -255,6 +255,12 @@ def test_a_config_built_in_python_refuses_a_str_or_non_iterable_list(field, valu
         replace(CASE, **{field: value})
 
 
+@pytest.mark.parametrize("value, got", [(CASE.model.C, "_Constant"), (None, "NoneType"), ("x", "str")])
+def test_a_config_built_in_python_refuses_a_model_that_is_not_a_system_model(value, got):
+    with pytest.raises(ConfigError, match=rf"^scenario\.model: must be a SystemModel, got {got}$"):
+        replace(CASE, model=value)
+
+
 def test_a_config_built_in_python_keeps_its_seeds_and_estimators_as_tuples():
     signals = [SignalSpec(), SignalSpec()]
     cfg = replace(CASE, seeds=[np.int64(3), 4], estimators=["uio"], signals=signals)
