@@ -9,10 +9,10 @@ from .benchmark import benchmark_case, benchmark_model
 from .cdekf import NonlinearModel, cd_four_step, propagate_covariance, propagate_state
 from .errors import ConfigError, DimensionError, IllConditionedError, RankConditionError
 from .model import DiscretizedModel, SystemModel, discretize, moore_penrose_pinv
-from .onestep import equivalence_check, one_step_error_cov, one_step_estimate
+from .onestep import equivalence_check, one_step_estimate
 from .r4skf import FilterState, StepReport, step
 from .sim import ScenarioConfig, ScenarioResult, SignalSpec, generate_truth, rmse, run_scenario
-from .uio import ObserverState, observer_step, verify_observer_stability
+from .uio import ObserverState, observer_step
 
 __version__ = "0.1.0"
 
@@ -44,12 +44,10 @@ __all__ = [
     "innovation_covariance",
     "moore_penrose_pinv",
     "observer_step",
-    "one_step_error_cov",
     "one_step_estimate",
     "propagate_covariance",
     "propagate_state",
     "rmse",
     "run_scenario",
     "step",
-    "verify_observer_stability",
 ]

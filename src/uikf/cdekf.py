@@ -20,8 +20,10 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
+from .errors import DimensionError
 # moore_penrose_pinv stays importable from this module as part of its namespace
 from .model import DiscretizedModel, identity, moore_penrose_pinv  # noqa: F401
+from .model import check_covariances, check_dt, check_matrix, read_only
 from . import r4skf
 from .r4skf import FilterState, StepReport
 
@@ -48,7 +50,12 @@ class NonlinearModel:
     """Nonlinear continuous-discrete plant with sampled outputs.
 
     F and H are the Jacobians of f (w.r.t. x) and h; when omitted they are
-    approximated by central finite differences.
+    approximated by central finite differences. dt must be a positive finite
+    number; E, G, Q and R finite 2-D matrices, E and G with the same rows, Q
+    n_w x n_w for the n_w columns of G, and R square; Q and R pass
+    model.cov_factor as positive semi-definite. They are stored as read-only
+    float copies. An error names the field, as SystemModel's do
+    (`model.R: not symmetric`); f and h are not called.
     """
 
     f: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
@@ -60,6 +67,21 @@ class NonlinearModel:
     dt: float
     F: Optional[Callable[[np.ndarray, np.ndarray, float], np.ndarray]] = None
     H: Optional[Callable[[np.ndarray], np.ndarray]] = None
+
+    def __post_init__(self):
+        check_dt(self.dt)
+        for name in ("E", "G", "Q", "R"):
+            object.__setattr__(self, name, read_only(getattr(self, name)))
+            check_matrix(name, getattr(self, name))
+        E, G, Q, R = self.E, self.G, self.Q, self.R
+        if G.shape[0] != E.shape[0]:
+            raise DimensionError(f"model.G: must have {E.shape[0]} rows, got {G.shape}")
+        n_w = G.shape[1]
+        if Q.shape != (n_w, n_w):
+            raise DimensionError(f"model.Q: must be {n_w}x{n_w}, got {Q.shape}")
+        if R.shape[0] != R.shape[1]:
+            raise DimensionError(f"model.R: must be square, got {R.shape}")
+        check_covariances(Q, R, R_definite=False)
 
     def jac_f(self, x, u, t) -> np.ndarray:
         if self.F is not None:
@@ -82,8 +104,7 @@ def propagate_state(
 ) -> np.ndarray:
     """Integrate dx/dt = f(x,u,t) + E d̂ over one sample period; d̂ and u
     are held piecewise constant."""
-    E = np.asarray(model.E, dtype=float)
-    dt = model.dt
+    E, dt = model.E, model.dt
 
     def rhs(xx, tt):
         return np.asarray(model.f(xx, u, tt), dtype=float) + E @ d_hat
@@ -125,10 +146,7 @@ def cd_four_step(
     dt = model.dt
     u = np.asarray(u, dtype=float)
     y = np.asarray(y, dtype=float)
-    E = np.asarray(model.E, dtype=float)
-    G = np.asarray(model.G, dtype=float)
-    Q = np.asarray(model.Q, dtype=float)
-    R = np.asarray(model.R, dtype=float)
+    E, G, Q, R = model.E, model.G, model.Q, model.R
     n_x = state.x_hat.shape[0]
 
     F_k = model.jac_f(state.x_hat, u, t)

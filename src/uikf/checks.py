@@ -6,7 +6,7 @@ the test suite.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 import numpy as np
 
@@ -15,7 +15,6 @@ from .a2kf import A2KFConfig
 from .benchmark import benchmark_model
 from .errors import ESTIMATOR_FAILURES
 from .model import SystemModel, identity, moore_penrose_pinv
-from .sim import simulate
 
 
 @dataclass(frozen=True)
@@ -46,18 +45,11 @@ def square_test_model() -> SystemModel:
     )
 
 
-def _simulate_square(model: SystemModel, steps: int, seed: int):
-    """Measurements of the square test system driven by a white unknown input."""
-    rng = np.random.default_rng(seed)
-    d = rng.standard_normal((steps, model.n_d))
-    return simulate(model, np.zeros(model.n_x), d, [rng])[1][0]
-
-
 def check_gain_irrelevance() -> List[CheckResult]:
     """Square case: the measurement update gain has no effect on the final
     estimate, which always equals C^{-1} y, even under large initial error."""
     model = square_test_model()
-    ys = _simulate_square(model, 500, seed=0)
+    ys = onestep.white_input_stream(model, 500, seed=0)
     u = np.zeros(model.n_u)
     s_opt = r4skf.initial_state(model, 100.0 * np.ones(model.n_x))
     s_zero = r4skf.initial_state(model, 100.0 * np.ones(model.n_x))
@@ -104,7 +96,7 @@ def check_observer_equivalence() -> List[CheckResult]:
     results = []
 
     model = square_test_model()
-    ys = _simulate_square(model, 300, seed=2)
+    ys = onestep.white_input_stream(model, 300, seed=2)
     u = np.zeros(model.n_u)
     Linv = np.linalg.inv(r4skf.step_terms(model, 0).C)
     obs = uio.initial_observer_state(np.ones(model.n_x), model.n_d)

@@ -40,15 +40,41 @@ class _Constant:
         return self.arr
 
 
-def _wrap(M):
-    """Normalize a constant array or callable (of time or step index) to a
-    callable. A constant is a read-only copy, so that later writes to the
-    caller's array, or through the returned matrix, cannot change the model."""
-    if callable(M):
-        return M
+def read_only(M) -> np.ndarray:
+    """A read-only float copy of M, so that later writes to the caller's
+    array, or through the returned one, cannot change a model."""
     arr = np.array(M, dtype=float)
     arr.flags.writeable = False
-    return _Constant(arr)
+    return arr
+
+
+def _wrap(M):
+    """Normalize a constant array or callable (of time or step index) to a
+    callable. A constant is a read_only copy."""
+    return M if callable(M) else _Constant(read_only(M))
+
+
+# The field rules that SystemModel and cdekf.NonlinearModel share; an error
+# names the field, as in `model.R: not symmetric`.
+def check_dt(dt) -> None:
+    if not (isinstance(dt, numbers.Real) and np.isfinite(dt) and dt > 0):
+        raise ValueError(f"model.dt: must be a positive finite number, got {dt!r}")
+
+
+def check_matrix(name: str, M: np.ndarray) -> None:
+    if M.ndim != 2:
+        raise DimensionError(f"model.{name}: must be a 2-D matrix, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise ValueError(f"model.{name}: must be finite")
+
+
+def check_covariances(Q: np.ndarray, R: np.ndarray, R_definite: bool) -> None:
+    """Q (semi-definite) and R through cov_factor."""
+    for name, M, definite in (("Q", Q, False), ("R", R, R_definite)):
+        try:
+            cov_factor(M, definite)
+        except ValueError as exc:       # np.linalg.LinAlgError included
+            raise ValueError(f"model.{name}: {exc}") from exc
 
 
 @dataclass(frozen=True)
@@ -85,18 +111,14 @@ class SystemModel:
     n_w: int = field(init=False, default=0)
 
     def __post_init__(self):
-        if not (isinstance(self.dt, numbers.Real) and np.isfinite(self.dt) and self.dt > 0):
-            raise ValueError(f"model.dt: must be a positive finite number, got {self.dt!r}")
+        check_dt(self.dt)
         for name in _MATRICES:
             object.__setattr__(self, name, _wrap(getattr(self, name)))
 
         A0, B0, E0, G0, Q0 = (np.asarray(M(0.0), dtype=float) for M in (self.A, self.B, self.E, self.G, self.Q))
         C0, R0 = (np.asarray(M(0), dtype=float) for M in (self.C, self.R))
         for name, M in zip(_MATRICES, (A0, B0, E0, G0, Q0, C0, R0)):
-            if M.ndim != 2:
-                raise DimensionError(f"model.{name}: must be a 2-D matrix, got shape {M.shape}")
-            if not np.isfinite(M).all():
-                raise ValueError(f"model.{name}: must be finite")
+            check_matrix(name, M)
 
         n_x = A0.shape[0]
         if A0.shape != (n_x, n_x):
@@ -117,11 +139,7 @@ class SystemModel:
             raise DimensionError(
                 f"model.E: n_d={n_d} exceeds n_y={n_y}; C@E_d cannot be left-invertible"
             )
-        for name, M, definite in (("Q", Q0, False), ("R", R0, True)):
-            try:
-                cov_factor(M, definite)
-            except ValueError as exc:       # np.linalg.LinAlgError included
-                raise ValueError(f"model.{name}: {exc}") from exc
+        check_covariances(Q0, R0, R_definite=True)
 
         object.__setattr__(self, "n_x", n_x)
         object.__setattr__(self, "n_u", B0.shape[1])

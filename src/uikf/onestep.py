@@ -2,9 +2,11 @@
 
 When the output map and the unknown-input map are both invertible, the
 combined gain collapses to C^{-1} regardless of the Kalman gain, so the
-whole recursion reduces to x̂ = C^{-1} y with exact error covariance
-C^{-1} R C^{-T}. The estimator is always stable and forgets initial
-condition errors after the first measurement.
+whole recursion reduces to x̂ = C^{-1} y. The estimator is always stable and
+forgets initial condition errors after the first measurement. Its exact
+error covariance C^{-1} R C^{-T} is the r4skf's own P: with
+Π = I - C E_d F_d = 0 the combined gain is L = E_d F_d = C^{-1}, and the
+Joseph update reduces to L R L^T.
 """
 
 from __future__ import annotations
@@ -18,26 +20,28 @@ from .model import SystemModel
 COND_LIMIT = 1e12
 
 
-def _invertible(M, name: str) -> np.ndarray:
-    """M as a float array, refused unless its 2-norm condition number is below COND_LIMIT."""
-    M = np.asarray(M, dtype=float)
-    if np.linalg.cond(M) >= COND_LIMIT:
-        raise IllConditionedError(f"{name} is not numerically invertible")
-    return M
+def is_square(model: SystemModel) -> bool:
+    """The square case n_x = n_y = n_d, the one case the one-step filter runs on."""
+    return model.n_x == model.n_y == model.n_d
 
 
 def one_step_estimate(y: np.ndarray, C: np.ndarray) -> np.ndarray:
     """x̂ = C^{-1} y by linear solve (no explicit inverse); y may carry leading
-    axes (one row per seed), each row solved by its own LAPACK call."""
-    y = np.asarray(y, dtype=float)
-    return np.linalg.solve(_invertible(C, "C"), y[..., None])[..., 0]
+    axes (one row per seed), each row solved by its own LAPACK call. C is
+    refused unless its 2-norm condition number is below COND_LIMIT."""
+    C, y = np.asarray(C, dtype=float), np.asarray(y, dtype=float)
+    if np.linalg.cond(C) >= COND_LIMIT:
+        raise IllConditionedError("C is not numerically invertible")
+    return np.linalg.solve(C, y[..., None])[..., 0]
 
 
-def one_step_error_cov(C: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """Exact estimation error covariance C^{-1} R C^{-T}."""
-    C = _invertible(C, "C")
-    X = np.linalg.solve(C, np.asarray(R, dtype=float))
-    return np.linalg.solve(C, X.T).T
+def white_input_stream(model: SystemModel, steps: int, seed: int, d_scale: float = 1.0) -> np.ndarray:
+    """Measurements y_1..y_steps of the model from x0 = 0, driven by a white
+    unknown input of standard deviation d_scale; one default_rng(seed) draws
+    the input and then the truth's noise."""
+    rng = np.random.default_rng(seed)
+    d = d_scale * rng.standard_normal((steps, model.n_d))
+    return sim.simulate(model, np.zeros(model.n_x), d, [rng])[1][0]
 
 
 def equivalence_check(
@@ -51,11 +55,9 @@ def equivalence_check(
     random measurement stream; return the max per-step scaled deviation
     max_k ||x̂_filter - C^{-1} y|| / (1 + ||C^{-1} y||).
     """
-    if not (model.n_x == model.n_y == model.n_d):
+    if not is_square(model):
         raise ValueError("equivalence_check requires n_x = n_y = n_d")
-    rng = np.random.default_rng(seed)
-    d = d_scale * rng.standard_normal((steps, model.n_d))
-    ys = sim.simulate(model, np.zeros(model.n_x), d, [rng])[1][0]
+    ys = white_input_stream(model, steps, seed, d_scale)
     state = r4skf.initial_state(
         model, np.zeros(model.n_x) if x0_hat is None else np.asarray(x0_hat, dtype=float)
     )

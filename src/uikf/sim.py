@@ -142,9 +142,7 @@ class ScenarioConfig:
         for name in self.estimators:
             if name not in KNOWN_ESTIMATORS:
                 raise ConfigError(f"scenario.estimators: unknown estimator {name!r}")
-        if "onestep" in self.estimators and not (
-            self.model.n_x == self.model.n_y == self.model.n_d
-        ):
+        if "onestep" in self.estimators and not onestep.is_square(self.model):
             raise ConfigError(
                 "scenario.estimators: onestep requires the square case n_x = n_y = n_d"
             )
@@ -182,14 +180,15 @@ class ScenarioResult:
 
 
 def rmse(est: np.ndarray, truth: np.ndarray) -> np.ndarray:
-    """Per-channel root mean square error over equal-length series."""
+    """Per-channel root mean square error over equal-length series, the
+    steps on axis -2; leading axes (one series per seed) are kept."""
     est = np.asarray(est, dtype=float)
     truth = np.asarray(truth, dtype=float)
     if est.shape != truth.shape:
         raise ValueError(f"series shapes differ: {est.shape} vs {truth.shape}")
-    if est.shape[0] == 0:
+    if est.shape[-2] == 0:
         raise ValueError("empty series")
-    return np.sqrt(np.mean((est - truth) ** 2, axis=0))
+    return np.sqrt(np.mean((est - truth) ** 2, axis=-2))
 
 
 def sample_signals(config: ScenarioConfig) -> np.ndarray:
@@ -425,22 +424,22 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
     runs: Dict[int, Dict[str, EstimatorRun]] = {seed: {} for seed in seeds}
     rmse_per_seed: Dict[int, Dict[str, Dict[str, np.ndarray]]] = {seed: {} for seed in seeds}
     rmse_mean = {}
+    x_true = np.stack([truths[s].x[1:][skip:] for s in seeds])
+    d_true = np.broadcast_to(truths[seeds[0]].d[skip:], x_true.shape[:2] + (model.n_d,))     # the seeds share d
     for name, (x_hat, d_hat, gamma, diag) in cols.items():
-        diag_field = _ESTIMATORS[name][1]
         try:
             # finite but huge estimates overflow here rather than in a filter step
             with np.errstate(over="raise", invalid="raise", divide="raise"):
-                for i, seed in enumerate(seeds):
-                    run = runs[seed][name] = EstimatorRun(
-                        x_hat=x_hat[i], d_hat=d_hat[i], gamma=gamma[i], **({diag_field: diag[i]} if diag_field else {})
-                    )
-                    rmse_per_seed[seed][name] = {
-                        "x": rmse(run.x_hat[skip:], truths[seed].x[1:][skip:]),
-                        "d": rmse(run.d_hat[skip:], truths[seed].d[skip:]),
-                    }
-                rmse_mean[name] = {key: np.mean([rmse_per_seed[s][name][key] for s in seeds], axis=0) for key in ("x", "d")}
+                errs = {"x": rmse(x_hat[:, skip:], x_true), "d": rmse(d_hat[:, skip:], d_true)}
+                rmse_mean[name] = {key: np.mean(err, axis=0) for key, err in errs.items()}
         except FloatingPointError as exc:
             raise FloatingPointError(f"{name}, rmse: {exc}") from exc
+        diag_field = _ESTIMATORS[name][1]
+        for i, seed in enumerate(seeds):
+            runs[seed][name] = EstimatorRun(
+                x_hat=x_hat[i], d_hat=d_hat[i], gamma=gamma[i], **({diag_field: diag[i]} if diag_field else {})
+            )
+            rmse_per_seed[seed][name] = {key: err[i] for key, err in errs.items()}
     return ScenarioResult(
         config=config,
         truths=truths,

@@ -12,8 +12,10 @@ This is r4skf.four_step with L in place of the Kalman gain (w = x*,
 z = x̂⁻); no covariance is computed. With L = C^{-1} in the square case the
 observer output equals C^{-1} y exactly. F_d comes from
 r4skf.unknown_input_gain, so the observer refuses the same rank-deficient
-steps as the filter, and the stability check reads (I - L C) Ā from
-r4skf.stability_matrices.
+steps as the filter. Its error dynamics are the filter's with L for K:
+r4skf.stability_matrices(dm, C, F_d, L)[1] = (I - L C) Ā, and a constant
+observer is asymptotically stable iff the spectral radius of that matrix is
+below one.
 """
 
 from __future__ import annotations
@@ -53,12 +55,3 @@ def observer_step(
     u, y = np.asarray(u, dtype=float), np.asarray(y, dtype=float)
     w, d_hat, _, z, x_hat = r4skf.four_step(state.x_hat, u, y, dm, C, F_d, L)
     return ObserverState(w=w, z=z, x_hat=x_hat, d_hat=d_hat)
-
-
-def verify_observer_stability(
-    dm: DiscretizedModel, C: np.ndarray, F_d: np.ndarray, L: np.ndarray
-) -> float:
-    """Spectral radius of (I - L C) Ā; the observer error dynamics are
-    asymptotically stable iff this is below one (constant system)."""
-    _, A_tilde = r4skf.stability_matrices(dm, C, F_d, L)
-    return float(np.max(np.abs(np.linalg.eigvals(A_tilde))))

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -26,24 +28,53 @@ class TestOneStepEstimate:
             onestep.one_step_estimate(np.zeros(2), np.array([[1.0, 1.0], [1.0, 1.0]]))
 
 
+def one_step_error_cov(C, R):
+    """The exact error covariance C^{-1} R C^{-T} of x̂ = C^{-1} y."""
+    X = np.linalg.solve(C, R)
+    return np.linalg.solve(C, X.T).T
+
+
+def r4skf_error_cov(C, R, E=np.eye(2), steps=50):
+    """The r4skf's P after `steps` steps on a square plant with output map C,
+    output noise R and unknown-input map E."""
+    model = replace(square_test_model(), C=C, R=R, E=E)
+    state = r4skf.initial_state(model, np.zeros(2))
+    for _ in range(steps):
+        state, _ = r4skf.step(state, np.zeros(1), np.zeros(2), model)
+    return state.P
+
+
 class TestOneStepErrorCov:
+    # the r4skf's P is the square-case covariance: with C E_d invertible the
+    # combined gain is C^{-1}, so the Joseph update reduces to C^{-1} R C^{-T}
     def test_identity(self):
         R = np.diag([0.2, 0.5])
-        assert np.allclose(onestep.one_step_error_cov(np.eye(2), R), R)
+        P = r4skf_error_cov(np.eye(2), R)
+        assert np.abs(P - R).max() <= 1e-12 * np.abs(R).max()
 
     def test_scaling(self):
-        assert np.allclose(onestep.one_step_error_cov(2.0 * np.eye(2), np.eye(2)),
-                           0.25 * np.eye(2))
+        P = r4skf_error_cov(2.0 * np.eye(2), np.eye(2))
+        assert np.abs(P - 0.25 * np.eye(2)).max() <= 1e-12 * 0.25
 
     def test_monte_carlo_sample_covariance(self):
         rng = np.random.default_rng(7)
         C = np.array([[1.5, 0.4], [-0.2, 0.9]])
         R = np.array([[0.5, 0.1], [0.1, 0.3]])
-        pred = onestep.one_step_error_cov(C, R)
+        pred = r4skf_error_cov(C, R)
+        ref = one_step_error_cov(C, R)
+        assert np.abs(pred - ref).max() <= 1e-12 * np.abs(ref).max()
         v = rng.multivariate_normal(np.zeros(2), R, size=100_000)
         e = np.linalg.solve(C, v.T).T
         sample = e.T @ e / len(e)
         assert np.abs(sample - pred).max() <= 0.05 * np.abs(pred).max()
+
+    def test_general_unknown_input_map(self):
+        # any invertible E gives the same combined gain E_d (C E_d)^{-1} = C^{-1}
+        C = np.array([[1.5, 0.4], [-0.2, 0.9]])
+        R = np.array([[0.5, 0.1], [0.1, 0.3]])
+        pred = r4skf_error_cov(C, R, E=np.array([[0.7, -1.2], [0.3, 2.0]]))
+        ref = one_step_error_cov(C, R)
+        assert np.abs(pred - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
 class TestEquivalenceCheck:

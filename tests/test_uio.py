@@ -18,6 +18,13 @@ def steady_state_gain(model, steps=2000, seed=0):
     return rep.K
 
 
+def observer_radius(dm, C, F_d, L):
+    """Spectral radius of the observer's error dynamics (I - L C) Ā; the
+    observer of a constant system is asymptotically stable iff it is below one."""
+    A_tilde = r4skf.stability_matrices(dm, C, F_d, L)[1]
+    return float(np.max(np.abs(np.linalg.eigvals(A_tilde))))
+
+
 class TestObserverStep:
     def test_predictor_mode_tracks_noise_free_truth(self):
         model = benchmark_model()
@@ -49,7 +56,7 @@ class TestObserverStep:
         dm = discretize(model, 0.0)
         L = steady_state_gain(model)
         F_d = moore_penrose_pinv(C_PLANT @ dm.E_d)
-        assert uio.verify_observer_stability(dm, C_PLANT, F_d, L) < 1.0
+        assert observer_radius(dm, C_PLANT, F_d, L) < 1.0
         x = np.zeros(4)
         obs = uio.initial_observer_state(np.full(4, 10.0), 2)
         errs = []
@@ -67,7 +74,7 @@ class TestVerifyObserverStability:
         dm = discretize(model, 0.0)
         C = np.asarray(model.C(0), dtype=float)
         F_d = moore_penrose_pinv(C @ dm.E_d)
-        assert uio.verify_observer_stability(dm, C, F_d, np.linalg.inv(C)) <= 1e-12
+        assert observer_radius(dm, C, F_d, np.linalg.inv(C)) <= 1e-12
 
     def test_zero_gain_reduces_to_predictor(self):
         model = benchmark_model()
@@ -75,14 +82,14 @@ class TestVerifyObserverStability:
         F_d = moore_penrose_pinv(C_PLANT @ dm.E_d)
         A_bar, *_ = r4skf.stability_matrices(dm, C_PLANT, F_d, np.zeros((4, 3)))
         rho_pred = np.max(np.abs(np.linalg.eigvals(A_bar)))
-        rho = uio.verify_observer_stability(dm, C_PLANT, F_d, np.zeros((4, 3)))
+        rho = observer_radius(dm, C_PLANT, F_d, np.zeros((4, 3)))
         np.testing.assert_allclose(rho, rho_pred, rtol=1e-12)
 
     def test_steady_state_kalman_gain_is_stabilizing(self):
         model = benchmark_model()
         dm = discretize(model, 0.0)
         F_d = moore_penrose_pinv(C_PLANT @ dm.E_d)
-        assert uio.verify_observer_stability(dm, C_PLANT, F_d, steady_state_gain(model)) < 1.0
+        assert observer_radius(dm, C_PLANT, F_d, steady_state_gain(model)) < 1.0
 
 
 class TestObserverFilterAgreement:
