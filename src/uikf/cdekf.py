@@ -20,7 +20,7 @@ from typing import Callable, Optional, Tuple
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import ConfigError, DimensionError
 # moore_penrose_pinv stays importable from this module as part of its namespace
 from .model import DiscretizedModel, identity, moore_penrose_pinv  # noqa: F401
 from .model import check_covariances, check_dt, check_matrix, read_only
@@ -54,8 +54,9 @@ class NonlinearModel:
     number; E, G, Q and R finite 2-D matrices, E and G with the same rows, Q
     n_w x n_w for the n_w columns of G, and R square; Q and R pass
     model.cov_factor as positive semi-definite. They are stored as read-only
-    float copies. An error names the field, as SystemModel's do
-    (`model.R: not symmetric`); f and h are not called.
+    float copies. f and h must be callable, F and H callable or None. An
+    error names the field, as SystemModel's do (`model.R: not symmetric`);
+    f, h, F and H are not called.
     """
 
     f: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
@@ -69,9 +70,13 @@ class NonlinearModel:
     H: Optional[Callable[[np.ndarray], np.ndarray]] = None
 
     def __post_init__(self):
+        for name, optional in (("f", False), ("h", False), ("F", True), ("H", True)):
+            value = getattr(self, name)
+            if not (callable(value) or (optional and value is None)):
+                raise ConfigError(f"model.{name}: must be callable, got {type(value).__name__}")
         check_dt(self.dt)
         for name in ("E", "G", "Q", "R"):
-            object.__setattr__(self, name, read_only(getattr(self, name)))
+            object.__setattr__(self, name, read_only(getattr(self, name), f"model.{name}"))
             check_matrix(name, getattr(self, name))
         E, G, Q, R = self.E, self.G, self.Q, self.R
         if G.shape[0] != E.shape[0]:

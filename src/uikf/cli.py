@@ -5,11 +5,14 @@ Subcommands:
   reproduce --case {1,2,3}   run a benchmark case with both filters, write
                              time-series and summary CSVs, print the summary
   simulate  --config PATH    run a user scenario from a YAML config
-  check     {properties,stability}
-                             run the property suites / print spectral radii
+  check properties           run the property suites
+  check stability [--dt DT] [--config PATH]
+                             print the spectral radii of the stability matrices
 
-Exit codes: 0 success; 1 config schema violation; 2 estimator or property
-failure; 3 I/O failure. Default output directory comes from $UIKF_OUT.
+Exit codes: 0 success; 1 config violation or bad command line; 2 estimator or
+property failure; 3 I/O failure. Each failure is one stderr line (FAILURES),
+never a traceback or argparse's usage text. Default output directory comes
+from $UIKF_OUT.
 """
 
 from __future__ import annotations
@@ -29,6 +32,14 @@ EXIT_OK = 0
 EXIT_CONFIG = 1
 EXIT_ESTIMATOR = 2
 EXIT_IO = 3
+
+# failure -> (exit code, stderr prefix), the first match wins: np.linalg.LinAlgError
+# is a ValueError, so the estimator row comes first
+FAILURES = (
+    (ESTIMATOR_FAILURES, EXIT_ESTIMATOR, "estimator failure: "),
+    (ValueError, EXIT_CONFIG, "config error: "),    # ConfigError and DimensionError included
+    (OSError, EXIT_IO, "i/o failure: "),
+)
 
 
 def _parse_seeds(text: Optional[str]):
@@ -63,74 +74,48 @@ def _write_outputs(out: Path, tag: str, result: sim.ScenarioResult) -> None:
     sim.write_summary_csv(out / f"{tag}_summary.csv", {tag: result})
 
 
-def _run(cfg: sim.ScenarioConfig, out: Optional[str], tag: str) -> int:
-    """Run a scenario, write its CSVs and print the RMSE summary."""
-    try:
-        result = sim.run_scenario(cfg)
-    except ESTIMATOR_FAILURES as exc:
-        print(f"estimator failure: {exc}", file=sys.stderr)
-        return EXIT_ESTIMATOR
-    try:
-        _write_outputs(_out_dir(out), tag, result)
-    except OSError as exc:
-        print(f"i/o failure: {exc}", file=sys.stderr)
-        return EXIT_IO
+def _run(cfg: sim.ScenarioConfig, args, tag: str) -> int:
+    """Run a scenario on the seeds of --seeds, if given, write its CSVs and print the RMSE summary."""
+    seeds = _parse_seeds(args.seeds)
+    if seeds is not None:
+        cfg = replace(cfg, seeds=seeds)
+    result = sim.run_scenario(cfg)
+    _write_outputs(_out_dir(args.out), tag, result)
     _print_summary(tag, result)
     return EXIT_OK
 
 
 def cmd_reproduce(args) -> int:
-    try:
-        cfg = benchmark.benchmark_case(
-            args.case,
-            dt=args.dt,
-            duration=args.duration,
-            seeds=_parse_seeds(args.seeds),
-        )
-    except (ConfigError, ValueError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    return _run(cfg, args.out, f"case{args.case}")
+    cfg = benchmark.benchmark_case(args.case, dt=args.dt, duration=args.duration)
+    return _run(cfg, args, f"case{args.case}")
 
 
 def cmd_simulate(args) -> int:
-    try:
-        cfg = load_scenario(args.config)
-        if args.seeds is not None:
-            cfg = replace(cfg, seeds=_parse_seeds(args.seeds))
-    except (ConfigError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    return _run(cfg, args.out, "scenario")
+    return _run(load_scenario(args.config), args, "scenario")
 
 
-def cmd_check(args) -> int:
-    if args.suite == "properties":
-        results = checks.run_property_checks()
-        for r in results:
-            print(r.line())
-        failed = [r.name for r in results if not r.passed]
-        if failed:
-            print("failed properties: " + ", ".join(failed), file=sys.stderr)
-            return EXIT_ESTIMATOR
-        return EXIT_OK
+def cmd_properties(args) -> int:
+    results = checks.run_property_checks()
+    for r in results:
+        print(r.line())
+    failed = [r.name for r in results if not r.passed]
+    if failed:
+        print("failed properties: " + ", ".join(failed), file=sys.stderr)
+        return EXIT_ESTIMATOR
+    return EXIT_OK
 
-    # stability suite
-    try:
-        models = {"benchmark": benchmark.benchmark_model(dt=args.dt)}
-        if args.config is not None:
-            models["user"] = load_scenario(args.config).model
-    except (ConfigError, ValueError, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
+
+def cmd_stability(args) -> int:
+    models = {"benchmark": benchmark.benchmark_model(dt=args.dt)}
+    if args.config is not None:
+        models["user"] = load_scenario(args.config).model
     models["square"] = checks.square_test_model()
     ok = True
     for name, model in models.items():
         try:
             rep = checks.stability_report(model)
-        except ESTIMATOR_FAILURES as exc:
-            print(f"estimator failure: {name}: {exc}", file=sys.stderr)
-            return EXIT_ESTIMATOR
+        except ESTIMATOR_FAILURES as exc:   # the same failure, naming the model
+            raise type(exc)(f"{name}: {exc}") from exc
         print(
             f"{name}: rho(A_bar)={rep['rho_A_bar']:.6g} rho(A_tilde)={rep['rho_A_tilde']:.6g}"
         )
@@ -139,8 +124,13 @@ def cmd_check(args) -> int:
     return EXIT_OK if ok else EXIT_ESTIMATOR
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):           # a bad command line is a config error: one line, exit 1
+        raise ConfigError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="uikf",
         description="State and unknown-input estimation for continuous-discrete systems",
     )
@@ -161,16 +151,26 @@ def build_parser() -> argparse.ArgumentParser:
     p_sim.set_defaults(func=cmd_simulate)
 
     p_chk = sub.add_parser("check", help="run property or stability suites")
-    p_chk.add_argument("suite", choices=("properties", "stability"))
-    p_chk.add_argument("--config", default=None, help="extra model for the stability report")
-    p_chk.add_argument("--dt", type=float, default=benchmark.DEFAULT_DT)
-    p_chk.set_defaults(func=cmd_check)
+    suites = p_chk.add_subparsers(dest="suite", required=True)
+    suites.add_parser("properties", help="run the property suites").set_defaults(func=cmd_properties)
+    p_stab = suites.add_parser("stability", help="print the spectral radii of the stability matrices")
+    p_stab.add_argument("--config", default=None, help="extra model for the stability report")
+    p_stab.add_argument("--dt", type=float, default=benchmark.DEFAULT_DT)
+    p_stab.set_defaults(func=cmd_stability)
     return parser
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.func(args)
+    """Run one command line; a failure is one stderr line and the exit code of its row of FAILURES."""
+    try:
+        args = build_parser().parse_args(argv)
+        return args.func(args)
+    except Exception as exc:
+        for types, code, prefix in FAILURES:
+            if isinstance(exc, types):
+                print(f"{prefix}{exc}", file=sys.stderr)
+                return code
+        raise
 
 
 if __name__ == "__main__":

@@ -29,12 +29,11 @@ from __future__ import annotations
 from dataclasses import MISSING, fields
 from typing import Any, Dict
 
-import numpy as np
 import yaml
 
 from .a2kf import A2KFConfig
 from .errors import ConfigError
-from .model import _MATRICES, SystemModel
+from .model import SystemModel
 from .sim import ScenarioConfig, SignalSpec
 
 SCHEMA_VERSION = 1
@@ -66,13 +65,6 @@ def _number(value, field: str) -> float:
         raise ConfigError(f"{field}: not a number ({exc})") from exc
 
 
-def _array(value, field: str) -> np.ndarray:
-    try:
-        return np.asarray(value, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"{field}: not a numeric array ({exc})") from exc
-
-
 def _fields(cls, doc, field: str, convert: Dict[str, Any], given=()) -> Dict[str, Any]:
     """The mapping doc as keyword arguments of the dataclass cls, the value of a
     key in convert converted by convert[key](value, name). Every key must name
@@ -84,7 +76,7 @@ def _fields(cls, doc, field: str, convert: Dict[str, Any], given=()) -> Dict[str
 
 
 def parse_model(doc: Dict[str, Any]) -> SystemModel:
-    values = _fields(SystemModel, doc, "model", {"dt": _number, **dict.fromkeys(_MATRICES, _array)})
+    values = _fields(SystemModel, doc, "model", {"dt": _number})
     try:
         return SystemModel(**values)
     except ValueError as exc:           # SystemModel names the field; DimensionError included
@@ -93,7 +85,7 @@ def parse_model(doc: Dict[str, Any]) -> SystemModel:
 
 def _parse_signal(doc: Dict[str, Any], field: str) -> SignalSpec:
     numbers = dict.fromkeys(("t_on", "t_off", "amplitude", "f0"), _number)
-    values = _fields(SignalSpec, doc, field, {**numbers, "samples": _array})
+    values = _fields(SignalSpec, doc, field, numbers)
     try:
         return SignalSpec(**values)
     except ConfigError as exc:          # SignalSpec names the field within the signal
@@ -105,28 +97,29 @@ def parse_a2kf(doc: Dict[str, Any]) -> A2KFConfig:
 
 
 def parse_scenario(doc: Dict[str, Any]) -> ScenarioConfig:
-    """Build the scenario of a full config document; the dataclasses check the values."""
+    """Build the scenario of a full config document; the dataclasses convert and check the values."""
     doc = _mapping(doc, "document", ("schema", "model", "scenario", "a2kf", "uio"), ("schema", "model", "scenario"))
     if doc["schema"] != SCHEMA_VERSION:
         raise ConfigError(f"schema: unsupported version {doc['schema']!r}, expected {SCHEMA_VERSION}")
     model = parse_model(doc["model"])
     sc = _fields(ScenarioConfig, doc["scenario"], "scenario", {
-        "duration": _number, "rmse_skip": _number, "x0_true": _array, "x0_hat": _array,
-        "seeds": _list, "estimators": _list, "signals": _list,
+        "duration": _number, "rmse_skip": _number, "seeds": _list, "estimators": _list, "signals": _list,
     }, given=("model", "a2kf_config", "uio_gain"))
     sc["signals"] = tuple(_parse_signal(s, f"scenario.signals[{i}]") for i, s in enumerate(sc["signals"]))
     if "a2kf" in doc:
         sc["a2kf_config"] = parse_a2kf(doc["a2kf"])
     uio = _mapping(doc.get("uio", {}), "uio", ("gain",))
     if "gain" in uio:
-        sc["uio_gain"] = _array(uio["gain"], "uio.gain")
+        sc["uio_gain"] = uio["gain"]
     return ScenarioConfig(model=model, **sc)
 
 
 def load_scenario(path) -> ScenarioConfig:
-    with open(path) as fh:
-        try:
+    try:
+        with open(path) as fh:
             doc = yaml.safe_load(fh)
-        except yaml.YAMLError as exc:   # its message spans several lines
-            raise ConfigError(f"document: not valid YAML ({' '.join(str(exc).split())})") from exc
+    except OSError as exc:              # a file that cannot be read is a config error
+        raise ConfigError(str(exc)) from exc
+    except yaml.YAMLError as exc:       # its message spans several lines
+        raise ConfigError(f"document: not valid YAML ({' '.join(str(exc).split())})") from exc
     return parse_scenario(doc)

@@ -20,7 +20,7 @@ from typing import Callable, Tuple, Union
 
 import numpy as np
 
-from .errors import DimensionError
+from .errors import ConfigError, DimensionError
 
 MatrixLike = Union[np.ndarray, Callable[[float], np.ndarray]]
 
@@ -40,18 +40,22 @@ class _Constant:
         return self.arr
 
 
-def read_only(M) -> np.ndarray:
-    """A read-only float copy of M, so that later writes to the caller's
-    array, or through the returned one, cannot change a model."""
-    arr = np.array(M, dtype=float)
+def read_only(M, field: str) -> np.ndarray:
+    """A read-only float copy of M, so that later writes to the caller's array, or through
+    the returned one, cannot change a model or a config. The one conversion of an array
+    field: a value numpy cannot convert is a ConfigError naming the field."""
+    try:
+        arr = np.array(M, dtype=float)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"{field}: not a numeric array ({exc})") from exc
     arr.flags.writeable = False
     return arr
 
 
-def _wrap(M):
+def _wrap(M, name: str):
     """Normalize a constant array or callable (of time or step index) to a
     callable. A constant is a read_only copy."""
-    return M if callable(M) else _Constant(read_only(M))
+    return M if callable(M) else _Constant(read_only(M, f"model.{name}"))
 
 
 # The field rules that SystemModel and cdekf.NonlinearModel share; an error
@@ -113,10 +117,10 @@ class SystemModel:
     def __post_init__(self):
         check_dt(self.dt)
         for name in _MATRICES:
-            object.__setattr__(self, name, _wrap(getattr(self, name)))
+            object.__setattr__(self, name, _wrap(getattr(self, name), name))
 
-        A0, B0, E0, G0, Q0 = (np.asarray(M(0.0), dtype=float) for M in (self.A, self.B, self.E, self.G, self.Q))
-        C0, R0 = (np.asarray(M(0), dtype=float) for M in (self.C, self.R))
+        A0, B0, E0, G0, Q0 = (read_only(getattr(self, name)(0.0), f"model.{name}") for name in "ABEGQ")
+        C0, R0 = (read_only(getattr(self, name)(0), f"model.{name}") for name in "CR")
         for name, M in zip(_MATRICES, (A0, B0, E0, G0, Q0, C0, R0)):
             check_matrix(name, M)
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import a2kf, onestep, r4skf
 from .a2kf import A2KFConfig
 from .errors import ConfigError, IllConditionedError, RankConditionError
-from .model import SystemModel, _Constant, cov_factor, moore_penrose_pinv
+from .model import SystemModel, _Constant, cov_factor, moore_penrose_pinv, read_only
 from .r4skf import matvec
 
 KNOWN_ESTIMATORS = ("r4skf", "a2kf", "onestep", "uio")
@@ -52,13 +52,12 @@ class SignalSpec:
             if not (isinstance(value, numbers.Real) and math.isfinite(value)):
                 raise ConfigError(f"{name}: must be a finite number, got {value}")
         if self.samples is not None:
-            samples = np.array(self.samples, dtype=float)
+            samples = read_only(self.samples, "samples")
             if samples.ndim != 1:
                 raise ConfigError(f"samples: expected a flat array, got ndim={samples.ndim}")
             finite = np.isfinite(samples)
             if not finite.all():
                 raise ConfigError(f"samples: sample {int(np.argmin(finite))} is not finite")
-            samples.flags.writeable = False
             object.__setattr__(self, "samples", samples)
 
     def value(self, t: float, k: Optional[int] = None) -> float:
@@ -120,17 +119,20 @@ class ScenarioConfig:
             raise ConfigError(
                 f"scenario.signals: expected {self.model.n_d} entries, got {len(self.signals)}"
             )
+        given = {"x0_true": "scenario.x0_true", "x0_hat": "scenario.x0_hat", "uio_gain": "uio.gain"}
+        for name, field in given.items():       # only uio_gain may be None
+            if name != "uio_gain" or self.uio_gain is not None:
+                object.__setattr__(self, name, read_only(getattr(self, name), field))
         for name in ("x0_true", "x0_hat"):
-            shape = np.shape(getattr(self, name))
+            shape = getattr(self, name).shape
             if shape != (self.model.n_x,):
                 raise ConfigError(f"scenario.{name}: expected {self.model.n_x} values, got shape {shape}")
-        if self.uio_gain is not None and np.shape(self.uio_gain) != (self.model.n_x, self.model.n_y):
+        if self.uio_gain is not None and self.uio_gain.shape != (self.model.n_x, self.model.n_y):
             raise ConfigError(
-                f"uio.gain: expected shape ({self.model.n_x}, {self.model.n_y}), got {np.shape(self.uio_gain)}"
+                f"uio.gain: expected shape ({self.model.n_x}, {self.model.n_y}), got {self.uio_gain.shape}"
             )
-        given = {"scenario.x0_true": self.x0_true, "scenario.x0_hat": self.x0_hat, "uio.gain": self.uio_gain}
-        for field, value in given.items():
-            if value is not None and not np.isfinite(value).all():
+        for name, field in given.items():
+            if getattr(self, name) is not None and not np.isfinite(getattr(self, name)).all():
                 raise ConfigError(f"{field}: values must be finite")
         if not (isinstance(self.rmse_skip, numbers.Real) and np.isfinite(self.rmse_skip) and self.rmse_skip >= 0):
             raise ConfigError(f"scenario.rmse_skip: must be a finite number >= 0, got {self.rmse_skip}")

@@ -3,16 +3,22 @@
 perfbench/tracer.py wraps every (module, function) of its TRACED table, the
 harness self-tests restore some bindings by name, and the stream-tv workload
 calls uio.observer_step positionally. A deletion or rename of any of them
-breaks the traced benchmark; here it fails the test suite instead."""
+breaks the traced benchmark; here it fails the test suite instead. So does a
+change of the step and evaluation counts that the self-tests assert."""
 
 import importlib
 import importlib.util
 import inspect
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from uikf import uio
+from uikf import checks, cli, r4skf, uio
+from uikf.benchmark import A_PLANT, B_PLANT, C_PLANT, Q_PLANT, R_PLANT, benchmark_model
+from uikf.cdekf import NonlinearModel, cd_four_step
+from uikf.checks import square_test_model
+from uikf.r4skf import FilterState
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 
@@ -36,3 +42,51 @@ def test_traced_name_exists(mod, name):
 
 def test_observer_step_parameters():
     assert list(inspect.signature(uio.observer_step).parameters) == ["state", "y", "u", "dm", "C", "L"]
+
+
+# The counts that perfbench/selftest.py asserts on the check-cli and cd-nonlinear
+# workloads, held here by monkeypatched counters without importing the harness.
+def count_calls(monkeypatch, module, name, counts):
+    fn = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_check_properties_runs_1900_filter_and_600_observer_steps(monkeypatch, capsys):
+    counts = {"step": 0, "observer_step": 0}
+    count_calls(monkeypatch, r4skf, "step", counts)
+    count_calls(monkeypatch, uio, "observer_step", counts)
+    assert cli.main(["check", "properties"]) == 0
+    assert counts == {"step": 1900, "observer_step": 600}
+
+
+@pytest.mark.parametrize("model", [benchmark_model(), square_test_model()], ids=["benchmark", "square"])
+def test_stability_report_runs_1000_filter_steps_per_model(monkeypatch, model):
+    counts = {"step": 0}
+    count_calls(monkeypatch, r4skf, "step", counts)
+    checks.stability_report(model)
+    assert counts == {"step": 1000}
+
+
+def test_rk4_step_with_finite_difference_jacobians_evaluates_f_13_and_h_11_times():
+    A, B, C = A_PLANT, B_PLANT, C_PLANT
+    counts = {"f": 0, "h": 0}
+
+    def f(x, u, t):
+        counts["f"] += 1
+        return A @ x + B @ u - 0.5 * x ** 3
+
+    def h(x):
+        counts["h"] += 1
+        return C @ x
+
+    model = NonlinearModel(f=f, h=h, E=B, G=np.eye(4), Q=Q_PLANT, R=R_PLANT, dt=0.01)
+    state = FilterState(x_hat=0.1 * np.ones(4), P=np.eye(4), d_hat=np.zeros(2), Pd=np.eye(2), gamma=np.zeros(3), k=0)
+    steps = 5
+    for _ in range(steps):
+        state, _ = cd_four_step(state, np.zeros(2), C @ (0.1 * np.ones(4)), model, method="rk4")
+    assert counts == {"f": 13 * steps, "h": 11 * steps}
