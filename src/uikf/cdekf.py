@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ConfigError, DimensionError
 # moore_penrose_pinv stays importable from this module as part of its namespace
 from .model import DiscretizedModel, identity, moore_penrose_pinv  # noqa: F401
-from .model import check_covariances, check_dt, check_matrix, read_only
+from .model import KeepsProducts, check_covariances, check_dt, check_matrix, read_only
 from . import r4skf
 from .r4skf import FilterState, StepReport
 
@@ -46,7 +46,7 @@ def finite_difference_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.nda
 
 
 @dataclass(frozen=True)
-class NonlinearModel:
+class NonlinearModel(KeepsProducts):
     """Nonlinear continuous-discrete plant with sampled outputs.
 
     F and H are the Jacobians of f (w.r.t. x) and h; when omitted they are
@@ -56,8 +56,11 @@ class NonlinearModel:
     model.cov_factor as positive semi-definite. They are stored as read-only
     float copies. f and h must be callable, F and H callable or None. An
     error names the field, as SystemModel's do (`model.R: not symmetric`);
-    f, h, F and H are not called.
+    f, h, F and H are not called. E dt and G Q G^T dt are formed once per
+    instance (formed_once), as a SystemModel's products of constant matrices.
     """
+
+    constant = frozenset("EGQR")
 
     f: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
     h: Callable[[np.ndarray], np.ndarray]
@@ -109,10 +112,10 @@ def propagate_state(
 ) -> np.ndarray:
     """Integrate dx/dt = f(x,u,t) + E d̂ over one sample period; d̂ and u
     are held piecewise constant."""
-    E, dt = model.E, model.dt
+    Ed, dt = model.E @ d_hat, model.dt
 
     def rhs(xx, tt):
-        return np.asarray(model.f(xx, u, tt), dtype=float) + E @ d_hat
+        return np.asarray(model.f(xx, u, tt), dtype=float) + Ed
 
     if method == "euler":
         x_new = x + rhs(x, t) * dt
@@ -158,13 +161,13 @@ def cd_four_step(
     dm = DiscretizedModel(
         A_d=identity(n_x) + F_k * dt,
         B_d=np.zeros((n_x, u.shape[0])),
-        E_d=E * dt,
+        E_d=model.formed_once("E_d", "E", lambda: E * dt),
         dt=dt,
     )
 
     x_star = propagate_state(state.x_hat, u, np.zeros(E.shape[1]), model, method=method, t=t)
     C = model.jac_h(x_star)
-    terms = r4skf.StepTerms(dm, C, R, Q, G, r4skf.unknown_input_gain(C, dm.E_d))
+    terms = r4skf.StepTerms(dm, C, R, Q, G, r4skf.unknown_input_gain(C, dm.E_d), model.formed_once)
     gamma = y - np.asarray(model.h(x_star), dtype=float)
     d_hat = terms.F_d @ gamma
     x_pred = x_star + dm.E_d @ d_hat

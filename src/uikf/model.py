@@ -16,7 +16,7 @@ from __future__ import annotations
 import functools
 import numbers
 from dataclasses import dataclass, field
-from typing import Callable, Tuple, Union
+from typing import Callable, FrozenSet, Tuple, Union
 
 import numpy as np
 
@@ -43,8 +43,11 @@ class _Constant:
 def read_only(M, field: str) -> np.ndarray:
     """A read-only float copy of M, so that later writes to the caller's array, or through
     the returned one, cannot change a model or a config. The one conversion of an array
-    field: a value numpy cannot convert is a ConfigError naming the field."""
+    field: a value numpy cannot convert, or a complex one, is a ConfigError naming the field."""
     try:
+        # a complex ndarray would convert with a warning and lose its imaginary part
+        if np.iscomplexobj(M):
+            raise TypeError("complex values are not allowed")
         arr = np.array(M, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{field}: not a numeric array ({exc})") from exc
@@ -81,8 +84,31 @@ def check_covariances(Q: np.ndarray, R: np.ndarray, R_definite: bool) -> None:
             raise ValueError(f"model.{name}: {exc}") from exc
 
 
+class KeepsProducts:
+    """formed_once for a model class that names its matrices given as arrays
+    in constant."""
+
+    constant: FrozenSet[str]
+
+    def formed_once(self, name: str, matrices: str, form: Callable[[], np.ndarray]) -> np.ndarray:
+        """form(), the product called name of the matrices named in matrices.
+        When each of them was given as an array, the product is formed on the
+        first call only, made read-only and kept on the instance for every
+        later call; otherwise it is formed on every call."""
+        if not self.constant.issuperset(matrices):
+            return form()
+        kept = self.__dict__.setdefault("_products", {})
+        M = kept.get(name)
+        if M is None:
+            M = form()
+            M.flags.writeable = False
+            # two threads may both form it; both results are the same product
+            kept[name] = M
+        return M
+
+
 @dataclass(frozen=True)
-class SystemModel:
+class SystemModel(KeepsProducts):
     """Continuous-discrete linear plant.
 
     A, B, E, G, Q are callables of continuous time t (constant matrices are
@@ -93,11 +119,14 @@ class SystemModel:
     A callable matrix must return the same values for the same argument, and
     its result must not be written to afterwards: the model keeps the last
     StepTerms that r4skf.step_terms evaluated from it, so estimators that step
-    it at the same k share one evaluation. time_invariant is True when every
-    matrix was given as an array; such a model is evaluated once per
-    instance. A dataclasses.replace copy starts without kept terms. An error
-    names the field, as in `model.R: not symmetric`; n_x, ... are read from
-    the matrices.
+    it at the same k share one evaluation. constant names the matrices given
+    as arrays; every product of those alone (B dt, E dt, G Q G^T dt, the
+    a2kf's [B_d; 0], ...) is formed once per instance and kept read-only
+    (formed_once), whatever the other matrices are. time_invariant is True
+    when every matrix was given as an array; such a model is evaluated once
+    per instance. A dataclasses.replace copy starts without kept terms or
+    products. An error names the field, as in `model.R: not symmetric`; n_x,
+    ... are read from the matrices.
     """
 
     A: MatrixLike
@@ -152,8 +181,12 @@ class SystemModel:
         object.__setattr__(self, "n_w", n_w)
 
     @functools.cached_property
+    def constant(self) -> FrozenSet[str]:
+        return frozenset(name for name in _MATRICES if isinstance(getattr(self, name), _Constant))
+
+    @functools.cached_property
     def time_invariant(self) -> bool:
-        return all(isinstance(getattr(self, name), _Constant) for name in _MATRICES)
+        return len(self.constant) == len(_MATRICES)
 
 
 @functools.cache
@@ -196,15 +229,26 @@ class DiscretizedModel:
 
 
 def discretize(model: SystemModel, t: float) -> DiscretizedModel:
-    """First-order (Euler) discretization of the plant at step start time t."""
+    """First-order (Euler) discretization of the plant at step start time t.
+    The model keeps the last result, keyed by t, so callers that discretize
+    it at the same t share one; and A_d, B_d or E_d of a matrix given as an
+    array is formed once per model (SystemModel.formed_once). So A_d, B_d and
+    E_d are read-only."""
+    kept = model.__dict__.get("_discretized")
+    if kept is not None and kept[0] == t:
+        return kept[1]
     dt = model.dt
-    A = np.asarray(model.A(t), dtype=float)
-    return DiscretizedModel(
-        A_d=identity(model.n_x) + A * dt,
-        B_d=np.asarray(model.B(t), dtype=float) * dt,
-        E_d=np.asarray(model.E(t), dtype=float) * dt,
+    dm = DiscretizedModel(
+        A_d=model.formed_once("A_d", "A", lambda: identity(model.n_x) + np.asarray(model.A(t), dtype=float) * dt),
+        B_d=model.formed_once("B_d", "B", lambda: np.asarray(model.B(t), dtype=float) * dt),
+        E_d=model.formed_once("E_d", "E", lambda: np.asarray(model.E(t), dtype=float) * dt),
         dt=dt,
     )
+    for M in (dm.A_d, dm.B_d, dm.E_d):
+        M.flags.writeable = False
+    # one assignment of an immutable pair, as in r4skf.step_terms
+    model.__dict__["_discretized"] = (t, dm)
+    return dm
 
 
 def pinv_and_rank(M: np.ndarray) -> Tuple[np.ndarray, int]:

@@ -25,9 +25,10 @@ bitwise equal to the unstacked result; see matvec.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -108,14 +109,26 @@ def predict_no_input(x_hat: np.ndarray, u: np.ndarray, dm: DiscretizedModel) -> 
 
 
 def unknown_input_gain(C: np.ndarray, E_d: np.ndarray) -> np.ndarray:
-    """F_d = (C E_d)^+, after checking rank(C E_d) = n_d on the same SVD."""
-    F_d, rank = pinv_and_rank(C @ E_d)
-    n_d = E_d.shape[1]
+    """F_d = (C E_d)^+, after checking rank(C E_d) = n_d on the same SVD.
+
+    The last F_d is kept, keyed by the shape, dtype and bytes of C E_d, so a
+    filter and an observer that step at the same k, or any steps of a
+    constant C E_d, form one SVD; the kept F_d is read-only. A C E_d that
+    fails the check (NaN included) raises and is never kept."""
+    CE = C @ E_d
+    return _gain(CE.shape, CE.dtype, CE.tobytes())
+
+
+@functools.lru_cache(maxsize=1)
+def _gain(shape, dtype, data: bytes) -> np.ndarray:
+    F_d, rank = pinv_and_rank(np.frombuffer(data, dtype).reshape(shape))
+    n_d = shape[1]
     if rank < n_d:
         raise RankConditionError(
             f"rank(C E_d) = {rank} < n_d = {n_d}; "
             "unknown-input extraction is infeasible at this step"
         )
+    F_d.flags.writeable = False
     return F_d
 
 
@@ -163,6 +176,10 @@ def output_noise(C: np.ndarray, G: np.ndarray, Q: np.ndarray, dt: float) -> np.n
     return C @ G @ Q @ G.T @ C.T * dt
 
 
+def _form_afresh(name: str, matrices: str, form: Callable[[], np.ndarray]) -> np.ndarray:
+    return form()
+
+
 @dataclass
 class StepTerms:
     """What one step of any estimator reads from the model (see step_terms),
@@ -170,9 +187,12 @@ class StepTerms:
     the a2kf's augmented blocks. Each product is formed when first read and
     then kept, so every estimator that reads the StepTerms step_terms keeps
     on the model shares it: once per step, or once per time-invariant model.
-    Only whole terms and the leading product C A_d are kept: numpy evaluates
-    C A_d P A_d^T C^T left to right, and A_d^T C^T formed beforehand would
-    round differently."""
+    keep(name, matrices, form) forms a product of the model matrices named
+    in matrices; with the model's formed_once, a product of matrices given
+    as arrays is formed once per model even when other matrices vary, and
+    by default every product is formed afresh. Only whole terms and the
+    leading product C A_d are kept: numpy evaluates C A_d P A_d^T C^T left
+    to right, and A_d^T C^T formed beforehand would round differently."""
 
     dm: DiscretizedModel
     C: np.ndarray
@@ -180,32 +200,47 @@ class StepTerms:
     Q: np.ndarray
     G: np.ndarray                     # the continuous-time noise matrix
     F_d: np.ndarray                   # (C E_d)^+
+    keep: Callable[[str, str, Callable[[], np.ndarray]], np.ndarray] = _form_afresh
 
     @cached_property
     def CA_d(self) -> np.ndarray:
-        return self.C @ self.dm.A_d
+        return self.keep("CA_d", "CA", lambda: self.C @ self.dm.A_d)
 
     @cached_property
     def GQG(self) -> np.ndarray:
-        return process_noise(self.G, self.Q, self.dm.dt)
+        return self.keep("GQG", "GQ", lambda: process_noise(self.G, self.Q, self.dm.dt))
 
     @cached_property
     def CGQGC(self) -> np.ndarray:
-        return output_noise(self.C, self.G, self.Q, self.dm.dt)
+        return self.keep("CGQGC", "CGQ", lambda: output_noise(self.C, self.G, self.Q, self.dm.dt))
 
     @cached_property
     def augmented(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The a2kf's discrete blocks of [x; d]: [[A_d, E_d], [0, I]], [B_d; 0]
         and [C 0]. One property, as the first read of each takes a lock."""
-        n_y, n_x = self.C.shape
-        n_a = n_x + self.F_d.shape[0]
-        A_da = np.array(identity(n_a))
+        return (
+            self.keep("A_da", "AE", self._A_da),
+            self.keep("B_da", "B", self._B_da),
+            self.keep("C_a", "C", self._C_a),
+        )
+
+    def _A_da(self) -> np.ndarray:
+        n_x, n_d = self.dm.E_d.shape
+        A_da = np.array(identity(n_x + n_d))
         A_da[:n_x, :n_x], A_da[:n_x, n_x:] = self.dm.A_d, self.dm.E_d
-        B_da = np.zeros((n_a, self.dm.B_d.shape[1]))
+        return A_da
+
+    def _B_da(self) -> np.ndarray:
+        (n_x, n_u), n_d = self.dm.B_d.shape, self.dm.E_d.shape[1]
+        B_da = np.zeros((n_x + n_d, n_u))
         B_da[:n_x] = self.dm.B_d
-        C_a = np.zeros((n_y, n_a))
+        return B_da
+
+    def _C_a(self) -> np.ndarray:
+        (n_y, n_x), n_d = self.C.shape, self.dm.E_d.shape[1]
+        C_a = np.zeros((n_y, n_x + n_d))
         C_a[:, :n_x] = self.C
-        return A_da, B_da, C_a
+        return C_a
 
 
 def gain_and_covariance(P_prev: np.ndarray, terms: StepTerms) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -295,17 +330,19 @@ def step_terms(model: SystemModel, k: int) -> StepTerms:
     None, "every step", for a time-invariant model. So estimators that step
     one model at the same k (r4skf.step, a2kf.a2kf_step, the runners of
     sim.run_scenario) share one evaluation, and a time-invariant model is
-    evaluated once per instance. This holds as long as a callable matrix
-    returns the same values for the same argument and its results are not
-    written to. The kept A_d, B_d, E_d and F_d are read-only; C, R, Q and G
-    are the arrays the model returned. A failed evaluation keeps nothing, so
-    it raises again on the next call."""
+    evaluated once per instance. Within a time-varying model, each product
+    of the matrices given as arrays (B_d, E_d, G Q G^T dt, [B_d; 0], ...) is
+    formed once per instance (SystemModel.formed_once), and no SVD is formed
+    while C E_d repeats the last value (unknown_input_gain). This holds as
+    long as a callable matrix returns the same values for the same argument
+    and its results are not written to. A_d, B_d, E_d, F_d and the products
+    kept on the model are read-only; C, R, Q and G are the arrays the model
+    returned. A failed evaluation keeps no terms, so it raises again on the
+    next call."""
     kept = model.__dict__.get("_step_terms")
     if kept is not None and (kept[0] is None or kept[0] == k):
         return kept[1]
     terms = _evaluate(model, k)
-    for M in (terms.dm.A_d, terms.dm.B_d, terms.dm.E_d, terms.F_d):
-        M.flags.writeable = False
     # one assignment of an immutable pair: two threads may both build the
     # terms, but neither sees a torn entry
     model.__dict__["_step_terms"] = (None if model.time_invariant else k, terms)
@@ -319,7 +356,7 @@ def _evaluate(model: SystemModel, k: int) -> StepTerms:
     R = np.asarray(model.R(k + 1), dtype=float)
     Q = np.asarray(model.Q(t), dtype=float)
     G = np.asarray(model.G(t), dtype=float)
-    return StepTerms(dm, C, R, Q, G, unknown_input_gain(C, dm.E_d))
+    return StepTerms(dm, C, R, Q, G, unknown_input_gain(C, dm.E_d), model.formed_once)
 
 
 def step(

@@ -12,10 +12,12 @@ This is r4skf.four_step with L in place of the Kalman gain (w = x*,
 z = x̂⁻); no covariance is computed. With L = C^{-1} in the square case the
 observer output equals C^{-1} y exactly. F_d comes from
 r4skf.unknown_input_gain, so the observer refuses the same rank-deficient
-steps as the filter. Its error dynamics are the filter's with L for K:
-r4skf.stability_matrices(dm, C, F_d, L)[1] = (I - L C) Ā, and a constant
-observer is asymptotically stable iff the spectral radius of that matrix is
-below one.
+steps as the filter, and forms no SVD of its own when its C E_d is that of
+the last gain formed: a filter stepping the same model at the same k, or an
+earlier step of a constant C E_d. Its error dynamics are the filter's with
+L for K: r4skf.stability_matrices(dm, C, F_d, L)[1] = (I - L C) Ā, and a
+constant observer is asymptotically stable iff the spectral radius of that
+matrix is below one.
 """
 
 from __future__ import annotations

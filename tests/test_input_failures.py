@@ -179,3 +179,28 @@ def test_nonlinear_model_functions_must_be_callable(name, value):
                   Q=MATRICES["Q"], R=MATRICES["R"], dt=0.01)
     message = python_message(lambda: NonlinearModel(**{**fields, name: value}))
     assert message == f"model.{name}: must be callable, got {type(value).__name__}"
+
+
+# a complex ndarray used to lose its imaginary part with a ComplexWarning
+COMPLEX = {
+    "ndarray": lambda real: real + 2j,
+    "zero imaginary part": lambda real: real.astype(complex),
+    "list": lambda real: (real + 2j).tolist(),
+}
+REFUSED = "not a numeric array (complex values are not allowed)"
+
+
+@pytest.mark.parametrize("make", COMPLEX.values(), ids=COMPLEX.keys())
+def test_a_complex_model_matrix(make):
+    assert python_message(lambda: SystemModel(**{**MATRICES, "A": make(MATRICES["A"])}, dt=0.01)) == f"model.A: {REFUSED}"
+
+
+@pytest.mark.parametrize("make", COMPLEX.values(), ids=COMPLEX.keys())
+def test_a_complex_initial_estimate(make):
+    bad = make(np.zeros(4))
+    assert python_message(lambda: replace(benchmark_case(1), x0_hat=bad)) == f"scenario.x0_hat: {REFUSED}"
+
+
+@pytest.mark.parametrize("make", COMPLEX.values(), ids=COMPLEX.keys())
+def test_complex_signal_samples(make):
+    assert python_message(lambda: SignalSpec(kind="custom", samples=make(np.zeros(50)))) == f"samples: {REFUSED}"
