@@ -117,12 +117,12 @@ def augment(model: SystemModel, t: float = 0.0, k: int = 0, Qd=None) -> Augmente
 def initial_state(model: SystemModel, x0_hat, P0=None, cfg: A2KFConfig = A2KFConfig()) -> A2KFState:
     """Augmented start: d̂ = 0 with unit covariance, Q^d = qd_init * I."""
     n_x, n_d = model.n_x, model.n_d
-    x_a = np.concatenate([np.asarray(x0_hat, dtype=float), np.zeros(n_d)])
+    x_a = np.concatenate([r4skf.check_shape("x0_hat", np.asarray(x0_hat, dtype=float), (n_x,)), np.zeros(n_d)])
     if P0 is None:
         P0 = 10.0 * identity(n_x)
     P_a = np.block(
         [
-            [np.asarray(P0, dtype=float), np.zeros((n_x, n_d))],
+            [r4skf.check_shape("P0", np.asarray(P0, dtype=float), (n_x, n_x)), np.zeros((n_x, n_d))],
             [np.zeros((n_d, n_x)), identity(n_d)],
         ]
     )
@@ -234,6 +234,8 @@ def advance(
     r4skf.step_terms). The state may be a stack along leading axes; u and y
     then carry the same leading axes."""
     u, y = np.asarray(u, dtype=float), np.asarray(y, dtype=float)
+    if y.shape[-1:] != terms.R.shape[:1]:
+        raise r4skf.shape_error("y", y, terms.R.shape[:1])
     A_da, B_da, C_a = terms.augmented
     x_pred = matvec(A_da, state.x_a) + matvec(B_da, u)
     P_pred = A_da @ state.P_a @ A_da.T + _process_noise(terms, state.Qd_hat)

@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -77,19 +77,30 @@ class StepReport:
 
 def initial_state(model: SystemModel, x0_hat, P0=None, Pd0=None) -> FilterState:
     """Initial filter state; P0 defaults to 10 I, Pd0 to I."""
-    x0_hat = np.asarray(x0_hat, dtype=float)
-    if P0 is None:
-        P0 = DEFAULT_P0_SCALE * identity(model.n_x)
-    if Pd0 is None:
-        Pd0 = identity(model.n_d)
+    n_x, n_d = model.n_x, model.n_d
+    P0 = DEFAULT_P0_SCALE * identity(n_x) if P0 is None else P0
+    Pd0 = identity(n_d) if Pd0 is None else Pd0
     return FilterState(
-        x_hat=x0_hat,
-        P=np.asarray(P0, dtype=float),
-        d_hat=np.zeros(model.n_d),
-        Pd=np.array(Pd0, dtype=float),
+        x_hat=check_shape("x0_hat", np.asarray(x0_hat, dtype=float), (n_x,)),
+        P=check_shape("P0", np.asarray(P0, dtype=float), (n_x, n_x)),
+        d_hat=np.zeros(n_d),
+        Pd=check_shape("Pd0", np.array(Pd0, dtype=float), (n_d, n_d)),
         gamma=np.zeros(model.n_y),
         k=0,
     )
+
+
+def check_shape(name: str, M: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
+    """M, after checking that its last axes are shape (leading axes, one row
+    per seed, are free); a DimensionError names the argument."""
+    if M.shape[-len(shape):] != shape:
+        raise shape_error(name, M, shape)
+    return M
+
+
+def shape_error(name: str, M: np.ndarray, shape: Tuple[int, ...]) -> DimensionError:
+    """check_shape's error; the step functions compare shapes inline, sparing a call per check."""
+    return DimensionError(f"{name}: shape {M.shape} does not match {shape}")
 
 
 def matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -155,6 +166,8 @@ def predict_with_input(x_star: np.ndarray, d_hat: np.ndarray, dm: DiscretizedMod
 def extract(x_hat, u, y, dm: DiscretizedModel, C: np.ndarray, F_d: np.ndarray) -> Tuple[np.ndarray, ...]:
     """Steps 1 and 2 with F_d = (C E_d)^+ given: (x_star, d_hat, gamma)."""
     x_star = predict_no_input(x_hat, u, dm)
+    if y.shape[-1:] != C.shape[:1]:
+        raise shape_error("y", y, C.shape[:1])
     gamma = y - matvec(C, x_star)
     return x_star, matvec(F_d, gamma), gamma
 
@@ -176,10 +189,6 @@ def output_noise(C: np.ndarray, G: np.ndarray, Q: np.ndarray, dt: float) -> np.n
     return C @ G @ Q @ G.T @ C.T * dt
 
 
-def _form_afresh(name: str, matrices: str, form: Callable[[], np.ndarray]) -> np.ndarray:
-    return form()
-
-
 @dataclass
 class StepTerms:
     """What one step of any estimator reads from the model (see step_terms),
@@ -187,12 +196,9 @@ class StepTerms:
     the a2kf's augmented blocks. Each product is formed when first read and
     then kept, so every estimator that reads the StepTerms step_terms keeps
     on the model shares it: once per step, or once per time-invariant model.
-    keep(name, matrices, form) forms a product of the model matrices named
-    in matrices; with the model's formed_once, a product of matrices given
-    as arrays is formed once per model even when other matrices vary, and
-    by default every product is formed afresh. Only whole terms and the
-    leading product C A_d are kept: numpy evaluates C A_d P A_d^T C^T left
-    to right, and A_d^T C^T formed beforehand would round differently."""
+    Only whole terms and the leading product C A_d are kept: numpy evaluates
+    C A_d P A_d^T C^T left to right, and A_d^T C^T formed beforehand would
+    round differently."""
 
     dm: DiscretizedModel
     C: np.ndarray
@@ -200,47 +206,32 @@ class StepTerms:
     Q: np.ndarray
     G: np.ndarray                     # the continuous-time noise matrix
     F_d: np.ndarray                   # (C E_d)^+
-    keep: Callable[[str, str, Callable[[], np.ndarray]], np.ndarray] = _form_afresh
 
     @cached_property
     def CA_d(self) -> np.ndarray:
-        return self.keep("CA_d", "CA", lambda: self.C @ self.dm.A_d)
+        return self.C @ self.dm.A_d
 
     @cached_property
     def GQG(self) -> np.ndarray:
-        return self.keep("GQG", "GQ", lambda: process_noise(self.G, self.Q, self.dm.dt))
+        return process_noise(self.G, self.Q, self.dm.dt)
 
     @cached_property
     def CGQGC(self) -> np.ndarray:
-        return self.keep("CGQGC", "CGQ", lambda: output_noise(self.C, self.G, self.Q, self.dm.dt))
+        return output_noise(self.C, self.G, self.Q, self.dm.dt)
 
     @cached_property
     def augmented(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The a2kf's discrete blocks of [x; d]: [[A_d, E_d], [0, I]], [B_d; 0]
         and [C 0]. One property, as the first read of each takes a lock."""
-        return (
-            self.keep("A_da", "AE", self._A_da),
-            self.keep("B_da", "B", self._B_da),
-            self.keep("C_a", "C", self._C_a),
-        )
-
-    def _A_da(self) -> np.ndarray:
-        n_x, n_d = self.dm.E_d.shape
-        A_da = np.array(identity(n_x + n_d))
+        n_y, n_x = self.C.shape
+        n_a = n_x + self.F_d.shape[0]
+        A_da = np.array(identity(n_a))
         A_da[:n_x, :n_x], A_da[:n_x, n_x:] = self.dm.A_d, self.dm.E_d
-        return A_da
-
-    def _B_da(self) -> np.ndarray:
-        (n_x, n_u), n_d = self.dm.B_d.shape, self.dm.E_d.shape[1]
-        B_da = np.zeros((n_x + n_d, n_u))
+        B_da = np.zeros((n_a, self.dm.B_d.shape[1]))
         B_da[:n_x] = self.dm.B_d
-        return B_da
-
-    def _C_a(self) -> np.ndarray:
-        (n_y, n_x), n_d = self.C.shape, self.dm.E_d.shape[1]
-        C_a = np.zeros((n_y, n_x + n_d))
+        C_a = np.zeros((n_y, n_a))
         C_a[:, :n_x] = self.C
-        return C_a
+        return A_da, B_da, C_a
 
 
 def gain_and_covariance(P_prev: np.ndarray, terms: StepTerms) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -293,6 +284,8 @@ def joseph_update(P_pred: np.ndarray, L: np.ndarray, C: np.ndarray, R: np.ndarra
 
 def update(x_pred: np.ndarray, y: np.ndarray, K: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Step 4: measurement update of the input-corrected prediction."""
+    if K.shape[-2:] != (x_pred.shape[-1], C.shape[0]):
+        raise shape_error("gain (gain_override or L)", K, (x_pred.shape[-1], C.shape[0]))
     return x_pred + matvec(K, y - matvec(C, x_pred))
 
 
@@ -330,15 +323,13 @@ def step_terms(model: SystemModel, k: int) -> StepTerms:
     None, "every step", for a time-invariant model. So estimators that step
     one model at the same k (r4skf.step, a2kf.a2kf_step, the runners of
     sim.run_scenario) share one evaluation, and a time-invariant model is
-    evaluated once per instance. Within a time-varying model, each product
-    of the matrices given as arrays (B_d, E_d, G Q G^T dt, [B_d; 0], ...) is
-    formed once per instance (SystemModel.formed_once), and no SVD is formed
-    while C E_d repeats the last value (unknown_input_gain). This holds as
-    long as a callable matrix returns the same values for the same argument
-    and its results are not written to. A_d, B_d, E_d, F_d and the products
-    kept on the model are read-only; C, R, Q and G are the arrays the model
-    returned. A failed evaluation keeps no terms, so it raises again on the
-    next call."""
+    evaluated once per instance; a time-varying one once per step, every
+    product of its StepTerms included. No SVD is formed while C E_d repeats
+    the last value (unknown_input_gain). This holds as long as a callable
+    matrix returns the same values for the same argument and its results are
+    not written to. A_d, B_d, E_d and F_d are read-only; C, R, Q and G are
+    the arrays the model returned. A failed evaluation keeps no terms, so it
+    raises again on the next call."""
     kept = model.__dict__.get("_step_terms")
     if kept is not None and (kept[0] is None or kept[0] == k):
         return kept[1]
@@ -356,7 +347,7 @@ def _evaluate(model: SystemModel, k: int) -> StepTerms:
     R = np.asarray(model.R(k + 1), dtype=float)
     Q = np.asarray(model.Q(t), dtype=float)
     G = np.asarray(model.G(t), dtype=float)
-    return StepTerms(dm, C, R, Q, G, unknown_input_gain(C, dm.E_d), model.formed_once)
+    return StepTerms(dm, C, R, Q, G, unknown_input_gain(C, dm.E_d))
 
 
 def step(
@@ -370,9 +361,9 @@ def step(
 
     gain_override replaces the Kalman gain in the measurement update (the
     covariance bookkeeping still runs); this is how a fixed observer gain
-    is reproduced on the filter code path. y is not checked: a NaN leaves
-    the covariance sequence, which never reads y, as it is and the estimate
-    NaN from then on.
+    is reproduced on the filter code path. The shapes of y and of the gain
+    are checked, the values of y are not: a NaN leaves the covariance
+    sequence, which never reads y, as it is and the estimate NaN from then on.
     """
     return advance(state, u, y, step_terms(model, state.k), gain_override)
 

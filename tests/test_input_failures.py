@@ -3,20 +3,24 @@ converts it, so a value numpy cannot convert gives the same
 `<field>: not a numeric array (...)` whether it comes from Python or from
 YAML; load_scenario reports an unreadable file as a config error; and
 cli.main maps every failure, a bad command line included, to its exit code
-and one stderr line."""
+and one stderr line. The step functions and initial states refuse an
+argument of the wrong shape with a DimensionError that names it."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import yaml
 
-from uikf import benchmark, cli, config, sim
+from uikf import a2kf, benchmark, cdekf, cli, config, r4skf, sim, uio
 from uikf.benchmark import benchmark_case
 from uikf.cdekf import NonlinearModel
 from uikf.errors import ConfigError, DimensionError, IllConditionedError
 from uikf.model import SystemModel
 from uikf.sim import SignalSpec
+
+from test_cdekf import linear_nl_model
 
 DOC = {
     "schema": 1,
@@ -204,3 +208,31 @@ def test_a_complex_initial_estimate(make):
 @pytest.mark.parametrize("make", COMPLEX.values(), ids=COMPLEX.keys())
 def test_complex_signal_samples(make):
     assert python_message(lambda: SignalSpec(kind="custom", samples=make(np.zeros(50)))) == f"samples: {REFUSED}"
+
+
+def _step_inputs():
+    """The benchmark plant (n_x 4, n_u 2, n_d 2, n_y 3), x0, u, y and an r4skf
+    initial state."""
+    model = benchmark.benchmark_model()
+    x0, u, y = np.zeros(4), np.zeros(model.n_u), np.array([0.3, -0.2, 0.1])
+    return model, x0, u, y, r4skf.initial_state(model, x0)
+
+
+@pytest.mark.parametrize("name, call", [
+    ("y", lambda m, x0, u, y, s: r4skf.step(s, u, y[:2], m)),
+    ("y", lambda m, x0, u, y, s: r4skf.advance(replace(s, x_hat=np.zeros((5, 4))), np.zeros((5, m.n_u)), np.zeros((5, 2)), r4skf.step_terms(m, 0))),
+    ("gain (gain_override or L)", lambda m, x0, u, y, s: r4skf.step(s, u, y, m, gain_override=np.zeros((4, 2)))),
+    ("y", lambda m, x0, u, y, s: a2kf.a2kf_step(a2kf.initial_state(m, x0), u, np.append(y, 0.0), m)),
+    ("y", lambda m, x0, u, y, s: uio.observer_step(uio.initial_observer_state(x0, 2), y[0], u, r4skf.step_terms(m, 0).dm, m.C(1), np.zeros((4, 3)))),
+    ("gain (gain_override or L)", lambda m, x0, u, y, s: uio.observer_step(uio.initial_observer_state(x0, 2), y, u, r4skf.step_terms(m, 0).dm, m.C(1), np.eye(3))),
+    ("y", lambda m, x0, u, y, s: cdekf.cd_four_step(s, u, y[:2], linear_nl_model(m))),
+    ("x0_hat", lambda m, x0, u, y, s: r4skf.initial_state(m, x0[:3])),
+    ("P0", lambda m, x0, u, y, s: r4skf.initial_state(m, x0, P0=np.eye(3))),
+    ("Pd0", lambda m, x0, u, y, s: r4skf.initial_state(m, x0, Pd0=np.eye(3))),
+    ("x0_hat", lambda m, x0, u, y, s: a2kf.initial_state(m, np.zeros(5))),
+    ("P0", lambda m, x0, u, y, s: a2kf.initial_state(m, x0, P0=np.ones(4))),
+], ids=["r4skf.step y", "r4skf.advance stacked y", "r4skf.step gain_override", "a2kf_step y", "observer_step y",
+        "observer_step L", "cd_four_step y", "r4skf x0_hat", "r4skf P0", "r4skf Pd0", "a2kf x0_hat", "a2kf P0"])
+def test_an_argument_of_the_wrong_shape_is_a_dimension_error_naming_it(name, call):
+    with pytest.raises(DimensionError, match=f"^{re.escape(name)}: shape "):
+        call(*_step_inputs())

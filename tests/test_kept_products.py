@@ -1,11 +1,11 @@
-"""A product of the matrices given as arrays is formed once per model, even
-when other matrices are callables (SystemModel.formed_once), and one SVD of
-C E_d serves every step that repeats its last value (r4skf.unknown_input_gain).
-These tests hold plants where exactly one matrix is a callable to the
-written-out references of test_kernel.py, run on the same plant with every
-matrix a callable, so that nothing is kept there; they check that the kept
-products are read-only and formed afresh on a dataclasses.replace copy, and
-count the SVDs.
+"""The memos that keep model values across steps: the StepTerms r4skf.step_terms
+keeps for the last k, the last result of model.discretize, keyed by t, and
+the F_d = (C E_d)^+ that r4skf.unknown_input_gain keeps for the last C E_d,
+so one SVD serves every step that repeats it. These tests hold plants where
+exactly one matrix is a callable to the written-out references of
+test_kernel.py, run on the same plant with every matrix a callable, count
+the model evaluations and SVDs of a time-varying stream, and check that the
+kept arrays are read-only.
 """
 
 import math
@@ -44,20 +44,11 @@ def one_callable(model, name):
 
 
 def every_callable(model):
-    """The same plant with every matrix a callable, so that no product is kept."""
+    """The same plant with every matrix a callable."""
     return replace(model, **{n: (lambda arg, M=getattr(model, n): M(arg)) for n in MATRICES})
 
 
 PLANTS = {**{f"callable {name}": (lambda m, name=name: one_callable(m, name)) for name in MATRICES}, "varying": varying}
-
-# each kept product: where StepTerms holds it, and the matrices it is formed from
-PRODUCTS = {
-    "A_d": (lambda t: t.dm.A_d, "A"), "B_d": (lambda t: t.dm.B_d, "B"), "E_d": (lambda t: t.dm.E_d, "E"),
-    "CA_d": (lambda t: t.CA_d, "CA"), "GQG": (lambda t: t.GQG, "GQ"), "CGQGC": (lambda t: t.CGQGC, "CGQ"),
-    "A_da": (lambda t: t.augmented[0], "AE"), "B_da": (lambda t: t.augmented[1], "B"),
-    "C_a": (lambda t: t.augmented[2], "C"),
-}
-
 
 def scenario(plant, **kwargs):
     cfg = benchmark_case(1, duration=0.5, **kwargs)
@@ -68,7 +59,6 @@ def scenario(plant, **kwargs):
 def test_step_functions_equal_the_written_out_references(plant):
     cfg = scenario(plant, seeds=(3,))
     model, ref = cfg.model, every_callable(cfg.model)
-    assert model.constant and not ref.constant
     truth = generate_truth(cfg, 3)
     L = moore_penrose_pinv(model.C(0))
     state = want = r4skf.initial_state(model, cfg.x0_hat)
@@ -109,21 +99,6 @@ def test_run_scenario_equals_the_plant_with_every_matrix_a_callable(plant):
                 assert (a is None and b is None) or np.array_equal(a, b), (seed, est, f.name)
 
 
-@pytest.mark.parametrize("name", MATRICES)
-def test_the_products_of_arrays_are_kept_read_only_and_formed_afresh_on_a_copy(name):
-    model = one_callable(benchmark_model(), name)
-    assert model.constant == set(MATRICES) - {name}
-    first, later = r4skf.step_terms(model, 0), r4skf.step_terms(model, 5)
-    copy = r4skf.step_terms(replace(model), 5)
-    for product, (read, matrices) in PRODUCTS.items():
-        kept = name not in matrices
-        assert (read(later) is read(first)) == kept, product
-        assert read(copy) is not read(later) and np.array_equal(read(copy), read(later)), product
-        if kept:
-            with pytest.raises(ValueError, match="read-only"):
-                read(later)[0, 0] = 1.0
-
-
 def test_discretize_keeps_the_last_result_and_its_arrays_are_read_only():
     model = one_callable(benchmark_model(), "A")
     dm = discretize(model, 0.05)
@@ -151,6 +126,35 @@ def test_a_filter_step_then_an_observer_step_at_the_same_k_form_one_svd(svds):
         state, _ = r4skf.step(state, u, y, model)
         obs = uio.observer_step(obs, y, u, discretize(model, k * model.dt), np.asarray(model.C(k + 1), dtype=float), L)
         assert len(svds) == k + 1
+
+
+def counted(M, calls):
+    def call(arg):
+        calls.append(arg)
+        return M(arg)
+    return call
+
+
+def test_a_stream_of_k_measurements_evaluates_the_model_once_per_step(monkeypatch, svds):
+    """Stepped as a stream of single measurements: r4skf.step, a2kf.a2kf_step,
+    then the observer on model.discretize at the t step_terms read and on
+    C(k + 1). The kept StepTerms serves both filters, the kept discretization
+    the observer's A(t), and the kept F_d its SVD; without one of them A, C,
+    the SVDs or the evaluations would be counted more than K times each."""
+    cfg = scenario("varying", seeds=(3,))
+    truth, K, L = generate_truth(cfg, 3), cfg.n_steps, moore_penrose_pinv(cfg.model.C(0))
+    A_calls, C_calls = [], []
+    model = replace(cfg.model, A=counted(cfg.model.A, A_calls), C=counted(cfg.model.C, C_calls))
+    del A_calls[:], C_calls[:]                  # SystemModel reads each matrix at 0
+    evaluations = count_calls(monkeypatch, r4skf, "_evaluate")
+    state, filt = r4skf.initial_state(model, cfg.x0_hat), a2kf.initial_state(model, cfg.x0_hat)
+    obs = uio.initial_observer_state(cfg.x0_hat, model.n_d)
+    for k in range(K):
+        u, y = truth.u[k], truth.y[k]
+        state, _ = r4skf.step(state, u, y, model)
+        filt, _ = a2kf.a2kf_step(filt, u, y, model)
+        obs = uio.observer_step(obs, y, u, discretize(model, k * model.dt), np.asarray(model.C(k + 1), dtype=float), L)
+    assert (len(A_calls), len(C_calls), len(svds), len(evaluations)) == (K, 2 * K, K, K)
 
 
 def test_the_observer_checks_form_two_svds_for_600_observer_steps(monkeypatch, svds):

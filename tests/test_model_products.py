@@ -1,7 +1,7 @@
 """The model-only products of the r4skf and a2kf covariance recursions
 (C A_d, G Q G^T dt, C G Q G^T C^T dt and the identity) are formed once per
-step, or once per model when the matrices they read were given as arrays,
-and the outputs stay bit for bit what the per-seed step functions give. The a2kf twin of the
+step, or once per scenario of a time-invariant model, and the outputs stay
+bit for bit what the per-seed step functions give. The a2kf twin of the
 r4skf property in test_kernel.py draws random plants with any n_w.
 """
 
@@ -116,14 +116,12 @@ def test_products_are_formed_once_per_time_invariant_scenario(monkeypatch, time_
         cfg = replace(cfg, model=varying(cfg.model))
     gqg, cgqgc = count_calls(monkeypatch, r4skf, "process_noise"), count_calls(monkeypatch, r4skf, "output_noise")
     run_scenario(cfg)
-    # one StepTerms for both filters, once per scenario or once per step; G and
-    # Q are arrays in both plants, so G Q G^T dt is formed once per scenario
-    assert len(gqg) == 1 and len(cgqgc) == (1 if time_invariant else cfg.n_steps)
+    # one StepTerms for both filters, once per scenario or once per step
+    assert len(gqg) == len(cgqgc) == (1 if time_invariant else cfg.n_steps)
 
 
 def test_cd_four_step_forms_each_noise_product_once_per_step(monkeypatch):
-    """cd_four_step runs r4skf's covariance half on one StepTerms per step;
-    G Q G^T dt of the model's constant G and Q is formed once per model."""
+    """cd_four_step runs r4skf's covariance half on one StepTerms per step."""
     model = benchmark_case(1).model
     C = model.C(0)
     nl = cdekf.NonlinearModel(
@@ -135,4 +133,4 @@ def test_cd_four_step_forms_each_noise_product_once_per_step(monkeypatch):
     state = r4skf.initial_state(model, np.zeros(model.n_x))
     for k in range(3):
         state, _ = cdekf.cd_four_step(state, np.zeros(model.n_u), np.full(model.n_y, 0.1 * k), nl)
-    assert len(gqg) == 1 and len(cgqgc) == 3 and continuous == []
+    assert len(gqg) == len(cgqgc) == 3 and continuous == []
