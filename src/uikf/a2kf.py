@@ -118,14 +118,9 @@ def initial_state(model: SystemModel, x0_hat, P0=None, cfg: A2KFConfig = A2KFCon
     """Augmented start: d̂ = 0 with unit covariance, Q^d = qd_init * I."""
     n_x, n_d = model.n_x, model.n_d
     x_a = np.concatenate([r4skf.check_shape("x0_hat", np.asarray(x0_hat, dtype=float), (n_x,)), np.zeros(n_d)])
-    if P0 is None:
-        P0 = 10.0 * identity(n_x)
-    P_a = np.block(
-        [
-            [r4skf.check_shape("P0", np.asarray(P0, dtype=float), (n_x, n_x)), np.zeros((n_x, n_d))],
-            [np.zeros((n_d, n_x)), identity(n_d)],
-        ]
-    )
+    P0 = r4skf.DEFAULT_P0_SCALE * identity(n_x) if P0 is None else P0
+    P_a = np.array(identity(n_x + n_d))
+    P_a[:n_x, :n_x] = r4skf.check_shape("P0", np.asarray(P0, dtype=float), (n_x, n_x))
     return A2KFState(
         x_a=x_a,
         P_a=P_a,
@@ -195,15 +190,9 @@ def _project_Qd(Cgamma, CGQGC, M, R, dt, cfg) -> np.ndarray:
         triggered = (diag < 0).any(axis=-1)
     if n_d > 1 and not triggered.all():
         # off-diagonal dominance can leave an indefinite matrix even with a
-        # non-negative diagonal; fall back to the diagonal to stay PSD;
-        # eigvalsh runs only on the matrices not caught above (on a copy of
-        # them when some were), and sorts ascending: w[..., 0] is the smallest
-        if not triggered.any():
-            triggered = np.linalg.eigvalsh(Qd)[..., 0] < 0
-        else:
-            rest = ~triggered
-            triggered = np.array(triggered)
-            triggered[rest] = np.linalg.eigvalsh(Qd[rest])[..., 0] < 0
+        # non-negative diagonal; fall back to the diagonal to stay PSD. eigvalsh
+        # decides each matrix alone, so a caught one stays caught; w[..., 0] is the smallest
+        triggered = triggered | (np.linalg.eigvalsh(Qd)[..., 0] < 0)
     eye = identity(n_d)
     if triggered.any():
         Qd = np.where(triggered[..., None, None] & (eye == 0.0), 0.0, Qd)
@@ -236,6 +225,8 @@ def advance(
     u, y = np.asarray(u, dtype=float), np.asarray(y, dtype=float)
     if y.shape[-1:] != terms.R.shape[:1]:
         raise r4skf.shape_error("y", y, terms.R.shape[:1])
+    if u.shape[-1:] != terms.dm.B_d.shape[1:]:
+        raise r4skf.shape_error("u", u, terms.dm.B_d.shape[1:])
     A_da, B_da, C_a = terms.augmented
     x_pred = matvec(A_da, state.x_a) + matvec(B_da, u)
     P_pred = A_da @ state.P_a @ A_da.T + _process_noise(terms, state.Qd_hat)

@@ -152,7 +152,11 @@ def cd_four_step(
     u = np.asarray(u, dtype=float)
     E, G, Q, R = model.E, model.G, model.Q, model.R
     y = r4skf.check_shape("y", np.asarray(y, dtype=float), R.shape[:1])
-    n_x = state.x_hat.shape[0]
+    n_x = E.shape[0]
+    if state.x_hat.shape != (n_x,):
+        raise r4skf.shape_error("x_hat", state.x_hat, (n_x,))
+    if u.ndim != 1:
+        raise DimensionError(f"u: shape {u.shape} is not a vector")
 
     F_k = model.jac_f(state.x_hat, u, t)
     dm = DiscretizedModel(

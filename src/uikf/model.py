@@ -100,7 +100,7 @@ class SystemModel:
     evaluation. time_invariant is True when every matrix was given as an
     array; such a model is evaluated once per instance. A dataclasses.replace
     copy starts without kept terms. An error names the field, as in
-    `model.R: not symmetric`; n_x, ... are read from the matrices.
+    `model.R: not symmetric`; n_x, ... and _shapes are read from the values at 0.
     """
 
     A: MatrixLike
@@ -153,6 +153,7 @@ class SystemModel:
         object.__setattr__(self, "n_d", n_d)
         object.__setattr__(self, "n_y", n_y)
         object.__setattr__(self, "n_w", n_w)
+        object.__setattr__(self, "_shapes", ((A0.shape, B0.shape, E0.shape), (C0.shape, R0.shape, Q0.shape, G0.shape)))
 
     @functools.cached_property
     def time_invariant(self) -> bool:
@@ -198,21 +199,28 @@ class DiscretizedModel:
     dt: float
 
 
+def later_shape_error(step: int, names: str, values, shapes) -> str:
+    """The text that refuses the first of values, model.<name> at step for the
+    one-letter names, whose shape is not the one in shapes, its shape at 0."""
+    name, M, shape = next(v for v in zip(names, values, shapes) if v[1].shape != v[2])
+    return f"model.{name}, step {step}: shape {M.shape}, but {shape} at 0"
+
+
 def discretize(model: SystemModel, t: float) -> DiscretizedModel:
     """First-order (Euler) discretization of the plant at step start time t.
     The model keeps the last result, keyed by t, so a caller that
     discretizes it at the t r4skf.step_terms just read shares that A_d; so
-    A_d, B_d and E_d are read-only."""
+    A_d, B_d and E_d are read-only. A new shape of A, B or E is a DimensionError."""
     kept = model.__dict__.get("_discretized")
     if kept is not None and kept[0] == t:
         return kept[1]
-    dt = model.dt
-    dm = DiscretizedModel(
-        A_d=identity(model.n_x) + np.asarray(model.A(t), dtype=float) * dt,
-        B_d=np.asarray(model.B(t), dtype=float) * dt,
-        E_d=np.asarray(model.E(t), dtype=float) * dt,
-        dt=dt,
-    )
+    dt, n_x = model.dt, model.n_x
+    A = np.asarray(model.A(t), dtype=float)
+    B = np.asarray(model.B(t), dtype=float)
+    E = np.asarray(model.E(t), dtype=float)
+    if (A.shape, B.shape, E.shape) != model._shapes[0]:
+        raise DimensionError(later_shape_error(round(t / dt) + 1, "ABE", (A, B, E), model._shapes[0]))
+    dm = DiscretizedModel(A_d=identity(n_x) + A * dt, B_d=B * dt, E_d=E * dt, dt=dt)
     for M in (dm.A_d, dm.B_d, dm.E_d):
         M.flags.writeable = False
     # one assignment of an immutable pair, as in r4skf.step_terms

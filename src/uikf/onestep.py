@@ -30,6 +30,8 @@ def one_step_estimate(y: np.ndarray, C: np.ndarray) -> np.ndarray:
     axes (one row per seed), each row solved by its own LAPACK call. C is
     refused unless its 2-norm condition number is below COND_LIMIT."""
     C, y = np.asarray(C, dtype=float), np.asarray(y, dtype=float)
+    if y.shape[-1:] != C.shape[:1]:
+        raise r4skf.shape_error("y", y, C.shape[:1])
     if np.linalg.cond(C) >= COND_LIMIT:
         raise IllConditionedError("C is not numerically invertible")
     return np.linalg.solve(C, y[..., None])[..., 0]

@@ -33,7 +33,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .errors import DimensionError, IllConditionedError, RankConditionError
-from .model import DiscretizedModel, SystemModel, discretize, identity, pinv_and_rank
+from .model import DiscretizedModel, SystemModel, discretize, identity, later_shape_error, pinv_and_rank
 
 RCOND_FLOOR = 1e-14
 DEFAULT_P0_SCALE = 10.0
@@ -112,10 +112,10 @@ def matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
 
 def predict_no_input(x_hat: np.ndarray, u: np.ndarray, dm: DiscretizedModel) -> np.ndarray:
     """Step 1: propagate the estimate assuming d = 0."""
-    if x_hat.shape[-1] != dm.A_d.shape[0]:
-        raise DimensionError("x_hat does not match A_d")
-    if u.shape[-1] != dm.B_d.shape[1]:
-        raise DimensionError("u does not match B_d")
+    if x_hat.shape[-1:] != dm.A_d.shape[:1]:
+        raise shape_error("x_hat", x_hat, dm.A_d.shape[:1])
+    if u.shape[-1:] != dm.B_d.shape[1:]:
+        raise shape_error("u", u, dm.B_d.shape[1:])
     return matvec(dm.A_d, x_hat) + matvec(dm.B_d, u)
 
 
@@ -343,10 +343,10 @@ def step_terms(model: SystemModel, k: int) -> StepTerms:
 def _evaluate(model: SystemModel, k: int) -> StepTerms:
     t = k * model.dt
     dm = discretize(model, t)
-    C = np.asarray(model.C(k + 1), dtype=float)
-    R = np.asarray(model.R(k + 1), dtype=float)
-    Q = np.asarray(model.Q(t), dtype=float)
-    G = np.asarray(model.G(t), dtype=float)
+    C, R = np.asarray(model.C(k + 1), dtype=float), np.asarray(model.R(k + 1), dtype=float)
+    Q, G = np.asarray(model.Q(t), dtype=float), np.asarray(model.G(t), dtype=float)
+    if (C.shape, R.shape, Q.shape, G.shape) != model._shapes[1]:
+        raise DimensionError(later_shape_error(k + 1, "CRQG", (C, R, Q, G), model._shapes[1]))
     return StepTerms(dm, C, R, Q, G, unknown_input_gain(C, dm.E_d))
 
 
@@ -361,9 +361,9 @@ def step(
 
     gain_override replaces the Kalman gain in the measurement update (the
     covariance bookkeeping still runs); this is how a fixed observer gain
-    is reproduced on the filter code path. The shapes of y and of the gain
-    are checked, the values of y are not: a NaN leaves the covariance
-    sequence, which never reads y, as it is and the estimate NaN from then on.
+    is reproduced on the filter code path. Every shape is checked, the
+    values of y are not: a NaN leaves the covariance sequence, which never
+    reads y, as it is and the estimate NaN from then on.
     """
     return advance(state, u, y, step_terms(model, state.k), gain_override)
 

@@ -20,10 +20,9 @@ import numpy as np
 from . import a2kf, onestep, r4skf
 from .a2kf import A2KFConfig
 from .errors import ConfigError, IllConditionedError, RankConditionError
-from .model import SystemModel, _Constant, cov_factor, moore_penrose_pinv, read_only
+from .model import SystemModel, _Constant, cov_factor, later_shape_error, moore_penrose_pinv, read_only
 from .r4skf import matvec
 
-KNOWN_ESTIMATORS = ("r4skf", "a2kf", "onestep", "uio")
 SIGNAL_KINDS = ("zero", "step", "windowed_sine", "custom")
 
 
@@ -142,7 +141,7 @@ class ScenarioConfig:
                     f"scenario.signals[{j}].samples: {len(spec.samples)} samples for {self.n_steps} steps"
                 )
         for name in self.estimators:
-            if name not in KNOWN_ESTIMATORS:
+            if not (isinstance(name, str) and name in _ESTIMATORS):     # a list or dict is not hashable
                 raise ConfigError(f"scenario.estimators: unknown estimator {name!r}")
         if "onestep" in self.estimators and not onestep.is_square(self.model):
             raise ConfigError(
@@ -222,7 +221,7 @@ def _at(model: SystemModel, name: str, args, f=None) -> np.ndarray:
     for i, a in enumerate(args):
         Mk = np.asarray(M(a), dtype=float)
         if Mk.shape != shape:
-            raise ConfigError(f"model.{name}, step {i + 1}: shape {Mk.shape}, but {shape} at 0")
+            raise ConfigError(later_shape_error(i + 1, name, (Mk,), (shape,)))
         out[i] = Mk
     finite = np.isfinite(out).all(axis=(-2, -1))
     if not finite.all():

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import yaml
 
-from uikf import a2kf, benchmark, cdekf, cli, config, r4skf, sim, uio
+from uikf import a2kf, benchmark, cdekf, cli, config, onestep, r4skf, sim, uio
 from uikf.benchmark import benchmark_case
 from uikf.cdekf import NonlinearModel
 from uikf.errors import ConfigError, DimensionError, IllConditionedError
@@ -231,8 +231,35 @@ def _step_inputs():
     ("Pd0", lambda m, x0, u, y, s: r4skf.initial_state(m, x0, Pd0=np.eye(3))),
     ("x0_hat", lambda m, x0, u, y, s: a2kf.initial_state(m, np.zeros(5))),
     ("P0", lambda m, x0, u, y, s: a2kf.initial_state(m, x0, P0=np.ones(4))),
+    ("u", lambda m, x0, u, y, s: r4skf.step(s, 0.0, y, m)),
+    ("x_hat", lambda m, x0, u, y, s: r4skf.advance(replace(s, x_hat=np.array(0.0)), u, y, r4skf.step_terms(m, 0))),
+    ("u", lambda m, x0, u, y, s: a2kf.a2kf_step(a2kf.initial_state(m, x0), np.zeros(3), y, m)),
+    ("x_hat", lambda m, x0, u, y, s: cdekf.cd_four_step(replace(s, x_hat=np.zeros(3)), u, y, linear_nl_model(m))),
+    ("u", lambda m, x0, u, y, s: cdekf.cd_four_step(s, 0.0, y, linear_nl_model(m))),
+    ("y", lambda m, x0, u, y, s: onestep.one_step_estimate(y[:2], np.eye(3))),
 ], ids=["r4skf.step y", "r4skf.advance stacked y", "r4skf.step gain_override", "a2kf_step y", "observer_step y",
-        "observer_step L", "cd_four_step y", "r4skf x0_hat", "r4skf P0", "r4skf Pd0", "a2kf x0_hat", "a2kf P0"])
+        "observer_step L", "cd_four_step y", "r4skf x0_hat", "r4skf P0", "r4skf Pd0", "a2kf x0_hat", "a2kf P0",
+        "r4skf.step 0-d u", "r4skf.advance 0-d x_hat", "a2kf_step u", "cd_four_step x_hat", "cd_four_step 0-d u",
+        "one_step_estimate y"])
 def test_an_argument_of_the_wrong_shape_is_a_dimension_error_naming_it(name, call):
     with pytest.raises(DimensionError, match=f"^{re.escape(name)}: shape "):
         call(*_step_inputs())
+
+
+@pytest.mark.parametrize("name, bad", [(name, lambda M0: M0[:1]) for name in "ABEGQCR"] + [("A", lambda M0: M0[0])],
+                         ids=list("ABEGQCR") + ["A vector"])
+def test_a_later_model_value_of_the_wrong_shape_is_refused_by_the_step_as_by_the_truth(name, bad):
+    """A, B, E, G and Q are read at t = dt for step 2 and C and R at k = 1 for
+    step 1; r4skf.step refuses a changed shape with the text that the truth
+    simulator refuses it with, instead of broadcasting it or failing in numpy."""
+    cfg = benchmark_case(1, duration=0.05, seeds=(1,), estimators=("r4skf",))
+    M0 = getattr(cfg.model, name)(0)
+    model = replace(cfg.model, **{name: lambda arg: M0 if arg == 0 else bad(M0)})
+    with pytest.raises(ConfigError) as truth:
+        sim.run_scenario(replace(cfg, model=model))
+    state, y = r4skf.initial_state(model, np.zeros(4)), np.zeros(3)
+    with pytest.raises(DimensionError) as step:
+        for _ in range(2):
+            state, _ = r4skf.step(state, np.zeros(2), y, model)
+    assert str(step.value) == str(truth.value)
+    assert str(step.value).startswith(f"model.{name}, step {1 if name in 'CR' else 2}: shape ")

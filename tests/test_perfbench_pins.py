@@ -1,10 +1,12 @@
 """The library names that the benchmark harness under perfbench/ reads exist.
 
 perfbench/tracer.py wraps every (module, function) of its TRACED table, the
-harness self-tests restore some bindings by name, and the stream-tv workload
-calls uio.observer_step positionally. A deletion or rename of any of them
-breaks the traced benchmark; here it fails the test suite instead. So does a
-change of the step and evaluation counts that the self-tests assert."""
+harness self-tests restore some bindings by name, the stream-tv workload
+calls uio.observer_step positionally, and the workloads call other functions
+and constructors in fixed forms and read fields of run_scenario's result. A
+deletion or rename of any of them breaks the traced benchmark; here it fails
+the test suite instead. So does a change of the step and evaluation counts
+that the self-tests assert."""
 
 import importlib
 import importlib.util
@@ -14,7 +16,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from uikf import checks, cli, r4skf, uio
+from uikf import a2kf, benchmark, checks, cli, r4skf, sim, uio
+from uikf import model as plant_model
 from uikf.benchmark import A_PLANT, B_PLANT, C_PLANT, Q_PLANT, R_PLANT, benchmark_model
 from uikf.cdekf import NonlinearModel, cd_four_step
 from uikf.checks import square_test_model
@@ -42,6 +45,53 @@ def test_traced_name_exists(mod, name):
 
 def test_observer_step_parameters():
     assert list(inspect.signature(uio.observer_step).parameters) == ["state", "y", "u", "dm", "C", "L"]
+
+
+# every other call of perfbench/workloads.py into uikf, in the form it is written
+# there, with placeholder arguments: a renamed, removed or reordered parameter
+# fails to bind
+CALLS = {
+    "r4skf.initial_state": (r4skf.initial_state, ("m", "x0"), {}),
+    "r4skf.step": (r4skf.step, ("s", "u", "y", "m"), {}),
+    "a2kf.initial_state": (a2kf.initial_state, ("m", "x0"), {"cfg": "cfg"}),
+    "a2kf.a2kf_step": (a2kf.a2kf_step, ("s", "u", "y", "m", "cfg"), {}),
+    "a2kf.A2KFConfig": (a2kf.A2KFConfig, (), {}),
+    "uio.initial_observer_state": (uio.initial_observer_state, ("x0", "n_d"), {}),
+    "model.discretize": (plant_model.discretize, ("m", "t"), {}),
+    "cdekf.cd_four_step": (cd_four_step, ("s", "u", "y", "m"), {"method": "rk4"}),
+    "sim.generate_truth": (sim.generate_truth, ("cfg", "seed"), {}),
+    "sim.run_scenario": (sim.run_scenario, ("cfg",), {}),
+    "sim.write_timeseries_csv": (sim.write_timeseries_csv, ("path", "result", "est"), {}),
+    "sim.write_summary_csv": (sim.write_summary_csv, ("path", "results"), {}),
+    "benchmark.benchmark_case": (benchmark.benchmark_case, ("c",), {"seeds": "seeds", "duration": 0.5}),
+    "cli.main": (cli.main, ("argv",), {}),
+    "SystemModel": (plant_model.SystemModel, (), dict.fromkeys(["A", "B", "E", "G", "C", "Q", "R", "dt"])),
+    "ScenarioConfig": (sim.ScenarioConfig, (), dict.fromkeys(
+        ["model", "signals", "duration", "seeds", "x0_true", "x0_hat", "estimators"])),
+    "SignalSpec": (sim.SignalSpec, (), {"kind": "custom", "samples": None}),
+    "NonlinearModel": (NonlinearModel, (), dict.fromkeys(["f", "h", "E", "G", "Q", "R", "dt"])),
+    "FilterState": (FilterState, (), dict.fromkeys(["x_hat", "P", "d_hat", "Pd", "gamma", "k"])),
+}
+
+
+@pytest.mark.parametrize("fn, args, kwargs", CALLS.values(), ids=CALLS.keys())
+def test_perfbench_call_binds(fn, args, kwargs):
+    inspect.signature(fn).bind(*args, **kwargs)
+
+
+def test_run_scenario_result_has_the_fields_perfbench_reads():
+    cfg = benchmark.benchmark_case(1, seeds=(3, 4), duration=0.1)
+    result = sim.run_scenario(cfg)
+    n_steps = cfg.n_steps
+    for seed in cfg.seeds:
+        truth = result.truths[seed]
+        assert [truth.x.shape, truth.y.shape, truth.u.shape, truth.d.shape] == [
+            (n_steps + 1, 4), (n_steps, 3), (n_steps, 2), (n_steps, 2)]
+        for est in cfg.estimators:
+            run = result.runs[seed][est]
+            assert run.x_hat.shape == (n_steps, 4) and run.d_hat.shape == (n_steps, 2)
+    for est in cfg.estimators:
+        assert (result.rmse_mean[est]["x"].shape, result.rmse_mean[est]["d"].shape) == ((4,), (2,))
 
 
 # The counts that perfbench/selftest.py asserts on the check-cli and cd-nonlinear

@@ -5,6 +5,7 @@ inside run_scenario keep their type while naming the estimator, the seed and
 the 1-based step."""
 
 import copy
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -253,6 +254,13 @@ def test_a_config_built_in_python_refuses_a_bad_value_naming_the_field(build, me
 def test_a_config_built_in_python_refuses_a_str_or_non_iterable_list(field, value, got):
     with pytest.raises(ConfigError, match=rf"^scenario\.{field}: must be a list, got {got}$"):
         replace(CASE, **{field: value})
+
+
+@pytest.mark.parametrize("name", ["kf", "R4SKF", ["r4skf"], {"r4skf": 1}, None, 3])
+def test_an_unknown_estimator_is_named_as_given(name):
+    # a list or a dict, as YAML may give, is not hashable
+    with pytest.raises(ConfigError, match=rf"^scenario\.estimators: unknown estimator {re.escape(repr(name))}$"):
+        replace(CASE, estimators=("r4skf", name))
 
 
 @pytest.mark.parametrize("value, got", [(CASE.model.C, "_Constant"), (None, "NoneType"), ("x", "str")])

@@ -100,7 +100,8 @@ def test_qd_fallback_fires_for_some_seeds_and_not_others():
 
 def test_qd_projection_decides_the_fallback_per_seed(monkeypatch):
     """Seed 0 has a negative diagonal, seed 1 a positive diagonal but a
-    negative eigenvalue, seed 2 is PSD: eigvalsh sees seeds 1 and 2 only."""
+    negative eigenvalue, seed 2 is PSD: one eigvalsh call sees the whole
+    stack, and seed 0 stays caught by its diagonal."""
     cfg = A2KFConfig()
     M, zero = np.eye(2), np.zeros((2, 2))
     Cgamma = np.array([[[-1.0, 0.2], [0.2, 1.0]], [[1.0, 2.0], [2.0, 1.0]], [[2.0, 0.5], [0.5, 1.0]]])
@@ -112,7 +113,7 @@ def test_qd_projection_decides_the_fallback_per_seed(monkeypatch):
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counted)
     stacked = a2kf._project_Qd(Cgamma, zero, M, zero, 0.01, cfg)
-    assert seen == [2]
+    assert seen == [3]
     assert [stacked[s, 0, 1] == 0.0 for s in range(3)] == [True, True, False]
     for s in range(3):
         assert np.array_equal(stacked[s], a2kf._project_Qd(Cgamma[s], zero, M, zero, 0.01, cfg))
