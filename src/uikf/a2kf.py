@@ -221,13 +221,15 @@ def advance(
 ) -> Tuple[A2KFState, A2KFStepReport]:
     """a2kf_step on the StepTerms of the step, evaluated beforehand (see
     r4skf.step_terms). The state may be a stack along leading axes; u and y
-    then carry the same leading axes."""
+    then carry the same leading axes, and P_a is (..., n_a, n_a)."""
     u, y = np.asarray(u, dtype=float), np.asarray(y, dtype=float)
     if y.shape[-1:] != terms.R.shape[:1]:
         raise r4skf.shape_error("y", y, terms.R.shape[:1])
     if u.shape[-1:] != terms.dm.B_d.shape[1:]:
         raise r4skf.shape_error("u", u, terms.dm.B_d.shape[1:])
     A_da, B_da, C_a = terms.augmented
+    if state.P_a.shape[-2:] != A_da.shape:
+        raise r4skf.shape_error("P_a", state.P_a, A_da.shape)
     x_pred = matvec(A_da, state.x_a) + matvec(B_da, u)
     P_pred = A_da @ state.P_a @ A_da.T + _process_noise(terms, state.Qd_hat)
     K = r4skf.kalman_gain(P_pred, C_a, terms.R)

@@ -155,6 +155,8 @@ def cd_four_step(
     n_x = E.shape[0]
     if state.x_hat.shape != (n_x,):
         raise r4skf.shape_error("x_hat", state.x_hat, (n_x,))
+    if state.P.shape != (n_x, n_x):
+        raise r4skf.shape_error("P", state.P, (n_x, n_x))
     if u.ndim != 1:
         raise DimensionError(f"u: shape {u.shape} is not a vector")
 

@@ -14,7 +14,7 @@ from . import a2kf, onestep, r4skf, uio
 from .a2kf import A2KFConfig
 from .benchmark import benchmark_model
 from .errors import ESTIMATOR_FAILURES
-from .model import SystemModel, identity, moore_penrose_pinv
+from .model import SystemModel, identity
 
 
 @dataclass(frozen=True)
@@ -52,14 +52,15 @@ def check_gain_irrelevance() -> List[CheckResult]:
     ys = onestep.white_input_stream(model, 500, seed=0)
     u = np.zeros(model.n_u)
     s_opt = r4skf.initial_state(model, 100.0 * np.ones(model.n_x))
-    s_zero = r4skf.initial_state(model, 100.0 * np.ones(model.n_x))
+    s_zero = uio.initial_observer_state(100.0 * np.ones(model.n_x), model.n_d)
     K0 = np.zeros((model.n_x, model.n_y))
     dev_gain = 0.0
     dev_onestep = 0.0
     for k in range(len(ys)):
         s_opt, _ = r4skf.step(s_opt, u, ys[k], model)
-        s_zero, _ = r4skf.step(s_zero, u, ys[k], model, gain_override=K0)
-        ref = onestep.one_step_estimate(ys[k], r4skf.step_terms(model, k).C)
+        t = r4skf.step_terms(model, k)
+        s_zero = uio.observer_step(s_zero, ys[k], u, t.dm, t.C, K0)
+        ref = onestep.one_step_estimate(ys[k], t.C)
         dev_gain = max(dev_gain, float(np.linalg.norm(s_opt.x_hat - s_zero.x_hat)))
         dev_onestep = max(dev_onestep, float(np.linalg.norm(s_opt.x_hat - ref)))
     return [
@@ -91,8 +92,8 @@ def check_onestep_equivalence() -> List[CheckResult]:
 
 def check_observer_equivalence() -> List[CheckResult]:
     """Square case with L = C^{-1}: observer equals one-step estimate.
-    General case with a fixed L: observer equals the filter run with that
-    same gain."""
+    General case: the observer handed the filter's gain K of each step
+    equals the filter."""
     results = []
 
     model = square_test_model()
@@ -109,7 +110,6 @@ def check_observer_equivalence() -> List[CheckResult]:
     results.append(CheckResult("observer_square_case_vs_one_step", worst <= 1e-12, worst, 1e-12))
 
     model = benchmark_model()
-    L = 0.5 * moore_penrose_pinv(r4skf.step_terms(model, 0).C)
     rng = np.random.default_rng(2)
     obs = uio.initial_observer_state(np.zeros(model.n_x), model.n_d)
     filt = r4skf.initial_state(model, np.zeros(model.n_x))
@@ -118,8 +118,8 @@ def check_observer_equivalence() -> List[CheckResult]:
     for k in range(300):
         y = 0.01 * rng.standard_normal(model.n_y)
         t = r4skf.step_terms(model, k)
-        obs = uio.observer_step(obs, y, u, t.dm, t.C, L)
-        filt, _ = r4skf.step(filt, u, y, model, gain_override=L)
+        filt, rep = r4skf.step(filt, u, y, model)
+        obs = uio.observer_step(obs, y, u, t.dm, t.C, rep.K)
         worst = max(worst, float(np.abs(obs.x_hat - filt.x_hat).max()))
     results.append(CheckResult("observer_general_vs_filter_fixed_gain", worst <= 1e-10, worst, 1e-10))
     return results

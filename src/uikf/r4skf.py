@@ -28,7 +28,7 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -91,9 +91,9 @@ def initial_state(model: SystemModel, x0_hat, P0=None, Pd0=None) -> FilterState:
 
 
 def check_shape(name: str, M: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
-    """M, after checking that its last axes are shape (leading axes, one row
-    per seed, are free); a DimensionError names the argument."""
-    if M.shape[-len(shape):] != shape:
+    """M, after checking that its shape is exactly shape, one seed's value
+    (the runners stack seeds themselves); a DimensionError names the argument."""
+    if M.shape != shape:
         raise shape_error(name, M, shape)
     return M
 
@@ -285,7 +285,7 @@ def joseph_update(P_pred: np.ndarray, L: np.ndarray, C: np.ndarray, R: np.ndarra
 def update(x_pred: np.ndarray, y: np.ndarray, K: np.ndarray, C: np.ndarray) -> np.ndarray:
     """Step 4: measurement update of the input-corrected prediction."""
     if K.shape[-2:] != (x_pred.shape[-1], C.shape[0]):
-        raise shape_error("gain (gain_override or L)", K, (x_pred.shape[-1], C.shape[0]))
+        raise shape_error("L", K, (x_pred.shape[-1], C.shape[0]))
     return x_pred + matvec(K, y - matvec(C, x_pred))
 
 
@@ -350,36 +350,29 @@ def _evaluate(model: SystemModel, k: int) -> StepTerms:
     return StepTerms(dm, C, R, Q, G, unknown_input_gain(C, dm.E_d))
 
 
-def step(
-    state: FilterState,
-    u: np.ndarray,
-    y: np.ndarray,
-    model: SystemModel,
-    gain_override: Optional[np.ndarray] = None,
-) -> Tuple[FilterState, StepReport]:
-    """One full four-step recursion processing measurement k = state.k + 1.
-
-    gain_override replaces the Kalman gain in the measurement update (the
-    covariance bookkeeping still runs); this is how a fixed observer gain
-    is reproduced on the filter code path. Every shape is checked, the
-    values of y are not: a NaN leaves the covariance sequence, which never
-    reads y, as it is and the estimate NaN from then on.
+def step(state: FilterState, u: np.ndarray, y: np.ndarray, model: SystemModel) -> Tuple[FilterState, StepReport]:
+    """One full four-step recursion processing measurement k = state.k + 1,
+    updated with the Kalman gain K of the step (a fixed gain is
+    uio.observer_step). Every shape is checked, the values of y are not: a
+    NaN leaves the covariance sequence, which never reads y, as it is and the
+    estimate NaN from then on.
     """
-    return advance(state, u, y, step_terms(model, state.k), gain_override)
+    return advance(state, u, y, step_terms(model, state.k))
 
 
-def advance(state: FilterState, u, y, terms: StepTerms, gain_override=None) -> Tuple[FilterState, StepReport]:
+def advance(state: FilterState, u, y, terms: StepTerms) -> Tuple[FilterState, StepReport]:
     """step on model terms evaluated beforehand (see step_terms). x_hat, u
-    and y may carry a leading seed axis while P is shared: the covariance,
-    gain and Pd sequence never reads a measurement, so it runs once for all
-    seeds, and the state half runs on the stack."""
+    and y may carry a leading seed axis while P, exactly (n_x, n_x), is
+    shared: the covariance, gain and Pd sequence never reads a measurement,
+    so it runs once for all seeds, and the state half runs on the stack."""
+    if state.P.shape != terms.dm.A_d.shape:
+        raise shape_error("P", state.P, terms.dm.A_d.shape)
     Pd = unknown_input_error_cov(state.P, terms)
     _, K, L, P_post = gain_and_covariance(state.P, terms)
-    K_used = K if gain_override is None else np.asarray(gain_override, dtype=float)
     u, y = np.asarray(u, dtype=float), np.asarray(y, dtype=float)
     dm, C, F_d = terms.dm, terms.C, terms.F_d
-    x_star, d_hat, gamma, x_pred, x_hat = four_step(state.x_hat, u, y, dm, C, F_d, K_used)
+    x_star, d_hat, gamma, x_pred, x_hat = four_step(state.x_hat, u, y, dm, C, F_d, K)
 
     new_state = FilterState(x_hat=x_hat, P=P_post, d_hat=d_hat, Pd=Pd, gamma=gamma, k=state.k + 1)
-    report = StepReport(x_star=x_star, x_pred=x_pred, d_hat=d_hat, F_d=F_d, K=K_used, L=L, dm=dm, C=C)
+    report = StepReport(x_star=x_star, x_pred=x_pred, d_hat=d_hat, F_d=F_d, K=K, L=L, dm=dm, C=C)
     return new_state, report

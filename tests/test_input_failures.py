@@ -221,10 +221,9 @@ def _step_inputs():
 @pytest.mark.parametrize("name, call", [
     ("y", lambda m, x0, u, y, s: r4skf.step(s, u, y[:2], m)),
     ("y", lambda m, x0, u, y, s: r4skf.advance(replace(s, x_hat=np.zeros((5, 4))), np.zeros((5, m.n_u)), np.zeros((5, 2)), r4skf.step_terms(m, 0))),
-    ("gain (gain_override or L)", lambda m, x0, u, y, s: r4skf.step(s, u, y, m, gain_override=np.zeros((4, 2)))),
     ("y", lambda m, x0, u, y, s: a2kf.a2kf_step(a2kf.initial_state(m, x0), u, np.append(y, 0.0), m)),
     ("y", lambda m, x0, u, y, s: uio.observer_step(uio.initial_observer_state(x0, 2), y[0], u, r4skf.step_terms(m, 0).dm, m.C(1), np.zeros((4, 3)))),
-    ("gain (gain_override or L)", lambda m, x0, u, y, s: uio.observer_step(uio.initial_observer_state(x0, 2), y, u, r4skf.step_terms(m, 0).dm, m.C(1), np.eye(3))),
+    ("L", lambda m, x0, u, y, s: uio.observer_step(uio.initial_observer_state(x0, 2), y, u, r4skf.step_terms(m, 0).dm, m.C(1), np.eye(3))),
     ("y", lambda m, x0, u, y, s: cdekf.cd_four_step(s, u, y[:2], linear_nl_model(m))),
     ("x0_hat", lambda m, x0, u, y, s: r4skf.initial_state(m, x0[:3])),
     ("P0", lambda m, x0, u, y, s: r4skf.initial_state(m, x0, P0=np.eye(3))),
@@ -237,10 +236,21 @@ def _step_inputs():
     ("x_hat", lambda m, x0, u, y, s: cdekf.cd_four_step(replace(s, x_hat=np.zeros(3)), u, y, linear_nl_model(m))),
     ("u", lambda m, x0, u, y, s: cdekf.cd_four_step(s, 0.0, y, linear_nl_model(m))),
     ("y", lambda m, x0, u, y, s: onestep.one_step_estimate(y[:2], np.eye(3))),
-], ids=["r4skf.step y", "r4skf.advance stacked y", "r4skf.step gain_override", "a2kf_step y", "observer_step y",
+    # an initial state is one seed's value; the runners stack it
+    ("x0_hat", lambda m, x0, u, y, s: r4skf.initial_state(m, np.zeros((3, 4)))),
+    ("P0", lambda m, x0, u, y, s: r4skf.initial_state(m, x0, P0=np.zeros((3, 4, 4)))),
+    ("Pd0", lambda m, x0, u, y, s: r4skf.initial_state(m, x0, Pd0=np.zeros((3, 2, 2)))),
+    ("P0", lambda m, x0, u, y, s: a2kf.initial_state(m, x0, P0=np.zeros((3, 4, 4)))),
+    # the covariance a step reads: the r4skf's P is shared by the seeds, the a2kf's P_a is per seed
+    ("P", lambda m, x0, u, y, s: r4skf.step(replace(s, P=np.eye(3)), u, y, m)),
+    ("P", lambda m, x0, u, y, s: r4skf.advance(replace(s, P=np.zeros((2, 4, 4))), u, y, r4skf.step_terms(m, 0))),
+    ("P", lambda m, x0, u, y, s: cdekf.cd_four_step(replace(s, P=np.eye(3)), u, y, linear_nl_model(m))),
+    ("P_a", lambda m, x0, u, y, s: a2kf.a2kf_step(replace(a2kf.initial_state(m, x0), P_a=np.eye(5)), u, y, m)),
+], ids=["r4skf.step y", "r4skf.advance stacked y", "a2kf_step y", "observer_step y",
         "observer_step L", "cd_four_step y", "r4skf x0_hat", "r4skf P0", "r4skf Pd0", "a2kf x0_hat", "a2kf P0",
         "r4skf.step 0-d u", "r4skf.advance 0-d x_hat", "a2kf_step u", "cd_four_step x_hat", "cd_four_step 0-d u",
-        "one_step_estimate y"])
+        "one_step_estimate y", "r4skf stacked x0_hat", "r4skf stacked P0", "r4skf stacked Pd0", "a2kf stacked P0",
+        "r4skf.step P", "r4skf.advance stacked P", "cd_four_step P", "a2kf_step P_a"])
 def test_an_argument_of_the_wrong_shape_is_a_dimension_error_naming_it(name, call):
     with pytest.raises(DimensionError, match=f"^{re.escape(name)}: shape "):
         call(*_step_inputs())

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from uikf import onestep, r4skf
+from uikf import onestep, r4skf, uio
 from uikf.checks import square_test_model
 from uikf.errors import IllConditionedError
 from uikf.model import discretize, moore_penrose_pinv
@@ -116,10 +116,11 @@ class TestSquareCaseStability:
         K0 = np.zeros((2, 2))
         outs = []
         for x0 in ([0.0, 0.0], [100.0, -50.0]):
-            state = r4skf.initial_state(model, np.array(x0))
+            state = uio.initial_observer_state(np.array(x0), model.n_d)
             seq = []
-            for y in ys:
-                state, _ = r4skf.step(state, np.zeros(1), y, model, gain_override=K0)
+            for k, y in enumerate(ys):
+                t = r4skf.step_terms(model, k)
+                state = uio.observer_step(state, y, np.zeros(1), t.dm, t.C, K0)
                 seq.append(state.x_hat.copy())
             outs.append(np.array(seq))
         assert np.abs(outs[0] - outs[1]).max() <= 1e-10

@@ -140,18 +140,16 @@ def linear_nl_model(model):
     )
 
 
-@pytest.mark.parametrize("override", [False, True])
-def test_step_report_stability_matrices_of_r4skf_step(override):
+def test_step_report_stability_matrices_of_r4skf_step():
     model = benchmark_model()
     state = r4skf.initial_state(model, np.ones(model.n_x))
     u, y = np.zeros(model.n_u), np.array([0.3, -0.2, 0.1])
-    gain = np.full((model.n_x, model.n_y), 0.1) if override else None
-    _, rep = r4skf.step(state, u, y, model, gain_override=gain)
+    _, rep = r4skf.step(state, u, y, model)
 
     dm = discretize(model, 0.0)
     C, R, Q, G = model.C(1), model.R(1), model.Q(0.0), model.G(0.0)
     F_d = r4skf.unknown_input_gain(C, dm.E_d)
-    K = gain if override else r4skf.gain_and_covariance(state.P, r4skf.StepTerms(dm, C, R, Q, G, F_d))[1]
+    K = r4skf.gain_and_covariance(state.P, r4skf.StepTerms(dm, C, R, Q, G, F_d))[1]
     A_bar, A_tilde, *_ = r4skf.stability_matrices(dm, C, F_d, K)
     assert np.array_equal(rep.A_bar, A_bar)
     assert np.array_equal(rep.A_tilde, A_tilde)

@@ -8,6 +8,7 @@ deletion or rename of any of them breaks the traced benchmark; here it fails
 the test suite instead. So does a change of the step and evaluation counts
 that the self-tests assert."""
 
+import ast
 import importlib
 import importlib.util
 import inspect
@@ -15,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 
 from uikf import a2kf, benchmark, checks, cli, r4skf, sim, uio
 from uikf import model as plant_model
@@ -23,7 +25,10 @@ from uikf.cdekf import NonlinearModel, cd_four_step
 from uikf.checks import square_test_model
 from uikf.r4skf import FilterState
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+from test_input_failures import DOC
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 def traced_names():
@@ -96,6 +101,14 @@ def test_run_scenario_result_has_the_fields_perfbench_reads():
 
 # The counts that perfbench/selftest.py asserts on the check-cli and cd-nonlinear
 # workloads, held here by monkeypatched counters without importing the harness.
+def check_cli_steps():
+    """The step constants of perfbench/workloads.py's CheckCli, read from its source."""
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    body = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "CheckCli").body
+    return {node.targets[0].id: ast.literal_eval(node.value) for node in body
+            if isinstance(node, ast.Assign) and node.targets[0].id in ("PROPERTY_STEPS", "STABILITY_STEPS")}
+
+
 def count_calls(monkeypatch, module, name, counts):
     fn = getattr(module, name)
 
@@ -106,12 +119,27 @@ def count_calls(monkeypatch, module, name, counts):
     monkeypatch.setattr(module, name, counted)
 
 
-def test_check_properties_runs_1900_filter_and_600_observer_steps(monkeypatch, capsys):
+def count_steps(monkeypatch, argv):
+    """The r4skf.step and uio.observer_step calls of one successful command line."""
     counts = {"step": 0, "observer_step": 0}
     count_calls(monkeypatch, r4skf, "step", counts)
     count_calls(monkeypatch, uio, "observer_step", counts)
-    assert cli.main(["check", "properties"]) == 0
-    assert counts == {"step": 1900, "observer_step": 600}
+    assert cli.main(argv) == 0
+    return counts
+
+
+def test_check_properties_runs_1400_filter_and_1100_observer_steps(monkeypatch, capsys):
+    counts = count_steps(monkeypatch, ["check", "properties"])
+    assert sum(counts.values()) == check_cli_steps()["PROPERTY_STEPS"]
+    assert counts == {"step": 1400, "observer_step": 1100}
+
+
+def test_check_stability_with_a_config_runs_1000_filter_steps_per_model(monkeypatch, capsys, tmp_path):
+    config = tmp_path / "scenario.yaml"
+    config.write_text(yaml.safe_dump(DOC))
+    counts = count_steps(monkeypatch, ["check", "stability", "--config", str(config)])
+    assert sum(counts.values()) == check_cli_steps()["STABILITY_STEPS"]
+    assert counts == {"step": 3 * 1000, "observer_step": 0}
 
 
 @pytest.mark.parametrize("model", [benchmark_model(), square_test_model()], ids=["benchmark", "square"])
