@@ -4,7 +4,8 @@ The unknown input is modeled as a random walk driven by white noise of
 covariance Q^d and appended to the state. A standard Kalman filter runs on
 the augmented system while Q^d is re-estimated every step from a short
 window of innovations: the excess innovation covariance (what process and
-measurement noise cannot explain) is mapped back through (C E_d)^+.
+measurement noise cannot explain) is mapped back through (C E_d)^+ and
+kept symmetric PSD by one projection (estimate_Qd).
 
 A step reads the model only through r4skf's StepTerms, as every estimator
 does; so a C E_d of rank below n_d is refused. augment assembles the
@@ -33,20 +34,14 @@ from .model import DiscretizedModel, SystemModel, discretize, identity, moore_pe
 @dataclass(frozen=True)
 class A2KFConfig:
     window: int = 10                  # innovations kept for the covariance estimate
-    qd_floor: float = 1e-12           # lower clamp on the Q^d diagonal
-    qd_init: float = 1e-6             # initial Q^d = qd_init * I
-    rescale_by_dt: bool = False       # optional 1/dt scaling of the estimate
-    negative_check: str = "post"      # "post": diagonal of Q^d; "pre": entries of C_gamma0
+    qd_floor: float = 1e-12           # lower clamp on the diagonal of every Q^d estimate
+    qd_init: float = 1e-6             # Q^d = qd_init * I until the first estimate
 
     def __post_init__(self):
         if not isinstance(self.window, numbers.Integral) or isinstance(self.window, bool):
             raise ConfigError(f"a2kf.window: must be an integer, got {self.window!r}")
-        if not isinstance(self.rescale_by_dt, bool):
-            raise ConfigError(f"a2kf.rescale_by_dt: must be true or false, got {self.rescale_by_dt!r}")
         if self.window < 1:
             raise ConfigError(f"a2kf.window: must be at least 1, got {self.window}")
-        if self.negative_check not in ("post", "pre"):
-            raise ConfigError(f"a2kf.negative_check: must be 'post' or 'pre', got {self.negative_check!r}")
         for name in ("qd_floor", "qd_init"):
             value = getattr(self, name)
             if not (isinstance(value, numbers.Real) and np.isfinite(value) and value >= 0):
@@ -167,27 +162,23 @@ def estimate_Qd(
         C_gamma0 = C_gamma - C G Q G^T C^T dt - R
         Q^d      = (C E_d)^+ C_gamma0 (E_d^T C^T)^+
 
-    Negative-value handling keeps the result symmetric PSD: when triggered
-    (negative diagonal of the transform by default, any negative entry of
-    C_gamma0 in "pre" mode) only the main diagonal is kept; the diagonal is
-    always clamped from below at qd_floor.
+    and keep the result symmetric PSD: a Q^d with a negative diagonal entry
+    or a negative eigenvalue keeps only its main diagonal, and the diagonal
+    is clamped from below at cfg.qd_floor.
     """
     CGQGC = r4skf.output_noise(C, G, Q, dm.dt)
-    return _project_Qd(Cgamma, CGQGC, moore_penrose_pinv(C @ dm.E_d), R, dm.dt, cfg)
+    return _project_Qd(Cgamma, CGQGC, moore_penrose_pinv(C @ dm.E_d), R, cfg.qd_floor)
 
 
-def _project_Qd(Cgamma, CGQGC, M, R, dt, cfg) -> np.ndarray:
-    """estimate_Qd on precomputed model terms, M = (C E_d)^+; Cgamma may be a
+def _project_Qd(Cgamma, CGQGC, M, R, qd_floor) -> np.ndarray:
+    """estimate_Qd on precomputed model terms, CGQGC = C G Q G^T C^T dt and
+    M = (C E_d)^+, with the diagonal clamped at qd_floor. Cgamma may be a
     stack (..., n_y, n_y), and the diagonal fallback is decided per matrix."""
-    Cg0 = Cgamma - CGQGC - R
-    Qd = M @ Cg0 @ M.T
+    Qd = M @ (Cgamma - CGQGC - R) @ M.T
     Qd = 0.5 * (Qd + Qd.swapaxes(-1, -2))
     n_d = Qd.shape[-1]
     diag = Qd.diagonal(0, -2, -1)      # the diagonal fallback below keeps it
-    if cfg.negative_check == "pre":
-        triggered = (Cg0 < 0).any(axis=(-2, -1))
-    else:
-        triggered = (diag < 0).any(axis=-1)
+    triggered = (diag < 0).any(axis=-1)
     if n_d > 1 and not triggered.all():
         # off-diagonal dominance can leave an indefinite matrix even with a
         # non-negative diagonal; fall back to the diagonal to stay PSD. eigvalsh
@@ -196,11 +187,8 @@ def _project_Qd(Cgamma, CGQGC, M, R, dt, cfg) -> np.ndarray:
     eye = identity(n_d)
     if triggered.any():
         Qd = np.where(triggered[..., None, None] & (eye == 0.0), 0.0, Qd)
-    lift = np.maximum(cfg.qd_floor - diag, 0.0)
-    Qd = Qd + lift[..., None] * eye
-    if cfg.rescale_by_dt:
-        Qd = Qd / dt
-    return Qd
+    lift = np.maximum(qd_floor - diag, 0.0)
+    return Qd + lift[..., None] * eye
 
 
 def a2kf_step(
@@ -221,15 +209,18 @@ def advance(
 ) -> Tuple[A2KFState, A2KFStepReport]:
     """a2kf_step on the StepTerms of the step, evaluated beforehand (see
     r4skf.step_terms). The state may be a stack along leading axes; u and y
-    then carry the same leading axes, and P_a is (..., n_a, n_a)."""
+    then carry the same leading axes, x_a is (..., n_a) and P_a has the
+    leading axes of x_a, (..., n_a, n_a)."""
     u, y = np.asarray(u, dtype=float), np.asarray(y, dtype=float)
     if y.shape[-1:] != terms.R.shape[:1]:
         raise r4skf.shape_error("y", y, terms.R.shape[:1])
     if u.shape[-1:] != terms.dm.B_d.shape[1:]:
         raise r4skf.shape_error("u", u, terms.dm.B_d.shape[1:])
     A_da, B_da, C_a = terms.augmented
-    if state.P_a.shape[-2:] != A_da.shape:
-        raise r4skf.shape_error("P_a", state.P_a, A_da.shape)
+    if state.x_a.shape[-1:] != A_da.shape[:1]:
+        raise r4skf.shape_error("x_a", state.x_a, A_da.shape[:1])
+    if state.P_a.shape != state.x_a.shape[:-1] + A_da.shape:
+        raise r4skf.shape_error("P_a", state.P_a, state.x_a.shape[:-1] + A_da.shape)
     x_pred = matvec(A_da, state.x_a) + matvec(B_da, u)
     P_pred = A_da @ state.P_a @ A_da.T + _process_noise(terms, state.Qd_hat)
     K = r4skf.kalman_gain(P_pred, C_a, terms.R)
@@ -238,7 +229,7 @@ def advance(
     P_new = r4skf.joseph_update(P_pred, K, C_a, terms.R)
 
     window = np.concatenate([state.innov_window, gamma[..., None, :]], axis=-2)[..., -cfg.window:, :]
-    Qd_next = _project_Qd(innovation_covariance(window), terms.CGQGC, terms.F_d, terms.R, terms.dm.dt, cfg)
+    Qd_next = _project_Qd(innovation_covariance(window), terms.CGQGC, terms.F_d, terms.R, cfg.qd_floor)
 
     new_state = A2KFState(x_a=x_new, P_a=P_new, innov_window=window, Qd_hat=Qd_next, k=state.k + 1)
     report = A2KFStepReport(gamma=gamma, K=K, Qd_used=state.Qd_hat, x_pred=x_pred)

@@ -134,7 +134,7 @@ def check_qd_reconstruction() -> List[CheckResult]:
     S = M @ M.T + 0.5 * identity(model.n_d)
     CEd = t.C @ t.dm.E_d
     Cgamma = CEd @ S @ CEd.T + t.CGQGC + t.R
-    S_hat = a2kf._project_Qd(Cgamma, t.CGQGC, t.F_d, t.R, t.dm.dt, A2KFConfig())
+    S_hat = a2kf._project_Qd(Cgamma, t.CGQGC, t.F_d, t.R, A2KFConfig().qd_floor)
     err = float(np.abs(S_hat - S).max() / np.abs(S).max())
     return [CheckResult("qd_spd_round_trip", err <= 1e-10, err, 1e-10)]
 

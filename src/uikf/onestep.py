@@ -37,29 +37,23 @@ def one_step_estimate(y: np.ndarray, C: np.ndarray) -> np.ndarray:
     return np.linalg.solve(C, y[..., None])[..., 0]
 
 
-def white_input_stream(model: SystemModel, steps: int, seed: int, d_scale: float = 1.0) -> np.ndarray:
+def white_input_stream(model: SystemModel, steps: int, seed: int) -> np.ndarray:
     """Measurements y_1..y_steps of the model from x0 = 0, driven by a white
-    unknown input of standard deviation d_scale; one default_rng(seed) draws
+    unknown input of unit standard deviation; one default_rng(seed) draws
     the input and then the truth's noise."""
     rng = np.random.default_rng(seed)
-    d = d_scale * rng.standard_normal((steps, model.n_d))
+    d = rng.standard_normal((steps, model.n_d))
     return sim.simulate(model, np.zeros(model.n_x), d, [rng])[1][0]
 
 
-def equivalence_check(
-    model: SystemModel,
-    steps: int,
-    seed: int,
-    x0_hat=None,
-    d_scale: float = 1.0,
-) -> float:
+def equivalence_check(model: SystemModel, steps: int, seed: int, x0_hat=None) -> float:
     """Run the full four-step filter and the one-step estimate on the same
     random measurement stream; return the max per-step scaled deviation
     max_k ||x̂_filter - C^{-1} y|| / (1 + ||C^{-1} y||).
     """
     if not is_square(model):
         raise ValueError("equivalence_check requires n_x = n_y = n_d")
-    ys = white_input_stream(model, steps, seed, d_scale)
+    ys = white_input_stream(model, steps, seed)
     state = r4skf.initial_state(
         model, np.zeros(model.n_x) if x0_hat is None else np.asarray(x0_hat, dtype=float)
     )

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from uikf import a2kf
+from uikf import a2kf, config
 from uikf.a2kf import A2KFConfig
 from uikf.benchmark import B_PLANT, benchmark_model
 from uikf.errors import ConfigError
@@ -110,22 +110,10 @@ class TestEstimateQd:
         # arbitrary symmetric (possibly indefinite) innovation covariance
         M = rng.standard_normal((3, 3))
         Cgamma = 0.5 * (M + M.T)
-        for check in ("post", "pre"):
-            Qd = a2kf.estimate_Qd(Cgamma, dm, C, Q, G, R, A2KFConfig(negative_check=check))
-            assert np.allclose(Qd, Qd.T)
-            assert np.linalg.eigvalsh(Qd).min() >= -1e-12 * max(1.0, np.abs(Qd).max())
-            assert np.diag(Qd).min() >= 0.0
-
-    def test_rescale_flag(self):
-        model, dm, C, Q, G, R = self._pieces()
-        rng = np.random.default_rng(8)
-        M = rng.standard_normal((2, 2))
-        S = M @ M.T + 0.5 * np.eye(2)
-        CEd = C @ dm.E_d
-        Cgamma = CEd @ S @ CEd.T + C @ G @ Q @ G.T @ C.T * dm.dt + R
-        base = a2kf.estimate_Qd(Cgamma, dm, C, Q, G, R, A2KFConfig())
-        scaled = a2kf.estimate_Qd(Cgamma, dm, C, Q, G, R, A2KFConfig(rescale_by_dt=True))
-        assert np.allclose(scaled, base / dm.dt)
+        Qd = a2kf.estimate_Qd(Cgamma, dm, C, Q, G, R, A2KFConfig())
+        assert np.allclose(Qd, Qd.T)
+        assert np.linalg.eigvalsh(Qd).min() >= -1e-12 * max(1.0, np.abs(Qd).max())
+        assert np.diag(Qd).min() >= 0.0
 
 
 class TestA2KFStep:
@@ -210,7 +198,6 @@ class TestConfigValidation:
         "field, value",
         [
             ("window", 0),
-            ("negative_check", "Pre"),
             ("qd_floor", -1.0),
             ("qd_floor", float("nan")),
             ("qd_init", -1e-6),
@@ -220,6 +207,11 @@ class TestConfigValidation:
     def test_bad_setting_is_a_config_error_naming_the_field(self, field, value):
         with pytest.raises(ConfigError, match=rf"^a2kf\.{field}: "):
             A2KFConfig(**{field: value})
+
+    @pytest.mark.parametrize("key, value", [("negative_check", "pre"), ("rescale_by_dt", True)])
+    def test_a_former_qd_switch_is_an_unknown_key(self, key, value):
+        with pytest.raises(ConfigError, match=rf"^a2kf\.{key}: unknown key, expected one of window, qd_floor, qd_init$"):
+            config.parse_a2kf({key: value})
 
     def test_window_below_one_rejected(self):
         # a zero window used to slice with [-0:] and keep every innovation

@@ -157,16 +157,14 @@ class TestConfigParsing:
             config.parse_scenario(doc)
 
     def test_a2kf_options(self):
-        doc = deep_update(MINIMAL_DOC, ("a2kf",),
-                          {"window": 5, "rescale_by_dt": True, "negative_check": "pre"})
+        doc = deep_update(MINIMAL_DOC, ("a2kf",), {"window": 5, "qd_floor": 1e-10, "qd_init": 1e-5})
         cfg = config.parse_scenario(doc)
-        assert cfg.a2kf_config.window == 5
-        assert cfg.a2kf_config.rescale_by_dt is True
-        assert cfg.a2kf_config.negative_check == "pre"
+        assert (cfg.a2kf_config.window, cfg.a2kf_config.qd_floor, cfg.a2kf_config.qd_init) == (5, 1e-10, 1e-5)
 
-    def test_bad_negative_check(self):
-        doc = deep_update(MINIMAL_DOC, ("a2kf",), {"negative_check": "maybe"})
-        with pytest.raises(ConfigError, match="negative_check"):
+    @pytest.mark.parametrize("key, value", [("negative_check", "pre"), ("rescale_by_dt", True)])
+    def test_a_former_qd_switch_is_an_unknown_key(self, key, value):
+        doc = deep_update(MINIMAL_DOC, ("a2kf",), {key: value})
+        with pytest.raises(ConfigError, match=rf"^a2kf\.{key}: unknown key, expected one of window, qd_floor, qd_init$"):
             config.parse_scenario(doc)
 
 

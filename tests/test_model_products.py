@@ -42,7 +42,7 @@ def plants(draw):
     return model, rng
 
 
-configs = st.builds(A2KFConfig, window=st.integers(1, 12), negative_check=st.sampled_from(("post", "pre")))
+configs = st.builds(A2KFConfig, window=st.integers(1, 12))
 
 
 @settings(max_examples=25, deadline=None)

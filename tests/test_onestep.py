@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from uikf import onestep, r4skf, uio
+from uikf import onestep, r4skf, sim, uio
 from uikf.checks import square_test_model
 from uikf.errors import IllConditionedError
 from uikf.model import discretize, moore_penrose_pinv
@@ -80,8 +80,12 @@ class TestOneStepErrorCov:
 class TestEquivalenceCheck:
     def test_zero_unknown_input(self):
         model = square_test_model()
-        dev = onestep.equivalence_check(model, steps=50, seed=0, d_scale=0.0)
-        assert dev <= 1e-9
+        ys = sim.simulate(model, np.zeros(2), np.zeros((50, 2)), [np.random.default_rng(0)])[1][0]
+        state = r4skf.initial_state(model, np.zeros(2))
+        for k in range(50):
+            state, _ = r4skf.step(state, np.zeros(model.n_u), ys[k], model)
+            ref = onestep.one_step_estimate(ys[k], r4skf.step_terms(model, k).C)
+            assert np.linalg.norm(state.x_hat - ref) <= 1e-9 * (1.0 + np.linalg.norm(ref))
 
     def test_random_inputs_500_steps(self):
         model = square_test_model()

@@ -6,7 +6,8 @@ calls uio.observer_step positionally, and the workloads call other functions
 and constructors in fixed forms and read fields of run_scenario's result. A
 deletion or rename of any of them breaks the traced benchmark; here it fails
 the test suite instead. So does a change of the step and evaluation counts
-that the self-tests assert."""
+that the self-tests assert, and an a2kf or uio key of check-cli's YAML that
+the config parser no longer accepts."""
 
 import ast
 import importlib
@@ -18,7 +19,7 @@ import numpy as np
 import pytest
 import yaml
 
-from uikf import a2kf, benchmark, checks, cli, r4skf, sim, uio
+from uikf import a2kf, benchmark, checks, cli, config, r4skf, sim, uio
 from uikf import model as plant_model
 from uikf.benchmark import A_PLANT, B_PLANT, C_PLANT, Q_PLANT, R_PLANT, benchmark_model
 from uikf.cdekf import NonlinearModel, cd_four_step
@@ -99,13 +100,37 @@ def test_run_scenario_result_has_the_fields_perfbench_reads():
         assert (result.rmse_mean[est]["x"].shape, result.rmse_mean[est]["d"].shape) == ((4,), (2,))
 
 
+def check_cli_body():
+    """The statements of perfbench/workloads.py's CheckCli class, read from its source."""
+    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
+    return next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "CheckCli").body
+
+
+def check_cli_sections():
+    """The literal "a2kf" and "uio" mappings of the YAML document that CheckCli writes."""
+    init = next(node for node in check_cli_body() if isinstance(node, ast.FunctionDef) and node.name == "__init__")
+    doc = next(node.value for node in ast.walk(init)
+               if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", None) == "doc")
+    return {key.value: ast.literal_eval(value) for key, value in zip(doc.keys, doc.values)
+            if key.value in ("a2kf", "uio")}
+
+
+def test_the_check_cli_config_sections_parse():
+    """A deleted or renamed a2kf or uio key would make check-cli's simulate exit 1."""
+    sections = check_cli_sections()
+    assert set(sections) == {"a2kf", "uio"}
+    a2kf_config = config.parse_a2kf(sections["a2kf"])
+    doc = {**DOC, **sections, "scenario": {**DOC["scenario"], "estimators": ["r4skf", "a2kf", "uio"]}}
+    cfg = config.parse_scenario(doc)
+    assert cfg.a2kf_config == a2kf_config
+    assert np.array_equal(cfg.uio_gain, sections["uio"]["gain"])
+
+
 # The counts that perfbench/selftest.py asserts on the check-cli and cd-nonlinear
 # workloads, held here by monkeypatched counters without importing the harness.
 def check_cli_steps():
-    """The step constants of perfbench/workloads.py's CheckCli, read from its source."""
-    tree = ast.parse((PERFBENCH / "workloads.py").read_text())
-    body = next(node for node in tree.body if isinstance(node, ast.ClassDef) and node.name == "CheckCli").body
-    return {node.targets[0].id: ast.literal_eval(node.value) for node in body
+    """The step constants of CheckCli."""
+    return {node.targets[0].id: ast.literal_eval(node.value) for node in check_cli_body()
             if isinstance(node, ast.Assign) and node.targets[0].id in ("PROPERTY_STEPS", "STABILITY_STEPS")}
 
 

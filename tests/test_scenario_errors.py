@@ -146,7 +146,6 @@ def test_a_bad_scenario_value_exits_1_naming_the_field(tmp_path, capsys, section
         (("a2kf",), {"window": "abc"}, "a2kf.window", "must be an integer"),
         (("a2kf",), {"window": 2.7}, "a2kf.window", "must be an integer"),
         (("a2kf",), {"qd_floor": "abc"}, "a2kf.qd_floor", "not a number"),
-        (("a2kf",), {"rescale_by_dt": "abc"}, "a2kf.rescale_by_dt", "must be true or false"),
         (("a2kf",), 3, "a2kf", "must be a mapping"),
         (("model",), 3, "model", "must be a mapping"),
         (("scenario",), 3, "scenario", "must be a mapping"),
@@ -172,6 +171,9 @@ def test_a_bad_scenario_value_exits_1_naming_the_field(tmp_path, capsys, section
         (("scenario", "seed"), [1], "scenario.seed", "unknown key"),
         (("scenario", "signals", 0, "amp"), 0.5, "scenario.signals[0].amp", "unknown key"),
         (("a2kf",), {"windw": 5}, "a2kf.windw", "unknown key"),
+        # the a2kf has one Q^d projection: its former switches are not keys
+        (("a2kf",), {"negative_check": "pre"}, "a2kf.negative_check", "unknown key, expected one of window, qd_floor, qd_init"),
+        (("a2kf",), {"rescale_by_dt": True}, "a2kf.rescale_by_dt", "unknown key, expected one of window, qd_floor, qd_init"),
         (("uio",), {"gian": [[1.0, 0.0], [0.0, 1.0]]}, "uio.gian", "unknown key"),
     ],
 )
@@ -225,7 +227,6 @@ CASE = benchmark_case(1, duration=0.5, seeds=(1, 2))
         (lambda: SignalSpec(kind="custom"), r"^samples: required for kind=custom$"),
         (lambda: SignalSpec(kind="custom", samples=np.zeros((2, 5))), r"^samples: expected a flat array, got ndim=2$"),
         (lambda: A2KFConfig(window=2.5), r"^a2kf\.window: must be an integer, got 2\.5$"),
-        (lambda: A2KFConfig(rescale_by_dt="no"), r"^a2kf\.rescale_by_dt: must be true or false, got 'no'$"),
         (lambda: replace(CASE, seeds=(1.5,)), r"^scenario\.seeds: must be a non-empty list of integers, got \[1\.5\]$"),
         (lambda: replace(CASE, seeds=(1, 2, 1)), r"^scenario\.seeds: 1 is repeated$"),
         (lambda: replace(CASE, estimators=()), r"^scenario\.estimators: must be a non-empty list$"),

@@ -45,15 +45,12 @@ def kalman_gain_reference(P_pred, C, R):
     return np.linalg.solve(S, C @ P_pred).swapaxes(-1, -2)
 
 
-def project_Qd_reference(Cgamma, CGQGC, M, R, dt, cfg):
+def project_Qd_reference(Cgamma, CGQGC, M, R, qd_floor):
     Cg0 = Cgamma - CGQGC - R
     Qd = M @ Cg0 @ M.T
     Qd = 0.5 * (Qd + Qd.swapaxes(-1, -2))
     n_d = Qd.shape[-1]
-    if cfg.negative_check == "pre":
-        triggered = (Cg0 < 0).any(axis=(-2, -1))
-    else:
-        triggered = (Qd.diagonal(0, -2, -1) < 0).any(axis=-1)
+    triggered = (Qd.diagonal(0, -2, -1) < 0).any(axis=-1)
     if n_d > 1 and not triggered.all():
         rest = ~triggered
         triggered = np.array(triggered)
@@ -61,11 +58,8 @@ def project_Qd_reference(Cgamma, CGQGC, M, R, dt, cfg):
     eye = identity(n_d)
     if triggered.any():
         Qd = np.where(triggered[..., None, None] & (eye == 0.0), 0.0, Qd)
-    lift = np.clip(cfg.qd_floor - Qd.diagonal(0, -2, -1), 0.0, None)
-    Qd = Qd + lift[..., None] * eye
-    if cfg.rescale_by_dt:
-        Qd = Qd / dt
-    return Qd
+    lift = np.clip(qd_floor - Qd.diagonal(0, -2, -1), 0.0, None)
+    return Qd + lift[..., None] * eye
 
 
 def outcome(fn, *args):
@@ -213,11 +207,11 @@ def test_kalman_gain_equals_the_abs_test_on_random_stacks(n, n_y, seed, log_r, i
 
 # with M = I, CGQGC = R = 0 the projection is Cgamma itself
 QD_KINDS = {
-    # positive definite with non-negative entries: no trigger in either mode
+    # positive definite with non-negative entries: no trigger
     "none": {1: [[2.0]], 2: [[2.0, 0.5], [0.5, 1.0]], 3: [[2.0, 0.5, 0.1], [0.5, 1.0, 0.2], [0.1, 0.2, 3.0]]},
-    # a negative diagonal entry: the diagonal test of either mode
+    # a negative diagonal entry: the diagonal test
     "diagonal": {1: [[-1.0]], 2: [[-1.0, 0.5], [0.5, 1.0]], 3: [[1.0, 0.0, 0.0], [0.0, -2.0, 0.3], [0.0, 0.3, 1.0]]},
-    # non-negative entries but indefinite: only the eigenvalue test ("post")
+    # non-negative entries but indefinite: only the eigenvalue test
     "eigenvalue": {1: [[0.0]], 2: [[1.0, 2.0], [2.0, 1.0]], 3: [[1.0, 0.0, 2.0], [0.0, 1.0, 0.0], [2.0, 0.0, 1.0]]},
 }
 MIXES = [("none",), ("diagonal",), ("eigenvalue",), ("none", "diagonal"), ("diagonal", "eigenvalue"),
@@ -225,8 +219,7 @@ MIXES = [("none",), ("diagonal",), ("eigenvalue",), ("none", "diagonal"), ("diag
 
 
 def qd_configs():
-    return [A2KFConfig(negative_check=mode, rescale_by_dt=rescale, qd_floor=floor)
-            for mode in ("post", "pre") for rescale in (False, True) for floor in (1e-12, 0.5)]
+    return [A2KFConfig(qd_floor=floor) for floor in (1e-12, 0.5)]
 
 
 @pytest.mark.parametrize("cfg", qd_configs())
@@ -235,10 +228,10 @@ def qd_configs():
 def test_project_Qd_equals_the_reference_on_mixed_stacks(cfg, n_d, mix):
     Cgamma = np.array([QD_KINDS[kind][n_d] for kind in mix])
     zero, eye = np.zeros((n_d, n_d)), np.eye(n_d)
-    for args in ((Cgamma[0], zero, eye, zero, 0.01, cfg), (Cgamma, zero, eye, zero, 0.01, cfg)):
+    for args in ((Cgamma[0], zero, eye, zero, cfg.qd_floor), (Cgamma, zero, eye, zero, cfg.qd_floor)):
         got = a2kf._project_Qd(*args)
         assert np.array_equal(got, project_Qd_reference(*args))
-    # in either mode every triggered matrix, and only those, loses its off-diagonal entries
+    # every triggered matrix, and only those, loses its off-diagonal entries
     if n_d > 1:
         for i, kind in enumerate(mix):
             assert (got[i][eye == 0.0] == 0.0).all() == (kind != "none"), (kind, got[i])
@@ -255,5 +248,5 @@ def test_project_Qd_equals_the_reference_on_random_stacks(n_d, extra_y, stack, s
     Cgamma = G.swapaxes(-1, -2) @ G / 4
     N = rng.standard_normal((n_y, n_y))
     CGQGC, R = 0.3 * N @ N.T, 0.2 * np.eye(n_y)
-    args = (Cgamma if stacked else Cgamma[0], CGQGC, M, R, 0.01, cfg)
+    args = (Cgamma if stacked else Cgamma[0], CGQGC, M, R, cfg.qd_floor)
     assert np.array_equal(a2kf._project_Qd(*args), project_Qd_reference(*args))
