@@ -82,9 +82,12 @@ def test_stacked_path_equals_per_seed_steps(n_seeds, case):
     assert_equals_reference(cfg)
 
 
-@pytest.mark.parametrize("window", (1, 10))
-def test_stacked_a2kf_equals_per_seed_steps(window):
-    a2kf_config = A2KFConfig(window=window)
+@pytest.mark.parametrize(
+    "window, qd_floor, qd_init",
+    list(itertools.product((1, 10), (1e-12, 0.5), (1e-6, 1e-2))),
+)
+def test_stacked_a2kf_equals_per_seed_steps(window, qd_floor, qd_init):
+    a2kf_config = A2KFConfig(window=window, qd_floor=qd_floor, qd_init=qd_init)
     cfg = benchmark_case(1, duration=1.0, seeds=SEEDS[5], estimators=("a2kf",), a2kf_config=a2kf_config)
     assert_equals_reference(cfg)
 

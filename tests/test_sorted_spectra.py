@@ -218,8 +218,9 @@ MIXES = [("none",), ("diagonal",), ("eigenvalue",), ("none", "diagonal"), ("diag
          ("eigenvalue", "none"), ("none", "diagonal", "eigenvalue", "none"), ("diagonal", "diagonal")]
 
 
+# floors below, between and above the diagonals of QD_KINDS: none, some or every entry lifted
 def qd_configs():
-    return [A2KFConfig(qd_floor=floor) for floor in (1e-12, 0.5)]
+    return [A2KFConfig(qd_floor=floor) for floor in (0.0, 1e-12, 1e-6, 0.5, 1.0, 1.5, 2.5, 10.0)]
 
 
 @pytest.mark.parametrize("cfg", qd_configs())

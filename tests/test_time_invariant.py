@@ -25,11 +25,14 @@ def as_callables(model):
     return SystemModel(dt=model.dt, **{n: (lambda _arg, M=getattr(model, n)(0): M) for n in MATRICES})
 
 
-@pytest.mark.parametrize("window", (1, 10))
-def test_shared_path_equals_per_step_path(window):
+@pytest.mark.parametrize(
+    "window, qd_floor, qd_init",
+    list(itertools.product((1, 10), (1e-12, 0.5), (1e-6, 1e-2))),
+)
+def test_shared_path_equals_per_step_path(window, qd_floor, qd_init):
     cfg = benchmark_case(
         1, duration=3.5, seeds=(3, 4), estimators=("r4skf", "a2kf", "uio"),
-        a2kf_config=A2KFConfig(window=window),
+        a2kf_config=A2KFConfig(window=window, qd_floor=qd_floor, qd_init=qd_init),
     )
     ref = replace(cfg, model=as_callables(cfg.model))
     assert cfg.model.time_invariant and not ref.model.time_invariant
