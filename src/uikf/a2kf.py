@@ -209,8 +209,8 @@ def advance(
 ) -> Tuple[A2KFState, A2KFStepReport]:
     """a2kf_step on the StepTerms of the step, evaluated beforehand (see
     r4skf.step_terms). The state may be a stack along leading axes; u and y
-    then carry the same leading axes, x_a is (..., n_a) and P_a has the
-    leading axes of x_a, (..., n_a, n_a)."""
+    then carry the same leading axes, x_a is (..., n_a), and P_a, Qd_hat and
+    the innovation window, (..., N, n_y), have the leading axes of x_a."""
     u, y = np.asarray(u, dtype=float), np.asarray(y, dtype=float)
     if y.shape[-1:] != terms.R.shape[:1]:
         raise r4skf.shape_error("y", y, terms.R.shape[:1])
@@ -219,16 +219,22 @@ def advance(
     A_da, B_da, C_a = terms.augmented
     if state.x_a.shape[-1:] != A_da.shape[:1]:
         raise r4skf.shape_error("x_a", state.x_a, A_da.shape[:1])
-    if state.P_a.shape != state.x_a.shape[:-1] + A_da.shape:
-        raise r4skf.shape_error("P_a", state.P_a, state.x_a.shape[:-1] + A_da.shape)
+    lead, window = state.x_a.shape[:-1], state.innov_window
+    if state.P_a.shape != lead + A_da.shape:
+        raise r4skf.shape_error("P_a", state.P_a, lead + A_da.shape)
+    if state.Qd_hat.shape != lead + terms.F_d.shape[:1] * 2:
+        raise r4skf.shape_error("Qd_hat", state.Qd_hat, lead + terms.F_d.shape[:1] * 2)
+    window_shape = lead + window.shape[len(lead):len(lead) + 1] + C_a.shape[:1]     # (..., N, n_y), any N
+    if window.shape != window_shape:
+        raise r4skf.shape_error("innov_window", window, window_shape)
     x_pred = matvec(A_da, state.x_a) + matvec(B_da, u)
     P_pred = A_da @ state.P_a @ A_da.T + _process_noise(terms, state.Qd_hat)
-    K = r4skf.kalman_gain(P_pred, C_a, terms.R)
+    K, _ = r4skf.kalman_gain(P_pred, C_a, terms.R)
     gamma = y - matvec(C_a, x_pred)
     x_new = x_pred + matvec(K, gamma)
     P_new = r4skf.joseph_update(P_pred, K, C_a, terms.R)
 
-    window = np.concatenate([state.innov_window, gamma[..., None, :]], axis=-2)[..., -cfg.window:, :]
+    window = np.concatenate([window, gamma[..., None, :]], axis=-2)[..., -cfg.window:, :]
     Qd_next = _project_Qd(innovation_covariance(window), terms.CGQGC, terms.F_d, terms.R, cfg.qd_floor)
 
     new_state = A2KFState(x_a=x_new, P_a=P_new, innov_window=window, Qd_hat=Qd_next, k=state.k + 1)

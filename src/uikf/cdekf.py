@@ -4,10 +4,10 @@ State propagation integrates dx/dt = f(x, u, t) + E d̂ (Euler or RK4); only
 this state half is cdekf's own, because it propagates through the nonlinear
 f and h. The rest is r4skf's, run on the StepTerms of the linearization
 A_d = I + F dt, E_d = E dt, C = H(x*): the rank-checked extraction gain,
-unknown_input_error_cov, gain_and_covariance (the prediction
-(I + F dt) P (I + F dt)^T + G Q G^T dt, Kalman gain, combined gain and Joseph
-update) and the report's stability matrices. So on a linear plant with Euler
-integration the recursion coincides with the linear four-step filter.
+gain_and_covariance (prediction (I + F dt) P (I + F dt)^T + G Q G^T dt, Kalman
+gain, combined gain, Joseph update, Pd = F_d S F_d^T on one innovation
+covariance S) and the report's stability matrices. So on a linear plant with
+Euler integration the recursion coincides with the linear four-step filter.
 propagate_covariance, the compensated Euler rule
 P + [F P + P F^T + F P F^T dt + G Q G^T] dt, is the same prediction written
 in continuous time; no step calls it, it is kept as the reference.
@@ -175,8 +175,7 @@ def cd_four_step(
     d_hat = terms.F_d @ gamma
     x_pred = x_star + dm.E_d @ d_hat
 
-    Pd = r4skf.unknown_input_error_cov(state.P, terms)
-    _, K, L, P_post = r4skf.gain_and_covariance(state.P, terms)
+    _, K, L, P_post, Pd = r4skf.gain_and_covariance(state.P, terms)
     x_hat = x_pred + K @ (y - np.asarray(model.h(x_pred), dtype=float))
 
     new_state = FilterState(x_hat=x_hat, P=P_post, d_hat=d_hat, Pd=Pd, gamma=gamma, k=state.k + 1)

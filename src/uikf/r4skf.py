@@ -13,9 +13,10 @@ L = K + (I - K C) E_d F_d, which keeps P symmetric PSD for any gain.
 
 Each half of a step has one implementation here: the state half extract /
 four_step (steps 1-2 / 1-4 with a given gain, e.g. the observer's fixed L)
-and the covariance half unknown_input_error_cov / gain_and_covariance, which
-cdekf runs on the StepTerms of its linearization. advance runs both on the
-StepTerms of a step; step = advance(step_terms). StepTerms is what every
+and the covariance half gain_and_covariance, which cdekf runs on the
+StepTerms of its linearization; its one innovation covariance S gives both
+K = P C^T S^{-1} and Pd = F_d S F_d^T. advance runs both on the StepTerms
+of a step; step = advance(step_terms). StepTerms is what every
 estimator step reads from the model, the a2kf's included.
 The state half, kalman_gain and joseph_update also take stacks with leading
 axes, e.g. one row per Monte-Carlo seed. Every product in a stack is the
@@ -196,9 +197,8 @@ class StepTerms:
     the a2kf's augmented blocks. Each product is formed when first read and
     then kept, so every estimator that reads the StepTerms step_terms keeps
     on the model shares it: once per step, or once per time-invariant model.
-    Only whole terms and the leading product C A_d are kept: numpy evaluates
-    C A_d P A_d^T C^T left to right, and A_d^T C^T formed beforehand would
-    round differently."""
+    Only whole additive terms are kept: GQG for the covariance prediction,
+    CGQGC for the a2kf's Q^d projection alone."""
 
     dm: DiscretizedModel
     C: np.ndarray
@@ -206,10 +206,6 @@ class StepTerms:
     Q: np.ndarray
     G: np.ndarray                     # the continuous-time noise matrix
     F_d: np.ndarray                   # (C E_d)^+
-
-    @cached_property
-    def CA_d(self) -> np.ndarray:
-        return self.C @ self.dm.A_d
 
     @cached_property
     def GQG(self) -> np.ndarray:
@@ -234,21 +230,21 @@ class StepTerms:
         return A_da, B_da, C_a
 
 
-def gain_and_covariance(P_prev: np.ndarray, terms: StepTerms) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Covariance prediction, Kalman gain K, combined gain
-    L = K + (I - K C) E_d F_d and the Joseph update of P_pred with L on the
-    StepTerms of the step: (P_pred, K, L, P_post). The process noise enters
-    as G Q G^T dt, one factor of dt.
+def gain_and_covariance(P_prev: np.ndarray, terms: StepTerms) -> Tuple[np.ndarray, ...]:
+    """Covariance prediction P_pred = A_d P A_d^T + G Q G^T dt (one factor of
+    dt), Kalman gain K, combined gain L = K + (I - K C) E_d F_d, Joseph update
+    of P_pred with L and Pd from the S that K is solved with, on the
+    StepTerms of the step: (P_pred, K, L, P_post, Pd).
     """
     C, R = terms.C, terms.R
     P_pred = terms.dm.A_d @ P_prev @ terms.dm.A_d.T + terms.GQG
-    K = kalman_gain(P_pred, C, R)
+    K, S = kalman_gain(P_pred, C, R)
     L = K + (identity(P_pred.shape[-1]) - K @ C) @ terms.dm.E_d @ terms.F_d
-    return P_pred, K, L, joseph_update(P_pred, L, C, R)
+    return P_pred, K, L, joseph_update(P_pred, L, C, R), unknown_input_error_cov(S, terms.F_d)
 
 
-def kalman_gain(P_pred: np.ndarray, C: np.ndarray, R: np.ndarray) -> np.ndarray:
-    """K = P C^T S^{-1} with S = C P C^T + R, refused when S is numerically singular.
+def kalman_gain(P_pred: np.ndarray, C: np.ndarray, R: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """(K, S): K = P C^T S^{-1} with S = C P C^T + R, symmetrized; refused when S is numerically singular.
 
     On a stack of P the error raised for the first refused S carries its
     flat position in the stack as ``index``.
@@ -272,7 +268,7 @@ def kalman_gain(P_pred: np.ndarray, C: np.ndarray, R: np.ndarray) -> np.ndarray:
                 exc = IllConditionedError("innovation covariance C P C^T + R is numerically singular")
             exc.index = i
             raise exc
-    return np.linalg.solve(S, CP).swapaxes(-1, -2)
+    return np.linalg.solve(S, CP).swapaxes(-1, -2), S
 
 
 def joseph_update(P_pred: np.ndarray, L: np.ndarray, C: np.ndarray, R: np.ndarray) -> np.ndarray:
@@ -303,15 +299,14 @@ def stability_matrices(
     return A_bar, (identity(n_x) - K @ C) @ A_bar
 
 
-def unknown_input_error_cov(P_prev: np.ndarray, terms: StepTerms) -> np.ndarray:
-    """Covariance of the unknown-input estimation error d - d̂ on the StepTerms
-    of the step.
+def unknown_input_error_cov(S: np.ndarray, F_d: np.ndarray) -> np.ndarray:
+    """Covariance F_d S F_d^T of the unknown-input estimation error d - d̂, where
+    S = C P_pred C^T + R, the innovation covariance of the step, does not depend on the gain.
 
     In quiescence (P small) this reduces to F_d (C G Q G^T C^T dt + R) F_d^T;
     since F_d scales like 1/dt, measurement noise is magnified by 1/dt^2.
     """
-    mid = terms.CA_d @ P_prev @ terms.dm.A_d.T @ terms.C.T + terms.CGQGC + terms.R
-    Pd = terms.F_d @ mid @ terms.F_d.T
+    Pd = F_d @ S @ F_d.T
     return 0.5 * (Pd + Pd.T)
 
 
@@ -367,8 +362,7 @@ def advance(state: FilterState, u, y, terms: StepTerms) -> Tuple[FilterState, St
     so it runs once for all seeds, and the state half runs on the stack."""
     if state.P.shape != terms.dm.A_d.shape:
         raise shape_error("P", state.P, terms.dm.A_d.shape)
-    Pd = unknown_input_error_cov(state.P, terms)
-    _, K, L, P_post = gain_and_covariance(state.P, terms)
+    _, K, L, P_post, Pd = gain_and_covariance(state.P, terms)
     u, y = np.asarray(u, dtype=float), np.asarray(y, dtype=float)
     dm, C, F_d = terms.dm, terms.C, terms.F_d
     x_star, d_hat, gamma, x_pred, x_hat = four_step(state.x_hat, u, y, dm, C, F_d, K)

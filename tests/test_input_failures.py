@@ -252,12 +252,20 @@ def _step_inputs():
     ("x_a", lambda m, x0, u, y, s: a2kf.a2kf_step(replace(a2kf.initial_state(m, x0), x_a=np.array(0.0)), u, y, m)),
     ("P_a", lambda m, x0, u, y, s: a2kf.a2kf_step(replace(a2kf.initial_state(m, x0), P_a=np.stack([np.eye(6)] * 3)), u, y, m)),
     ("P_a", lambda m, x0, u, y, s: a2kf.a2kf_step(replace(a2kf.initial_state(m, x0), x_a=np.zeros((3, 6))), u, y, m)),
+    # Q^d and the innovation window carry the leading axes of x_a too
+    ("Qd_hat", lambda m, x0, u, y, s: a2kf.a2kf_step(replace(a2kf.initial_state(m, x0), Qd_hat=np.eye(3)), u, y, m)),
+    ("Qd_hat", lambda m, x0, u, y, s: a2kf.a2kf_step(replace(a2kf.initial_state(m, x0), Qd_hat=np.stack([np.eye(2)] * 3)), u, y, m)),
+    ("innov_window", lambda m, x0, u, y, s: a2kf.a2kf_step(replace(a2kf.initial_state(m, x0), innov_window=np.zeros((0, 2))), u, y, m)),
+    ("innov_window", lambda m, x0, u, y, s: a2kf.a2kf_step(replace(a2kf.initial_state(m, x0), innov_window=np.zeros((3, 0, 3))), u, y, m)),
+    ("innov_window", lambda m, x0, u, y, s: a2kf.a2kf_step(replace(a2kf.initial_state(m, x0), innov_window=np.zeros(3)), u, y, m)),
 ], ids=["r4skf.step y", "r4skf.advance stacked y", "a2kf_step y", "observer_step y",
         "observer_step L", "cd_four_step y", "r4skf x0_hat", "r4skf P0", "r4skf Pd0", "a2kf x0_hat", "a2kf P0",
         "r4skf.step 0-d u", "r4skf.advance 0-d x_hat", "a2kf_step u", "cd_four_step x_hat", "cd_four_step 0-d u",
         "one_step_estimate y", "r4skf stacked x0_hat", "r4skf stacked P0", "r4skf stacked Pd0", "a2kf stacked P0",
         "r4skf.step P", "r4skf.advance stacked P", "cd_four_step P", "a2kf_step P_a",
-        "a2kf_step x_a", "a2kf_step 0-d x_a", "a2kf_step stacked P_a", "a2kf_step stacked x_a"])
+        "a2kf_step x_a", "a2kf_step 0-d x_a", "a2kf_step stacked P_a", "a2kf_step stacked x_a",
+        "a2kf_step Qd_hat", "a2kf_step stacked Qd_hat", "a2kf_step innov_window", "a2kf_step stacked innov_window",
+        "a2kf_step 1-d innov_window"])
 def test_an_argument_of_the_wrong_shape_is_a_dimension_error_naming_it(name, call):
     with pytest.raises(DimensionError, match=f"^{re.escape(name)}: shape "):
         call(*_step_inputs())

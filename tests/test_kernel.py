@@ -17,7 +17,7 @@ from uikf.benchmark import benchmark_case
 from uikf.cdekf import NonlinearModel
 from uikf.errors import IllConditionedError
 from uikf.model import SystemModel, discretize, moore_penrose_pinv
-from uikf.sim import generate_truth
+from uikf.sim import generate_truth, run_scenario
 
 from test_seed_stack import varying
 
@@ -27,7 +27,7 @@ PLANTS = {"benchmark": lambda model: model, "varying": varying}
 def reference_correct(P_pred, C, R, E_d, F_d):
     """The K / L / Joseph lines of the covariance step, as written out in
     gain_and_covariance."""
-    K = r4skf.kalman_gain(P_pred, C, R)
+    K, _ = r4skf.kalman_gain(P_pred, C, R)
     L = K + (np.eye(P_pred.shape[0]) - K @ C) @ E_d @ F_d
     return K, L, r4skf.joseph_update(P_pred, L, C, R)
 
@@ -41,8 +41,11 @@ def reference_step(state, u, y, model):
     x_star = r4skf.predict_no_input(state.x_hat, u, dm)
     d_hat, F_d, gamma = r4skf.estimate_unknown_input(y, x_star, dm, C)
     x_pred = r4skf.predict_with_input(x_star, d_hat, dm)
-    Pd = r4skf.unknown_input_error_cov(state.P, r4skf.StepTerms(dm, C, R, Q, G, F_d))
     P_pred = dm.A_d @ state.P @ dm.A_d.T + G @ Q @ G.T * dm.dt
+    S = C @ P_pred @ C.T + R
+    S = 0.5 * (S + S.T)
+    Pd = F_d @ S @ F_d.T
+    Pd = 0.5 * (Pd + Pd.T)
     K, L, P_post = reference_correct(P_pred, C, R, dm.E_d, F_d)
     x_hat = r4skf.update(x_pred, y, K, C)
     new = r4skf.FilterState(x_hat=x_hat, P=P_post, d_hat=d_hat, Pd=Pd, gamma=gamma, k=state.k + 1)
@@ -116,6 +119,55 @@ def test_cd_four_step_correction_equals_its_written_out_lines(plant):
         want = reference_correct(P_pred, C, nl.R, rep.dm.E_d, rep.F_d)
         for got, ref in zip((rep.K, rep.L, state.P), want):
             assert np.array_equal(got, ref), k
+
+
+def paper_Pd(P, dm, C, R, Q, G, F_d):
+    """The unknown-input error covariance as the paper writes it out:
+    F_d (C A_d P A_d^T C^T + C G Q G^T C^T dt + R) F_d^T."""
+    return F_d @ (C @ dm.A_d @ P @ dm.A_d.T @ C.T + C @ G @ Q @ G.T @ C.T * dm.dt + R) @ F_d.T
+
+
+def assert_near(got, want, scale, k):
+    assert np.abs(got - want).max() <= 1e-13 * np.abs(scale).max(), k
+
+
+@pytest.mark.parametrize("plant", sorted(PLANTS))
+def test_Pd_of_the_step_and_the_runner_is_the_written_out_chain(plant):
+    """Pd = F_d S F_d^T from the S of the Kalman gain, against the chain
+    evaluated afresh from the model, within 1e-13 max|Pd_k| at every step."""
+    cfg, truth = truth_of(plant)
+    model = cfg.model
+    runs = run_scenario(replace(cfg, seeds=(3, 4), estimators=("r4skf",))).runs
+    state = r4skf.initial_state(model, cfg.x0_hat)
+    for k in range(cfg.n_steps):
+        t = k * model.dt
+        dm = discretize(model, t)
+        C, R = np.asarray(model.C(k + 1), dtype=float), np.asarray(model.R(k + 1), dtype=float)
+        Q, G = np.asarray(model.Q(t), dtype=float), np.asarray(model.G(t), dtype=float)
+        want = paper_Pd(state.P, dm, C, R, Q, G, moore_penrose_pinv(C @ dm.E_d))
+        state, _ = r4skf.step(state, truth.u[k], truth.y[k], model)
+        assert_near(state.Pd, want, want, k)
+        for run in runs.values():
+            assert_near(run["r4skf"].Pd_diag[k], want.diagonal(), want, k)
+
+
+def test_Pd_of_cd_four_step_is_the_written_out_chain():
+    """The same on a nonlinear plant with finite-difference Jacobians: the
+    chain runs on each step's linearization A_d = I + F dt, C = H(x*)."""
+    A = np.array([[-1.0, 0.2, 0.0], [0.0, -0.5, 0.3], [0.1, 0.0, -0.8]])
+    E = np.array([[1.0], [0.5], [0.0]])
+    nl = NonlinearModel(
+        f=lambda x, u, t: A @ x - 0.1 * np.sin(x), h=lambda x: x[:2] + 0.05 * x[:2] ** 2,
+        E=E, G=np.eye(3), Q=1e-6 * np.eye(3), R=1e-7 * np.eye(2), dt=0.01,
+    )
+    state = r4skf.FilterState(x_hat=np.zeros(3), P=np.eye(3), d_hat=np.zeros(1), Pd=np.eye(1), gamma=np.zeros(2), k=0)
+    x = np.array([0.5, -0.2, 0.1])
+    for k in range(300):
+        x = x + nl.dt * (nl.f(x, None, 0.0) + E[:, 0] * 0.8)
+        P = state.P
+        state, rep = cdekf.cd_four_step(state, np.zeros(1), nl.h(x), nl, method="rk4")
+        want = paper_Pd(P, rep.dm, rep.C, nl.R, nl.Q, nl.G, rep.F_d)
+        assert_near(state.Pd, want, want, k)
 
 
 def random_plant(n_x, n_y, n_d, dt, seed):

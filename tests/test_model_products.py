@@ -1,7 +1,8 @@
 """The model-only products of the r4skf and a2kf covariance recursions
-(C A_d, G Q G^T dt, C G Q G^T C^T dt and the identity) are formed once per
-step, or once per scenario of a time-invariant model, and the outputs stay
-bit for bit what the per-seed step functions give. The a2kf twin of the
+(G Q G^T dt, C G Q G^T C^T dt and the identity) are formed once per step,
+or once per scenario of a time-invariant model, the innovation covariance S
+once per filter step, and the outputs stay bit for bit what the per-seed
+step functions give. The a2kf twin of the
 r4skf property in test_kernel.py draws random plants with any n_w.
 """
 
@@ -94,7 +95,6 @@ def test_step_terms_products_are_the_written_out_expressions():
     for k in (0, 7, 250):
         terms = r4skf.step_terms(model, k)
         dm, C, Q, G = terms.dm, terms.C, terms.Q, terms.G
-        assert np.array_equal(terms.CA_d, C @ dm.A_d)
         assert np.array_equal(terms.GQG, G @ Q @ G.T * dm.dt)
         assert np.array_equal(terms.CGQGC, C @ G @ Q @ G.T @ C.T * dm.dt)
 
@@ -120,8 +120,26 @@ def test_products_are_formed_once_per_time_invariant_scenario(monkeypatch, time_
     assert len(gqg) == len(cgqgc) == (1 if time_invariant else cfg.n_steps)
 
 
+@pytest.mark.parametrize("runner", ["step", "run_scenario"])
+def test_a_filter_step_forms_the_innovation_covariance_once(monkeypatch, runner):
+    """The r4skf's Kalman gain and Pd share the S of one kalman_gain call per
+    step; C G Q G^T C^T dt is formed by no r4skf step, on a time-varying plant
+    stepped alone or through the stacked runner."""
+    cfg = benchmark_case(1, duration=0.3, seeds=(1, 2, 3), estimators=("r4skf",))
+    model = varying(cfg.model)
+    gains, cgqgc = count_calls(monkeypatch, r4skf, "kalman_gain"), count_calls(monkeypatch, r4skf, "output_noise")
+    if runner == "step":
+        state, u, y = r4skf.initial_state(model, cfg.x0_hat), np.zeros(model.n_u), np.full(model.n_y, 0.1)
+        for _ in range(cfg.n_steps):
+            state, _ = r4skf.step(state, u, y, model)
+    else:
+        run_scenario(replace(cfg, model=model))
+    assert len(gains) == cfg.n_steps and cgqgc == []
+
+
 def test_cd_four_step_forms_each_noise_product_once_per_step(monkeypatch):
-    """cd_four_step runs r4skf's covariance half on one StepTerms per step."""
+    """cd_four_step runs r4skf's covariance half on one StepTerms per step:
+    one G Q G^T dt, one kalman_gain call and no C G Q G^T C^T dt."""
     model = benchmark_case(1).model
     C = model.C(0)
     nl = cdekf.NonlinearModel(
@@ -130,7 +148,9 @@ def test_cd_four_step_forms_each_noise_product_once_per_step(monkeypatch):
     )
     gqg, cgqgc = count_calls(monkeypatch, r4skf, "process_noise"), count_calls(monkeypatch, r4skf, "output_noise")
     continuous = count_calls(monkeypatch, cdekf, "propagate_covariance")
+    gains = count_calls(monkeypatch, r4skf, "kalman_gain")
     state = r4skf.initial_state(model, np.zeros(model.n_x))
     for k in range(3):
         state, _ = cdekf.cd_four_step(state, np.zeros(model.n_u), np.full(model.n_y, 0.1 * k), nl)
-    assert len(gqg) == len(cgqgc) == 3 and continuous == []
+    assert len(gqg) == 3 and len(cgqgc) == 0 and continuous == []
+    assert len(gains) == 3

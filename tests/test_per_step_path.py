@@ -167,7 +167,7 @@ def test_step_report_stability_matrices_of_cd_four_step():
         E_d=nl.E * dt, dt=dt,
     )
     F_d = r4skf.unknown_input_gain(C, dm.E_d)
-    K = r4skf.kalman_gain(dm.A_d @ state.P @ dm.A_d.T + nl.G @ nl.Q @ nl.G.T * dt, C, nl.R)
+    K, _ = r4skf.kalman_gain(dm.A_d @ state.P @ dm.A_d.T + nl.G @ nl.Q @ nl.G.T * dt, C, nl.R)
     A_bar, A_tilde, *_ = r4skf.stability_matrices(dm, C, F_d, K)
     assert np.array_equal(rep.A_bar, A_bar)
     assert np.array_equal(rep.A_tilde, A_tilde)

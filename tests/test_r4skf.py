@@ -107,7 +107,7 @@ class TestGainAndCovariance:
     def test_square_identity_collapses_gain(self):
         dm = make_dm(np.eye(2), np.zeros((2, 1)), np.eye(2))
         F_d = moore_penrose_pinv(np.eye(2) @ dm.E_d)
-        _, K, L, _ = r4skf.gain_and_covariance(
+        _, K, L, _, _ = r4skf.gain_and_covariance(
             np.eye(2), r4skf.StepTerms(dm, np.eye(2), 0.1 * np.eye(2), np.eye(2), np.eye(2), F_d)
         )
         assert np.allclose(L, np.eye(2), atol=1e-12)
@@ -115,7 +115,7 @@ class TestGainAndCovariance:
     def test_degenerate_no_uncertainty(self):
         dm = make_dm(np.eye(2), np.zeros((2, 1)), np.eye(2))
         F_d = np.eye(2)
-        P_pred, K, L, _ = r4skf.gain_and_covariance(
+        P_pred, K, L, _, _ = r4skf.gain_and_covariance(
             np.zeros((2, 2)), r4skf.StepTerms(dm, np.eye(2), np.eye(2), np.zeros((2, 2)), np.eye(2), F_d)
         )
         assert np.allclose(P_pred, 0.0)
@@ -130,7 +130,7 @@ class TestGainAndCovariance:
         Q, G = np.asarray(model.Q(0.0), dtype=float), np.asarray(model.G(0.0), dtype=float)
         R = np.asarray(model.R(0), dtype=float)
         for _ in range(1000):
-            P_pred, K, L, P = r4skf.gain_and_covariance(P, r4skf.StepTerms(dm, C_PLANT, R, Q, G, F_d))
+            P_pred, K, L, P, _ = r4skf.gain_and_covariance(P, r4skf.StepTerms(dm, C_PLANT, R, Q, G, F_d))
             assert np.trace(P) < np.trace(P_pred)
 
     def test_joseph_form_symmetric_psd(self):
@@ -141,7 +141,7 @@ class TestGainAndCovariance:
         R = np.asarray(model.R(0), dtype=float)
         P = 10.0 * np.eye(4)
         for _ in range(200):
-            _, _, _, P = r4skf.gain_and_covariance(P, r4skf.StepTerms(dm, C_PLANT, R, Q, G, F_d))
+            _, _, _, P, _ = r4skf.gain_and_covariance(P, r4skf.StepTerms(dm, C_PLANT, R, Q, G, F_d))
             assert np.abs(P - P.T).max() <= 1e-12
             assert np.linalg.eigvalsh(P).min() >= -1e-10 * np.trace(P)
 
@@ -248,9 +248,9 @@ class TestUnknownInputErrorCov:
         dm = make_dm(np.eye(2), np.zeros((2, 1)), np.eye(2))
         R = np.diag([0.3, 0.7])
         F_d = np.eye(2)
-        Pd = r4skf.unknown_input_error_cov(
+        Pd = r4skf.gain_and_covariance(
             np.zeros((2, 2)), r4skf.StepTerms(dm, np.eye(2), R, np.zeros((2, 2)), np.eye(2), F_d)
-        )
+        )[4]
         assert np.allclose(Pd, R)
 
     def test_noise_magnification_by_dt_squared(self):
@@ -260,9 +260,9 @@ class TestUnknownInputErrorCov:
         Q = np.diag([1e-6, 2e-6])
         R = np.diag([1e-7, 3e-7])
         F_d = moore_penrose_pinv(np.eye(2) @ dm.E_d)
-        Pd = r4skf.unknown_input_error_cov(
+        Pd = r4skf.gain_and_covariance(
             np.zeros((2, 2)), r4skf.StepTerms(dm, np.eye(2), R, Q, np.eye(2), F_d)
-        )
+        )[4]
         assert np.allclose(Pd, (Q * dt + R) / dt ** 2, rtol=1e-10)
 
 

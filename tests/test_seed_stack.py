@@ -237,8 +237,8 @@ def test_kalman_gain_names_the_first_refused_matrix_of_a_stack():
     with pytest.raises(np.linalg.LinAlgError) as info:
         r4skf.kalman_gain(P, C, R)
     assert info.value.index == 2
-    K = r4skf.kalman_gain(P[[0, 3]], C, np.eye(2))
-    assert all(np.array_equal(K[i], r4skf.kalman_gain(P[s], C, np.eye(2))) for i, s in enumerate((0, 3)))
+    K, _ = r4skf.kalman_gain(P[[0, 3]], C, np.eye(2))
+    assert all(np.array_equal(K[i], r4skf.kalman_gain(P[s], C, np.eye(2))[0]) for i, s in enumerate((0, 3)))
 
 
 def test_a_stacked_error_names_the_first_failing_seed(monkeypatch):

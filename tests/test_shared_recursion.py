@@ -171,7 +171,7 @@ def test_joseph_update_with_the_kalman_gain_is_the_short_form():
     P = M @ M.T + np.eye(3)
     C = rng.standard_normal((2, 3))
     R = 0.1 * np.eye(2)
-    K = r4skf.kalman_gain(P, C, R)
+    K, _ = r4skf.kalman_gain(P, C, R)
     P_post = r4skf.joseph_update(P, K, C, R)
     assert np.allclose(P_post, (np.eye(3) - K @ C) @ P, atol=1e-12)
     assert np.array_equal(P_post, P_post.T)
