@@ -172,21 +172,23 @@ def estimate_Qd(
 
 def _project_Qd(Cgamma, CGQGC, M, R, qd_floor) -> np.ndarray:
     """estimate_Qd on precomputed model terms, CGQGC = C G Q G^T C^T dt and
-    M = (C E_d)^+, with the diagonal clamped at qd_floor. Cgamma may be a
-    stack (..., n_y, n_y), and the diagonal fallback is decided per matrix."""
+    M = (C E_d)^+, with the diagonal clamped at qd_floor. Cgamma may be a stack
+    (..., n_y, n_y); the diagonal fallback is decided per matrix, on numpy scalars for one."""
     Qd = M @ (Cgamma - CGQGC - R) @ M.T
     Qd = 0.5 * (Qd + Qd.swapaxes(-1, -2))
     n_d = Qd.shape[-1]
     diag = Qd.diagonal(0, -2, -1)      # the diagonal fallback below keeps it
-    triggered = (diag < 0).any(axis=-1)
-    if n_d > 1 and not triggered.all():
-        # off-diagonal dominance can leave an indefinite matrix even with a
-        # non-negative diagonal; fall back to the diagonal to stay PSD. eigvalsh
-        # decides each matrix alone, so a caught one stays caught; w[..., 0] is the smallest
-        triggered = triggered | (np.linalg.eigvalsh(Qd)[..., 0] < 0)
     eye = identity(n_d)
-    if triggered.any():
-        Qd = np.where(triggered[..., None, None] & (eye == 0.0), 0.0, Qd)
+    # off-diagonal dominance can leave Qd indefinite under a non-negative diagonal; keep the diagonal
+    # to stay PSD. eigvalsh decides each matrix alone (a caught one stays caught), w[..., 0] the smallest
+    if Qd.ndim > 2:
+        triggered = (diag < 0).any(axis=-1)
+        if n_d > 1 and not triggered.all():
+            triggered = triggered | (np.linalg.eigvalsh(Qd)[..., 0] < 0)
+        if triggered.any():
+            Qd = np.where(triggered[..., None, None] & (eye == 0.0), 0.0, Qd)
+    elif (diag < 0).any() or n_d > 1 and np.linalg.eigvalsh(Qd)[0] < 0:
+        Qd = np.where(eye == 0.0, 0.0, Qd)
     lift = np.maximum(qd_floor - diag, 0.0)
     return Qd + lift[..., None] * eye
 

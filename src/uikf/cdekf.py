@@ -124,7 +124,7 @@ def propagate_state(
         x_new = x + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
     else:
         raise ValueError(f"unknown integration method {method!r}")
-    if not np.all(np.isfinite(x_new)):
+    if not np.isfinite(x_new).all():
         raise FloatingPointError("state propagation diverged to non-finite values")
     return x_new
 

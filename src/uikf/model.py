@@ -232,12 +232,14 @@ def pinv_and_rank(M: np.ndarray) -> Tuple[np.ndarray, int]:
     """Moore-Penrose pseudo-inverse and numerical rank from one SVD.
 
     Singular values below RANK_TOL * sigma_max are treated as zero. The SVD
-    sorts them in descending order, so the kept ones are the first r.
+    sorts them in descending order, so the kept ones are the first r: all of them, unsliced, when the last is.
     """
     M = np.asarray(M, dtype=float)
     U, s, Vt = np.linalg.svd(M, full_matrices=False)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((M.shape[1], M.shape[0])), 0
+    if s[-1] > RANK_TOL * s[0]:
+        return (Vt.T * (1.0 / s)) @ U.T, s.size
     r = int(np.count_nonzero(s > RANK_TOL * s[0]))
     return (Vt[:r].T * (1.0 / s[:r])) @ U[:, :r].T, r
 

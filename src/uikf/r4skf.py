@@ -247,17 +247,17 @@ def kalman_gain(P_pred: np.ndarray, C: np.ndarray, R: np.ndarray) -> Tuple[np.nd
     """(K, S): K = P C^T S^{-1} with S = C P C^T + R, symmetrized; refused when S is numerically singular.
 
     On a stack of P the error raised for the first refused S carries its
-    flat position in the stack as ``index``.
+    flat position in the stack as ``index``; one P decides as its row of a stack would, index 0.
     """
     CP = C @ P_pred
     S = CP @ C.T + R
     S = 0.5 * (S + S.swapaxes(-1, -2))
-    # the |eigenvalues| of the symmetric S are its singular values, so the |w|
-    # test is the 2-norm test 1 / cond(S) > RCOND_FLOOR without an SVD; eigvalsh
-    # sorts w ascending, and w[0] > RCOND_FLOOR * w[-1] holds only when every w
-    # is positive, where it is the |w| test; any other S takes the |w| test
+    # the |eigenvalues| of the symmetric S are its singular values: the |w| test is 1 / cond(S) > RCOND_FLOOR
+    # without an SVD. eigvalsh sorts w ascending: w[0] > RCOND_FLOOR * w[-1] (numpy scalars for one S) holds
+    # only when every w is positive, where it is the |w| test; any other S takes the |w| test
     w = np.linalg.eigvalsh(S)
-    if not (w[..., 0] > RCOND_FLOOR * w[..., -1]).all():
+    ok = w[0] > RCOND_FLOOR * w[-1] if S.ndim == 2 else (w[..., 0] > RCOND_FLOOR * w[..., -1]).all()
+    if not ok:
         w = np.abs(w)
         ok = w.min(axis=-1) > RCOND_FLOOR * w.max(axis=-1)
         if not ok.all():

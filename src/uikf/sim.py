@@ -106,8 +106,9 @@ class ScenarioConfig:
             raise ConfigError(
                 f"scenario.duration: {self.duration} is shorter than one step (dt = {self.model.dt})"
             )
-        if not self.seeds or not all(isinstance(s, numbers.Integral) and not isinstance(s, bool) for s in self.seeds):
-            raise ConfigError(f"scenario.seeds: must be a non-empty list of integers, got {list(self.seeds)}")
+        if not self.seeds or not all(isinstance(s, numbers.Integral) and not isinstance(s, bool) and s >= 0
+                                     for s in self.seeds):      # np.random.default_rng refuses a negative seed
+            raise ConfigError(f"scenario.seeds: must be a non-empty list of non-negative integers, got {list(self.seeds)}")
         if not self.estimators:
             raise ConfigError("scenario.estimators: must be a non-empty list")
         for key, values in (("seeds", self.seeds), ("estimators", self.estimators)):

@@ -86,6 +86,13 @@ class TestPropagateState:
             cdekf.propagate_state(np.array([1e200]), np.zeros(1), np.zeros(1), m,
                                   method="euler")
 
+    @pytest.mark.parametrize("method", ["euler", "rk4"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_non_finite_state_raises(self, method, bad):
+        # on the zero field the bad entry passes through every stage unchanged
+        with pytest.raises(FloatingPointError, match="diverged to non-finite values"):
+            cdekf.propagate_state(np.array([1.0, bad]), np.zeros(1), np.zeros(1), self._static(), method=method)
+
     def test_rk4_halving_gains_at_least_eight(self):
         # fourth-order method: halving the step should shrink the one-interval
         # error by about 16x; require a conservative 8x

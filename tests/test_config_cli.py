@@ -1,11 +1,13 @@
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
 import yaml
 
 from uikf import cli, config
+from uikf.benchmark import benchmark_case
 from uikf.errors import ConfigError
 
 MINIMAL_DOC = {
@@ -298,6 +300,39 @@ class TestRejectedScenarios:
         assert cli.main(["simulate", "--config", path, "--out", str(tmp_path)]) == 1
         err = capsys.readouterr().err
         assert "config error" in err and "scenario.duration" in err
+
+
+class TestNegativeSeed:
+    """A negative seed is refused when the scenario is built, as a ConfigError
+    naming scenario.seeds, from Python, from YAML and from --seeds, not later
+    by numpy's default_rng inside run_scenario."""
+
+    MESSAGE = r"^scenario\.seeds: must be a non-empty list of non-negative integers, got \[3, -1\]$"
+
+    def test_from_python(self):
+        with pytest.raises(ConfigError, match=self.MESSAGE):
+            replace(benchmark_case(1), seeds=[3, -1])
+        with pytest.raises(ConfigError, match=self.MESSAGE):
+            benchmark_case(1, seeds=[3, -1])
+
+    def test_from_yaml(self):
+        with pytest.raises(ConfigError, match=self.MESSAGE):
+            config.parse_scenario(deep_update(MINIMAL_DOC, ("scenario", "seeds"), [3, -1]))
+
+    @pytest.mark.parametrize("route", ["reproduce --seeds", "simulate yaml", "simulate --seeds"])
+    def test_from_the_command_line_exits_1_with_one_line(self, tmp_path, capsys, route):
+        out = tmp_path / "out"
+        argv = {
+            "reproduce --seeds": ["reproduce", "--case", "1", "--seeds=3,-1", "--duration", "0.05"],
+            "simulate yaml": ["simulate", "--config", write_doc(tmp_path, deep_update(MINIMAL_DOC, ("scenario", "seeds"), [3, -1]),
+                                                                 "negative.yaml")],
+            "simulate --seeds": ["simulate", "--config", write_doc(tmp_path, MINIMAL_DOC), "--seeds=3,-1"],
+        }[route]
+        assert cli.main(argv + ["--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert re.match(self.MESSAGE, captured.err.removeprefix("config error: ").rstrip("\n"))
+        assert captured.err.startswith("config error: ") and captured.err.count("\n") == 1
+        assert captured.out == "" and not out.exists()
 
 
 class TestNonFiniteStepAndDuration:

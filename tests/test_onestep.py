@@ -1,3 +1,4 @@
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -26,6 +27,82 @@ class TestOneStepEstimate:
     def test_singular_C_raises(self):
         with pytest.raises(IllConditionedError):
             onestep.one_step_estimate(np.zeros(2), np.array([[1.0, 1.0], [1.0, 1.0]]))
+
+
+def one_step_reference(y, C):
+    """one_step_estimate with its refusal written as np.linalg.cond(C) >= COND_LIMIT."""
+    C, y = np.asarray(C, dtype=float), np.asarray(y, dtype=float)
+    if np.linalg.cond(C) >= onestep.COND_LIMIT:
+        raise IllConditionedError("C is not numerically invertible")
+    return np.linalg.solve(C, y[..., None])[..., 0]
+
+
+def outcome(fn, *args):
+    try:
+        return ("ok", fn(*args))
+    except Exception as exc:
+        return ("raised", type(exc), str(exc))
+
+
+def rotated(singular_values, seed=4):
+    """A matrix with the given singular values between two random rotations."""
+    rng = np.random.default_rng(seed)
+    n = len(singular_values)
+    U, V = (np.linalg.qr(rng.standard_normal((n, n)))[0] for _ in range(2))
+    return U @ np.diag(singular_values) @ V.T
+
+
+# name -> (C, refused by np.linalg.cond(C) >= COND_LIMIT, None where the svd raises)
+COND_CASES = {
+    "zero": (np.zeros((2, 2)), True),
+    "zero_1x1": (np.zeros((1, 1)), True),
+    "rank_1": (np.ones((2, 2)), True),
+    "rank_1_rotated": (rotated([3.0, 1.0, 0.0]), True),
+    "cond_just_below_1e12": (np.diag([1.0, 1e-12 * (1.0 + 1e-6)]), False),
+    "cond_just_above_1e12": (np.diag([1.0, 1e-12 * (1.0 - 1e-6)]), True),
+    "cond_just_below_1e12_rotated": (rotated([2.0, 1.0, 2e-12 * (1.0 + 1e-4)]), False),
+    "cond_just_above_1e12_rotated": (rotated([2.0, 1.0, 2e-12 * (1.0 - 1e-4)]), True),
+    # the ratio overflows to inf: refused, and no overflow warning
+    "smallest_subnormal": (np.diag([1.0, 1e-310]), True),
+    "smallest_least_subnormal": (np.diag([1.0, 5e-324]), True),
+    # both tiny, but the ratio is 1e10
+    "both_near_subnormal": (np.diag([1e-300, 1e-310]), False),
+    # the svd of an inf gives NaN singular values, which cond reads as inf
+    "inf": (np.array([[np.inf, 1.0], [1.0, 1.0]]), True),
+    "nan": (np.array([[np.nan, 1.0], [1.0, 1.0]]), None),
+    "nan_1x1": (np.array([[np.nan]]), None),
+}
+
+
+class TestConditionNumberRefusal:
+    """one_step_estimate refuses C exactly when np.linalg.cond(C) >= COND_LIMIT,
+    with the same exception, and raises no warning of its own."""
+
+    @pytest.mark.parametrize("name", sorted(COND_CASES))
+    def test_refused_as_np_linalg_cond_refuses(self, name):
+        C, refused = COND_CASES[name]
+        y = np.full((2, C.shape[0]), 1e-300)        # two rows, small enough not to overflow the solve
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = outcome(onestep.one_step_estimate, y, C)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            want = outcome(one_step_reference, y, C)
+        assert got[0] == want[0] and (got[1:] == want[1:] if got[0] == "raised" else np.array_equal(got[1], want[1]))
+        if refused is None:
+            assert got[1] is np.linalg.LinAlgError
+        else:
+            assert (got[:2] == ("raised", IllConditionedError)) == refused
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                assert (np.linalg.cond(C) >= onestep.COND_LIMIT) == refused
+
+    @pytest.mark.parametrize("C", [np.zeros((0, 0)), np.zeros((0, 3)), np.eye(2)[None], np.stack([np.eye(2)] * 2)],
+                             ids=["0x0", "0x3", "stack_of_1", "stack_of_2"])
+    def test_empty_or_stacked_C_raises_as_np_linalg_cond(self, C):
+        y = np.zeros(C.shape[0])
+        got, want = outcome(onestep.one_step_estimate, y, C), outcome(one_step_reference, y, C)
+        assert got[0] == want[0] == "raised" and got[1:] == want[1:]
 
 
 def one_step_error_cov(C, R):

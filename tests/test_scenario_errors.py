@@ -157,7 +157,7 @@ def test_a_bad_scenario_value_exits_1_naming_the_field(tmp_path, capsys, section
         # the dataclasses refuse these, also when built in Python
         (("scenario", "signals", 0), {"kind": "ramp"}, "scenario.signals[0].kind", "unknown kind 'ramp'"),
         (("scenario", "signals", 0), {"kind": "custom"}, "scenario.signals[0].samples", "required for kind=custom"),
-        (("scenario", "seeds"), [1.5], "scenario.seeds", "must be a non-empty list of integers"),
+        (("scenario", "seeds"), [1.5], "scenario.seeds", "must be a non-empty list of non-negative integers"),
         (("scenario", "seeds"), [1, 2, 1], "scenario.seeds", "1 is repeated"),
         (("scenario", "estimators"), [], "scenario.estimators", "must be a non-empty list"),
         (("scenario", "estimators"), ["r4skf", "r4skf"], "scenario.estimators", "'r4skf' is repeated"),
@@ -227,7 +227,7 @@ CASE = benchmark_case(1, duration=0.5, seeds=(1, 2))
         (lambda: SignalSpec(kind="custom"), r"^samples: required for kind=custom$"),
         (lambda: SignalSpec(kind="custom", samples=np.zeros((2, 5))), r"^samples: expected a flat array, got ndim=2$"),
         (lambda: A2KFConfig(window=2.5), r"^a2kf\.window: must be an integer, got 2\.5$"),
-        (lambda: replace(CASE, seeds=(1.5,)), r"^scenario\.seeds: must be a non-empty list of integers, got \[1\.5\]$"),
+        (lambda: replace(CASE, seeds=(1.5,)), r"^scenario\.seeds: must be a non-empty list of non-negative integers, got \[1\.5\]$"),
         (lambda: replace(CASE, seeds=(1, 2, 1)), r"^scenario\.seeds: 1 is repeated$"),
         (lambda: replace(CASE, estimators=()), r"^scenario\.estimators: must be a non-empty list$"),
         (lambda: replace(CASE, estimators=("r4skf", "a2kf", "r4skf")), r"^scenario\.estimators: 'r4skf' is repeated$"),

@@ -6,6 +6,10 @@ ascending eigenvalues, and a2kf._project_Qd takes the first eigenvalue as the
 smallest. Each is held here to a reference copy of the body that reduced the
 whole spectrum (abs / min / max, masks, np.sum): the same arrays bitwise, the
 same exception type and message and the same ``.index``.
+
+kalman_gain and _project_Qd decide one matrix on numpy scalars and a stack on
+one reduction over it; each single-matrix call is also held to its row of the
+stacked call (assert_rows_match_stack).
 """
 
 import numpy as np
@@ -68,6 +72,23 @@ def outcome(fn, *args):
         return ("ok", fn(*args))
     except Exception as exc:
         return ("raised", type(exc), str(exc), getattr(exc, "index", None))
+
+
+def assert_rows_match_stack(fn, stack, *rest):
+    """fn on each matrix of a 3-D stack against fn on the whole stack. An
+    accepted stack gives every row's result bitwise; a refused one was refused
+    at its first refused row, which alone raises the same exception type and
+    message, with index 0, and every row before it is accepted."""
+    whole = outcome(fn, stack, *rest)
+    rows = [outcome(fn, matrix, *rest) for matrix in stack]
+    if whole[0] == "ok":
+        for i, row in enumerate(rows):
+            want = tuple(w[i] for w in whole[1]) if isinstance(whole[1], tuple) else whole[1][i]
+            assert_same(row, ("ok", want))
+        return
+    i = whole[3]
+    assert all(row[0] == "ok" for row in rows[:i]), rows[:i]
+    assert rows[i][:3] == whole[:3] and rows[i][3] == 0, (rows[i], whole)
 
 
 def assert_same(got, want):
@@ -187,6 +208,8 @@ def test_kalman_gain_decides_as_the_abs_test(name):
     got = outcome(r4skf.kalman_gain, *args)
     assert_same(got, outcome(kalman_gain_reference, *args))
     assert got[0] == "ok" if decision == "ok" else (got[1], got[3]) == decision
+    P, C, R = args
+    assert_rows_match_stack(r4skf.kalman_gain, P if P.ndim == 3 else np.stack([P, P]), C, R)
 
 
 @settings(max_examples=200, deadline=None)
@@ -201,6 +224,7 @@ def test_kalman_gain_equals_the_abs_test_on_random_stacks(n, n_y, seed, log_r, i
     R = 10.0 ** log_r * np.eye(n_y)
     assert_same(outcome(r4skf.kalman_gain, P, C, R), outcome(kalman_gain_reference, P, C, R))
     assert_same(outcome(r4skf.kalman_gain, P[0], C, R), outcome(kalman_gain_reference, P[0], C, R))
+    assert_rows_match_stack(r4skf.kalman_gain, P, C, R)
 
 
 # ------------------------------------------------------------------ _project_Qd
@@ -232,10 +256,37 @@ def test_project_Qd_equals_the_reference_on_mixed_stacks(cfg, n_d, mix):
     for args in ((Cgamma[0], zero, eye, zero, cfg.qd_floor), (Cgamma, zero, eye, zero, cfg.qd_floor)):
         got = a2kf._project_Qd(*args)
         assert np.array_equal(got, project_Qd_reference(*args))
+    assert_rows_match_stack(a2kf._project_Qd, *args)
     # every triggered matrix, and only those, loses its off-diagonal entries
     if n_d > 1:
         for i, kind in enumerate(mix):
             assert (got[i][eye == 0.0] == 0.0).all() == (kind != "none"), (kind, got[i])
+
+
+def rounded_negative_diagonals(count):
+    """Matrices with one barely negative diagonal entry in a weakly coupled row,
+    whose smallest eigenvalue eigvalsh rounds to >= 0: only the diagonal test
+    catches them."""
+    rng, found = np.random.default_rng(0), []
+    while len(found) < count:
+        n = int(rng.integers(2, 4))
+        A = rng.standard_normal((n, n))
+        Q, i = A @ A.T, int(rng.integers(n))
+        Q[i, :] *= 1e-9
+        Q[:, i] *= 1e-9
+        Q[i, i] = -10.0 ** rng.uniform(-40, -17)
+        if np.linalg.eigvalsh(Q)[0] >= 0:
+            found.append(Q)
+    return found
+
+
+@pytest.mark.parametrize("Qd", rounded_negative_diagonals(4), ids=lambda Qd: f"n_d={len(Qd)}")
+def test_project_Qd_catches_a_negative_diagonal_the_eigenvalues_miss(Qd):
+    zero, eye = np.zeros_like(Qd), np.eye(len(Qd))
+    got = a2kf._project_Qd(Qd, zero, eye, zero, 1e-12)
+    assert np.array_equal(got, project_Qd_reference(Qd, zero, eye, zero, 1e-12))
+    assert (got[eye == 0.0] == 0.0).all()
+    assert_rows_match_stack(a2kf._project_Qd, np.stack([Qd, 2.0 * eye, Qd]), zero, eye, zero, 1e-12)
 
 
 @settings(max_examples=200, deadline=None)
@@ -251,3 +302,4 @@ def test_project_Qd_equals_the_reference_on_random_stacks(n_d, extra_y, stack, s
     CGQGC, R = 0.3 * N @ N.T, 0.2 * np.eye(n_y)
     args = (Cgamma if stacked else Cgamma[0], CGQGC, M, R, cfg.qd_floor)
     assert np.array_equal(a2kf._project_Qd(*args), project_Qd_reference(*args))
+    assert_rows_match_stack(a2kf._project_Qd, Cgamma, *args[1:])
