@@ -76,9 +76,9 @@ def outcome(fn, *args):
 
 def assert_rows_match_stack(fn, stack, *rest):
     """fn on each matrix of a 3-D stack against fn on the whole stack. An
-    accepted stack gives every row's result bitwise; a refused one was refused
-    at its first refused row, which alone raises the same exception type and
-    message, with index 0, and every row before it is accepted."""
+    accepted stack gives every row's result bitwise; a stack refused at row i
+    has every row before i accepted, and row i alone raises the stack's
+    exception type and message, with index 0."""
     whole = outcome(fn, stack, *rest)
     rows = [outcome(fn, matrix, *rest) for matrix in stack]
     if whole[0] == "ok":
