@@ -27,17 +27,16 @@ def is_square(model: SystemModel) -> bool:
 
 def one_step_estimate(y: np.ndarray, C: np.ndarray) -> np.ndarray:
     """x̂ = C^{-1} y by linear solve (no explicit inverse); y may carry leading
-    axes (one row per seed), each row solved by its own LAPACK call. C is
-    refused unless its 2-norm condition number is below COND_LIMIT, as np.linalg.cond decides it."""
+    axes (one row per seed), each row solved by its own LAPACK call. C must be one square
+    matrix, refused unless its 2-norm condition number is below COND_LIMIT, as np.linalg.cond
+    decides it: at a zero s[-1] (inf) and on the NaN ratio of an inf in C. An empty C gives an empty x̂."""
     C, y = np.asarray(C, dtype=float), np.asarray(y, dtype=float)
     if y.shape[-1:] != C.shape[:1]:
         raise r4skf.shape_error("y", y, C.shape[:1])
-    if C.ndim != 2 or not C.size:       # np.linalg.cond raises on an empty C and decides a stack
-        refused = np.linalg.cond(C) >= COND_LIMIT
-    else:   # cond(C) = s[0] / s[-1] (svd raises on a NaN in C): inf at s[-1] = 0, and the NaN of an inf refused
-        s = np.linalg.svd(C, compute_uv=False)
-        refused = s[-1] == 0.0 or not float(s[0]) / float(s[-1]) < COND_LIMIT    # floats: no RuntimeWarning
-    if refused:
+    if C.shape != 2 * C.shape[:1]:
+        raise r4skf.shape_error("C", C, 2 * C.shape[:1])
+    s = np.linalg.svd(C, compute_uv=False)  # raises on a NaN in C; cond(C) = s[0] / s[-1], taken on floats (no warning)
+    if s.size and (s[-1] == 0.0 or not float(s[0]) / float(s[-1]) < COND_LIMIT):
         raise IllConditionedError("C is not numerically invertible")
     return np.linalg.solve(C, y[..., None])[..., 0]
 

@@ -236,6 +236,9 @@ def _step_inputs():
     ("x_hat", lambda m, x0, u, y, s: cdekf.cd_four_step(replace(s, x_hat=np.zeros(3)), u, y, linear_nl_model(m))),
     ("u", lambda m, x0, u, y, s: cdekf.cd_four_step(s, 0.0, y, linear_nl_model(m))),
     ("y", lambda m, x0, u, y, s: onestep.one_step_estimate(y[:2], np.eye(3))),
+    # the one-step estimate reads one square C: a C with more columns than rows, or a stack of them, is refused
+    ("C", lambda m, x0, u, y, s: onestep.one_step_estimate(y, np.eye(3, 4))),
+    ("C", lambda m, x0, u, y, s: onestep.one_step_estimate(y, np.stack([np.eye(3)] * 3))),
     # an initial state is one seed's value; the runners stack it
     ("x0_hat", lambda m, x0, u, y, s: r4skf.initial_state(m, np.zeros((3, 4)))),
     ("P0", lambda m, x0, u, y, s: r4skf.initial_state(m, x0, P0=np.zeros((3, 4, 4)))),
@@ -261,7 +264,8 @@ def _step_inputs():
 ], ids=["r4skf.step y", "r4skf.advance stacked y", "a2kf_step y", "observer_step y",
         "observer_step L", "cd_four_step y", "r4skf x0_hat", "r4skf P0", "r4skf Pd0", "a2kf x0_hat", "a2kf P0",
         "r4skf.step 0-d u", "r4skf.advance 0-d x_hat", "a2kf_step u", "cd_four_step x_hat", "cd_four_step 0-d u",
-        "one_step_estimate y", "r4skf stacked x0_hat", "r4skf stacked P0", "r4skf stacked Pd0", "a2kf stacked P0",
+        "one_step_estimate y", "one_step_estimate C", "one_step_estimate stacked C",
+        "r4skf stacked x0_hat", "r4skf stacked P0", "r4skf stacked Pd0", "a2kf stacked P0",
         "r4skf.step P", "r4skf.advance stacked P", "cd_four_step P", "a2kf_step P_a",
         "a2kf_step x_a", "a2kf_step 0-d x_a", "a2kf_step stacked P_a", "a2kf_step stacked x_a",
         "a2kf_step Qd_hat", "a2kf_step stacked Qd_hat", "a2kf_step innov_window", "a2kf_step stacked innov_window",
