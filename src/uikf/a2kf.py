@@ -28,7 +28,7 @@ from . import r4skf
 from .errors import ConfigError
 from .r4skf import StepTerms, matvec
 # discretize stays importable from this module as part of its namespace
-from .model import DiscretizedModel, SystemModel, discretize, identity, moore_penrose_pinv  # noqa: F401
+from .model import DiscretizedModel, SystemModel, discretize, identity, moore_penrose_pinv, read_number  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -43,9 +43,7 @@ class A2KFConfig:
         if self.window < 1:
             raise ConfigError(f"a2kf.window: must be at least 1, got {self.window}")
         for name in ("qd_floor", "qd_init"):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and np.isfinite(value) and value >= 0):
-                raise ConfigError(f"a2kf.{name}: must be a finite number >= 0, got {value}")
+            object.__setattr__(self, name, read_number(getattr(self, name), f"a2kf.{name}", ">= 0"))
 
 
 @dataclass(frozen=True)
@@ -67,15 +65,14 @@ class A2KFState:
     Qd_hat: np.ndarray
     k: int
 
+    # x_a splits at n_x = n_a - n_d, not at -n_d, which is 0 for a plant without unknown input
     @property
     def d_hat(self) -> np.ndarray:
-        n_d = self.Qd_hat.shape[-1]
-        return self.x_a[..., -n_d:]
+        return self.x_a[..., self.x_a.shape[-1] - self.Qd_hat.shape[-1]:]
 
     @property
     def x_hat(self) -> np.ndarray:
-        n_d = self.Qd_hat.shape[-1]
-        return self.x_a[..., :-n_d]
+        return self.x_a[..., :self.x_a.shape[-1] - self.Qd_hat.shape[-1]]
 
 
 @dataclass(frozen=True)

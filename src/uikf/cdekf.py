@@ -23,7 +23,7 @@ import numpy as np
 from .errors import ConfigError, DimensionError
 # moore_penrose_pinv stays importable from this module as part of its namespace
 from .model import DiscretizedModel, identity, moore_penrose_pinv  # noqa: F401
-from .model import check_covariances, check_dt, check_matrix, read_only
+from .model import check_covariances, check_matrix, read_number, read_only
 from . import r4skf
 from .r4skf import FilterState, StepReport
 
@@ -74,7 +74,7 @@ class NonlinearModel:
             value = getattr(self, name)
             if not (callable(value) or (optional and value is None)):
                 raise ConfigError(f"model.{name}: must be callable, got {type(value).__name__}")
-        check_dt(self.dt)
+        object.__setattr__(self, "dt", read_number(self.dt, "model.dt", "positive"))
         for name in ("E", "G", "Q", "R"):
             object.__setattr__(self, name, read_only(getattr(self, name), f"model.{name}"))
             check_matrix(name, getattr(self, name))

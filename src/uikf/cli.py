@@ -37,7 +37,8 @@ EXIT_IO = 3
 # is a ValueError, so the estimator row comes first
 FAILURES = (
     (ESTIMATOR_FAILURES, EXIT_ESTIMATOR, "estimator failure: "),
-    (ValueError, EXIT_CONFIG, "config error: "),    # ConfigError and DimensionError included
+    # ConfigError and DimensionError included; a MemoryError is a scenario too large to allocate
+    ((ValueError, MemoryError), EXIT_CONFIG, "config error: "),
     (OSError, EXIT_IO, "i/o failure: "),
 )
 

@@ -58,10 +58,10 @@ def _list(value, field: str) -> list:
     return value
 
 
-def _number(value, field: str) -> float:
-    try:
-        return float(value)
-    except (TypeError, ValueError) as exc:
+def _number(value, field: str):
+    try:        # YAML 1.1 reads 1e-2 as text; any other value is the dataclass's to check
+        return float(value) if isinstance(value, str) else value
+    except ValueError as exc:
         raise ConfigError(f"{field}: not a number ({exc})") from exc
 
 
@@ -84,8 +84,7 @@ def parse_model(doc: Dict[str, Any]) -> SystemModel:
 
 
 def _parse_signal(doc: Dict[str, Any], field: str) -> SignalSpec:
-    numbers = dict.fromkeys(("t_on", "t_off", "amplitude", "f0"), _number)
-    values = _fields(SignalSpec, doc, field, numbers)
+    values = _fields(SignalSpec, doc, field, dict.fromkeys(("t_on", "t_off", "amplitude", "f0"), _number))
     try:
         return SignalSpec(**values)
     except ConfigError as exc:          # SignalSpec names the field within the signal

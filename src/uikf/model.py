@@ -13,7 +13,9 @@ checks on every step as rank(C E_d) = n_d.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import math
 import numbers
 from dataclasses import dataclass, field
 from typing import Callable, Tuple, Union
@@ -55,6 +57,16 @@ def read_only(M, field: str) -> np.ndarray:
     return arr
 
 
+def read_number(value, field: str, rule: str = "finite") -> float:
+    """The one scalar-field rule: value as a float if a real number, not a bool (a YAML `yes`), finite, within rule."""
+    text = {"positive": "a positive finite number", "finite": "a finite number", ">= 0": "a finite number >= 0"}[rule]
+    with contextlib.suppress(OverflowError):        # math.isfinite of an int beyond the floats
+        if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value) and (
+                rule == "finite" or float(value) > 0 or float(value) == 0 and rule == ">= 0"):
+            return float(value)
+    raise ConfigError(f"{field}: must be {text}, got {value!r}")
+
+
 def _wrap(M, name: str):
     """Normalize a constant array or callable (of time or step index) to a
     callable. A constant is a read_only copy."""
@@ -63,11 +75,6 @@ def _wrap(M, name: str):
 
 # The field rules that SystemModel and cdekf.NonlinearModel share; an error
 # names the field, as in `model.R: not symmetric`.
-def check_dt(dt) -> None:
-    if not (isinstance(dt, numbers.Real) and np.isfinite(dt) and dt > 0):
-        raise ValueError(f"model.dt: must be a positive finite number, got {dt!r}")
-
-
 def check_matrix(name: str, M: np.ndarray) -> None:
     if M.ndim != 2:
         raise DimensionError(f"model.{name}: must be a 2-D matrix, got shape {M.shape}")
@@ -118,7 +125,7 @@ class SystemModel:
     n_w: int = field(init=False, default=0)
 
     def __post_init__(self):
-        check_dt(self.dt)
+        object.__setattr__(self, "dt", read_number(self.dt, "model.dt", "positive"))
         for name in _MATRICES:
             object.__setattr__(self, name, _wrap(getattr(self, name), name))
 

@@ -19,8 +19,8 @@ import numpy as np
 
 from . import a2kf, onestep, r4skf
 from .a2kf import A2KFConfig
-from .errors import ConfigError, IllConditionedError, RankConditionError
-from .model import SystemModel, _Constant, cov_factor, later_shape_error, moore_penrose_pinv, read_only
+from .errors import ESTIMATOR_FAILURES, ConfigError
+from .model import SystemModel, _Constant, cov_factor, later_shape_error, moore_penrose_pinv, read_number, read_only
 from .r4skf import matvec
 
 SIGNAL_KINDS = ("zero", "step", "windowed_sine", "custom")
@@ -31,8 +31,8 @@ class SignalSpec:
     """Scalar unknown-input signal on a half-open window (t_on, t_off].
 
     kind is one of SIGNAL_KINDS, and custom needs samples, a flat array. Every
-    value must be a finite number. A violation is a ConfigError naming the
-    field. samples is kept as a read-only copy."""
+    value must be a finite number, kept as a float. A violation is a
+    ConfigError naming the field. samples is kept as a read-only copy."""
 
     kind: str = "zero"              # one of SIGNAL_KINDS
     t_on: float = 0.0
@@ -47,9 +47,7 @@ class SignalSpec:
         if self.kind == "custom" and self.samples is None:
             raise ConfigError("samples: required for kind=custom")
         for name in ("t_on", "t_off", "amplitude", "f0"):
-            value = getattr(self, name)
-            if not (isinstance(value, numbers.Real) and math.isfinite(value)):
-                raise ConfigError(f"{name}: must be a finite number, got {value}")
+            object.__setattr__(self, name, read_number(getattr(self, name), name))
         if self.samples is not None:
             samples = read_only(self.samples, "samples")
             if samples.ndim != 1:
@@ -100,8 +98,9 @@ class ScenarioConfig:
             raise ConfigError(f"scenario.model: must be a SystemModel, got {type(self.model).__name__}")
         for name in ("signals", "seeds", "estimators"):
             object.__setattr__(self, name, _sequence(getattr(self, name), name))
-        if not (isinstance(self.duration, numbers.Real) and np.isfinite(self.duration) and self.duration > 0):
-            raise ConfigError("scenario.duration: must be a positive finite number")
+        object.__setattr__(self, "duration", read_number(self.duration, "scenario.duration", "positive"))
+        if not math.isfinite(self.duration / self.model.dt):       # n_steps would round an inf
+            raise ConfigError(f"scenario.duration: {self.duration} is more steps of dt = {self.model.dt} than a float counts")
         if self.n_steps == 0:
             raise ConfigError(
                 f"scenario.duration: {self.duration} is shorter than one step (dt = {self.model.dt})"
@@ -134,8 +133,7 @@ class ScenarioConfig:
         for name, field in given.items():
             if getattr(self, name) is not None and not np.isfinite(getattr(self, name)).all():
                 raise ConfigError(f"{field}: values must be finite")
-        if not (isinstance(self.rmse_skip, numbers.Real) and np.isfinite(self.rmse_skip) and self.rmse_skip >= 0):
-            raise ConfigError(f"scenario.rmse_skip: must be a finite number >= 0, got {self.rmse_skip}")
+        object.__setattr__(self, "rmse_skip", read_number(self.rmse_skip, "scenario.rmse_skip", ">= 0"))
         for j, spec in enumerate(self.signals):
             if spec.kind == "custom" and spec.samples is not None and len(spec.samples) < self.n_steps:
                 raise ConfigError(
@@ -367,8 +365,8 @@ def _uio_runner(config):
     return (lambda n: _repeat(config.x0_hat, n)), step
 
 
-# estimator -> (runner, EstimatorRun field of the per-step diagonal, whether a RankConditionError
-# or IllConditionedError fails every seed: the r4skf's covariance sequence is shared)
+# estimator -> (runner, EstimatorRun field of the per-step diagonal, whether an estimator failure
+# other than a FloatingPointError fails every seed: the r4skf's covariance sequence is shared)
 _ESTIMATORS = {
     "r4skf": (_r4skf_runner, "Pd_diag", True),
     "a2kf": (_a2kf_runner, "Qd_diag", False),
@@ -411,14 +409,14 @@ def run_scenario(config: ScenarioConfig) -> ScenarioResult:
                     states[name], row = step(states[name], terms, u_k, y_k)
                     for col, value in zip(cols[name], row):
                         col[:, k] = value
-    except (RankConditionError, IllConditionedError, FloatingPointError) as exc:
+    except ESTIMATOR_FAILURES as exc:
         # an error without index comes from a model term every seed shares, so the
-        # first seed fails first; numpy raises a FloatingPointError for the whole
-        # stack, so it names no seed
-        if isinstance(exc, FloatingPointError):
-            where = f"step {k + 1}"
-        elif _ESTIMATORS[name][2]:
+        # first seed fails first; numpy raises a FloatingPointError or LinAlgError for
+        # the whole stack, so it names no seed
+        if _ESTIMATORS[name][2] and not isinstance(exc, FloatingPointError):
             where = f"step {k + 1}, all seeds (shared covariance sequence)"
+        elif isinstance(exc, (FloatingPointError, np.linalg.LinAlgError)):
+            where = f"step {k + 1}"
         else:
             where = f"seed {seeds[getattr(exc, 'index', 0)]}, step {k + 1}"
         raise type(exc)(f"{name}, {where}: {exc}") from exc

@@ -231,7 +231,7 @@ CASE = benchmark_case(1, duration=0.5, seeds=(1, 2))
         (lambda: replace(CASE, seeds=(1, 2, 1)), r"^scenario\.seeds: 1 is repeated$"),
         (lambda: replace(CASE, estimators=()), r"^scenario\.estimators: must be a non-empty list$"),
         (lambda: replace(CASE, estimators=("r4skf", "a2kf", "r4skf")), r"^scenario\.estimators: 'r4skf' is repeated$"),
-        (lambda: replace(CASE, duration="5"), r"^scenario\.duration: must be a positive finite number$"),
+        (lambda: replace(CASE, duration="5"), r"^scenario\.duration: must be a positive finite number, got '5'$"),
         (lambda: replace(CASE.model, dt="0.01"), r"^model\.dt: must be a positive finite number, got '0\.01'$"),
         # a callable matrix is checked at 0 as an array is
         (lambda: replace(CASE.model, C=lambda k: np.ones(4)), r"^model\.C: must be a 2-D matrix, got shape \(4,\)$"),
@@ -381,7 +381,7 @@ def test_a_linalg_error_exits_2_with_one_line(tmp_path, capsys, monkeypatch):
     path.write_text(yaml.safe_dump(DOC))
     assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 2
     err = capsys.readouterr().err
-    assert err == "estimator failure: Eigenvalues did not converge\n"
+    assert err == "estimator failure: r4skf, step 1, all seeds (shared covariance sequence): Eigenvalues did not converge\n"
 
 
 @pytest.mark.parametrize("estimator", ["r4skf", "a2kf"])
