@@ -19,7 +19,6 @@ from uikf.a2kf import A2KFConfig
 from uikf.benchmark import benchmark_case
 from uikf.cdekf import NonlinearModel
 from uikf.errors import ConfigError
-from uikf.model import SystemModel
 from uikf.sim import SignalSpec, run_scenario
 
 CASE = benchmark_case(1, duration=0.5, seeds=(1, 2))
