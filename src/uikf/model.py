@@ -45,11 +45,15 @@ class _Constant:
 def read_only(M, field: str) -> np.ndarray:
     """A read-only float copy of M, so that later writes to the caller's array, or through
     the returned one, cannot change a model or a config. The one conversion of an array
-    field: a value numpy cannot convert, or a complex one, is a ConfigError naming the field."""
+    field: a value numpy cannot convert, a complex one or a bool is a ConfigError naming the field."""
     try:
         # a complex ndarray would convert with a warning and lose its imaginary part
         if np.iscomplexobj(M):
             raise TypeError("complex values are not allowed")
+        # numpy reads a bool as 1 or 0, beside floats in a list too: a dtype test, or one scan of other input
+        held = M if isinstance(M, np.ndarray) else np.array(M, dtype=object)
+        if held.dtype == bool or held.dtype == object and any(isinstance(v, (bool, np.bool_)) for v in held.flat):
+            raise TypeError("bool values are not allowed")
         arr = np.array(M, dtype=float)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{field}: not a numeric array ({exc})") from exc

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import yaml
 
-from uikf import a2kf, benchmark, cdekf, cli, config, onestep, r4skf, sim, uio
+from uikf import a2kf, benchmark, cdekf, cli, config, model, onestep, r4skf, sim, uio
 from uikf.benchmark import benchmark_case
 from uikf.cdekf import NonlinearModel
 from uikf.errors import ConfigError, DimensionError, IllConditionedError
@@ -208,6 +208,83 @@ def test_a_complex_initial_estimate(make):
 @pytest.mark.parametrize("make", COMPLEX.values(), ids=COMPLEX.keys())
 def test_complex_signal_samples(make):
     assert python_message(lambda: SignalSpec(kind="custom", samples=make(np.zeros(50)))) == f"samples: {REFUSED}"
+
+
+def with_first(real, value):
+    """real as an object ndarray whose first entry is value"""
+    out = real.astype(object)
+    out.flat[0] = value
+    return out
+
+
+# numpy reads a bool as 1.0 or 0.0, and upcasts one beside floats in a list
+# without a word; an array field refuses it as the scalar fields do
+BOOLS = {
+    "bool ndarray": lambda real: real != 0.0,
+    "object ndarray": lambda real: with_first(real, True),
+    "list beside floats": lambda real: with_first(real, True).tolist(),
+    "numpy bool in a list": lambda real: with_first(real, np.False_).tolist(),
+}
+NOT_A_NUMBER = "not a numeric array (bool values are not allowed)"
+
+
+@pytest.mark.parametrize("make", BOOLS.values(), ids=BOOLS.keys())
+@pytest.mark.parametrize("name", MATRICES)
+def test_a_bool_model_matrix(make, name):
+    bad = make(MATRICES[name].astype(float))
+    assert python_message(lambda: SystemModel(**{**MATRICES, name: bad}, dt=0.01)) == f"model.{name}: {NOT_A_NUMBER}"
+    assert python_message(lambda: SystemModel(**{**MATRICES, name: lambda _arg: bad}, dt=0.01)) == f"model.{name}: {NOT_A_NUMBER}"
+
+
+@pytest.mark.parametrize("make", BOOLS.values(), ids=BOOLS.keys())
+@pytest.mark.parametrize("name, section, key, shape", [
+    ("x0_true", "scenario", "x0_true", (4,)), ("x0_hat", "scenario", "x0_hat", (4,)), ("uio_gain", "uio", "gain", (4, 3)),
+])
+def test_a_bool_scenario_array(make, name, section, key, shape):
+    bad = make(np.ones(shape))
+    assert python_message(lambda: replace(benchmark_case(1), **{name: bad})) == f"{section}.{key}: {NOT_A_NUMBER}"
+
+
+@pytest.mark.parametrize("make", BOOLS.values(), ids=BOOLS.keys())
+def test_bool_signal_samples(make):
+    bad = make(np.full(50, 0.5))
+    assert python_message(lambda: SignalSpec(kind="custom", samples=bad)) == f"samples: {NOT_A_NUMBER}"
+
+
+@pytest.mark.parametrize("bad", [True, np.True_, [True, False], [[False]]])
+def test_a_bare_bool_is_not_a_numeric_array(bad):
+    assert python_message(lambda: model.read_only(bad, "model.A")) == f"model.A: {NOT_A_NUMBER}"
+
+
+def yaml_text(tmp_path, section, key, text):
+    """A copy of DOC written to a file with doc[section][key] given as YAML text."""
+    doc = {name: dict(part) if isinstance(part, dict) else part for name, part in DOC.items()}
+    doc[section][key] = "TEXT"
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(doc).replace("TEXT", text))
+    return path
+
+
+# YAML 1.1 reads yes, no, on, off, true and false as bools
+@pytest.mark.parametrize("section, key, text, field", [
+    ("scenario", "x0_hat", "[yes, off]", "scenario.x0_hat"),
+    ("scenario", "x0_true", "[0.0, true]", "scenario.x0_true"),
+    ("model", "A", "[[0.0, on], [0.0, 0.0]]", "model.A"),
+    ("model", "C", "[[yes, no], [no, yes]]", "model.C"),
+    ("uio", "gain", "[[1.0, false], [0.0, 1.0]]", "uio.gain"),
+    ("scenario", "signals", f"[{{kind: custom, samples: [{'0.5, ' * 49}on]}}]", "scenario.signals[0].samples"),
+])
+def test_a_yaml_bool_in_an_array_field(tmp_path, section, key, text, field):
+    with pytest.raises(ConfigError) as info:
+        config.load_scenario(yaml_text(tmp_path, section, key, text))
+    assert str(info.value) == f"{field}: {NOT_A_NUMBER}"
+
+
+def test_a_yaml_bool_array_field_exits_1_with_one_line(tmp_path, capsys):
+    path = yaml_text(tmp_path, "scenario", "x0_hat", "[yes, off]")
+    assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"config error: scenario.x0_hat: {NOT_A_NUMBER}\n"
 
 
 def _step_inputs():
