@@ -86,8 +86,7 @@ class A2KFStepReport:
 def augment(model: SystemModel, t: float = 0.0, k: int = 0, Qd=None) -> AugmentedModel:
     """Assemble the augmented blocks A_a=[A E; 0 0], B_a=[B; 0],
     G_a=[G 0; 0 I], C_a=[C 0], Q_a=blkdiag(Q, Q^d) at time t / step k."""
-    A, B, E, G, Q = [np.asarray(M(t), dtype=float) for M in (model.A, model.B, model.E, model.G, model.Q)]
-    C = np.asarray(model.C(k), dtype=float)
+    A, B, E, G, Q, C = model.A(t), model.B(t), model.E(t), model.G(t), model.Q(t), model.C(k)
     n_x, n_d, n_w = model.n_x, model.n_d, model.n_w
     A_a = np.zeros((n_x + n_d, n_x + n_d))
     A_a[:n_x, :n_x] = A

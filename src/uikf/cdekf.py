@@ -45,6 +45,15 @@ def finite_difference_jacobian(fn: Callable[[np.ndarray], np.ndarray], x: np.nda
     return J
 
 
+def _checked(name: str, value, shape) -> np.ndarray:
+    """value as a float array of exactly shape, else a DimensionError naming the model function
+    (r4skf.check_shape inline, sparing a call per value)."""
+    value = np.asarray(value, dtype=float)
+    if value.shape != shape:
+        raise r4skf.shape_error(name, value, shape)
+    return value
+
+
 @dataclass(frozen=True)
 class NonlinearModel:
     """Nonlinear continuous-discrete plant with sampled outputs.
@@ -56,7 +65,8 @@ class NonlinearModel:
     model.cov_factor as positive semi-definite. They are stored as read-only
     float copies. f and h must be callable, F and H callable or None. An
     error names the field, as SystemModel's do (`model.R: not symmetric`);
-    f, h, F and H are not called.
+    f, h, F and H are not called; a step refuses a value of theirs of the
+    wrong shape with a DimensionError naming it (cd_four_step).
     """
 
     f: Callable[[np.ndarray, np.ndarray, float], np.ndarray]
@@ -88,15 +98,17 @@ class NonlinearModel:
             raise DimensionError(f"model.R: must be square, got {R.shape}")
         check_covariances(Q, R, R_definite=False)
 
+    # a Jacobian of another shape than (n_x, n_x) or (n_y, n_x) is a
+    # DimensionError naming F or H, or f or h when it is differenced
     def jac_f(self, x, u, t) -> np.ndarray:
-        if self.F is not None:
-            return np.asarray(self.F(x, u, t), dtype=float)
-        return finite_difference_jacobian(lambda xx: self.f(xx, u, t), x)
+        if self.F is None:
+            return _checked("model.f", finite_difference_jacobian(lambda xx: self.f(xx, u, t), x), (len(self.E),) * 2)
+        return _checked("model.F", self.F(x, u, t), (len(self.E),) * 2)
 
     def jac_h(self, x) -> np.ndarray:
-        if self.H is not None:
-            return np.asarray(self.H(x), dtype=float)
-        return finite_difference_jacobian(self.h, x)
+        if self.H is None:
+            return _checked("model.h", finite_difference_jacobian(self.h, x), (len(self.R), len(self.E)))
+        return _checked("model.H", self.H(x), (len(self.R), len(self.E)))
 
 
 def propagate_state(
@@ -108,11 +120,12 @@ def propagate_state(
     t: float = 0.0,
 ) -> np.ndarray:
     """Integrate dx/dt = f(x,u,t) + E d̂ over one sample period; d̂ and u
-    are held piecewise constant."""
+    are held piecewise constant. An f value of another shape than x is a
+    DimensionError naming model.f."""
     Ed, dt = model.E @ d_hat, model.dt
 
     def rhs(xx, tt):
-        return np.asarray(model.f(xx, u, tt), dtype=float) + Ed
+        return _checked("model.f", model.f(xx, u, tt), x.shape) + Ed
 
     if method == "euler":
         x_new = x + rhs(x, t) * dt
@@ -160,6 +173,8 @@ def cd_four_step(
     if u.ndim != 1:
         raise DimensionError(f"u: shape {u.shape} is not a vector")
 
+    # f and h values are checked before the Jacobians differenced from them
+    x_star = propagate_state(state.x_hat, u, np.zeros(E.shape[1]), model, method=method, t=t)
     F_k = model.jac_f(state.x_hat, u, t)
     dm = DiscretizedModel(
         A_d=identity(n_x) + F_k * dt,
@@ -168,15 +183,14 @@ def cd_four_step(
         dt=dt,
     )
 
-    x_star = propagate_state(state.x_hat, u, np.zeros(E.shape[1]), model, method=method, t=t)
+    gamma = y - _checked("model.h", model.h(x_star), y.shape)
     C = model.jac_h(x_star)
     terms = r4skf.StepTerms(dm, C, R, Q, G, r4skf.unknown_input_gain(C, dm.E_d))
-    gamma = y - np.asarray(model.h(x_star), dtype=float)
     d_hat = terms.F_d @ gamma
     x_pred = x_star + dm.E_d @ d_hat
 
     _, K, L, P_post, Pd = r4skf.gain_and_covariance(state.P, terms)
-    x_hat = x_pred + K @ (y - np.asarray(model.h(x_pred), dtype=float))
+    x_hat = x_pred + K @ (y - _checked("model.h", model.h(x_pred), y.shape))
 
     new_state = FilterState(x_hat=x_hat, P=P_post, d_hat=d_hat, Pd=Pd, gamma=gamma, k=state.k + 1)
     report = StepReport(x_star=x_star, x_pred=x_pred, d_hat=d_hat, F_d=terms.F_d, K=K, L=L, dm=dm, C=C)

@@ -30,6 +30,7 @@ RANK_TOL = 1e-10                # relative to sigma_max, see pinv_and_rank
 
 
 _MATRICES = ("A", "B", "E", "G", "Q", "C", "R")
+_FLOAT = np.dtype(float)
 
 
 class _Constant:
@@ -71,10 +72,34 @@ def read_number(value, field: str, rule: str = "finite") -> float:
     raise ConfigError(f"{field}: must be {text}, got {value!r}")
 
 
-def _wrap(M, name: str):
-    """Normalize a constant array or callable (of time or step index) to a
-    callable. A constant is a read_only copy."""
-    return M if callable(M) else _Constant(read_only(M, f"model.{name}"))
+class _Callable:
+    """A matrix given as a callable of t (A, B, E, G, Q) or k (C, R). A float ndarray of its shape at 0
+    is returned as it is; any other value is read by read_only and of another shape a DimensionError,
+    each naming the matrix and the step: k for C and R, round(t / dt) + 1 for the others."""
+
+    def __init__(self, fn, name: str, shape: Tuple[int, ...], dt: float):
+        self.fn, self.name, self.shape, self.dt = fn, name, shape, dt
+
+    def __call__(self, arg) -> np.ndarray:
+        M = self.fn(arg)
+        if type(M) is np.ndarray and M.dtype is _FLOAT and M.shape == self.shape:
+            return M
+        where = f"model.{self.name}, step {arg if self.name in 'CR' else round(arg / self.dt) + 1}"
+        M = read_only(M, where)
+        if M.shape != self.shape:
+            raise DimensionError(f"{where}: shape {M.shape}, but {self.shape} at 0")
+        return M
+
+
+def _wrap(M, name: str, dt: float):
+    """(M as a callable, its value at 0): a constant as a read_only copy, a callable as a _Callable
+    of its shape at 0, wrapped afresh from the user's callable in a replace copy."""
+    M = M.fn if isinstance(M, _Callable) else M
+    if isinstance(M, _Constant) or not callable(M):
+        M = M if callable(M) else _Constant(read_only(M, f"model.{name}"))
+        return M, M.arr
+    M0 = read_only(M(0 if name in "CR" else 0.0), f"model.{name}")
+    return _Callable(M, name, M0.shape, dt), M0
 
 
 # The field rules that SystemModel and cdekf.NonlinearModel share; an error
@@ -99,19 +124,18 @@ def check_covariances(Q: np.ndarray, R: np.ndarray, R_definite: bool) -> None:
 class SystemModel:
     """Continuous-discrete linear plant.
 
-    A, B, E, G, Q are callables of continuous time t (constant matrices are
-    wrapped automatically); C and R are callables of the measurement step
-    index k. All evaluated matrices are treated as immutable; a matrix given
-    as an array is stored as a read-only copy of it, so writing into
-    model.C(0) raises and writing into the caller's array changes nothing.
-    A callable matrix must return the same values for the same argument, and
-    its result must not be written to afterwards: the model keeps the last
-    StepTerms that r4skf.step_terms evaluated from it and the last result of
-    discretize, so estimators that step it at the same k share one
-    evaluation. time_invariant is True when every matrix was given as an
-    array; such a model is evaluated once per instance. A dataclasses.replace
-    copy starts without kept terms. An error names the field, as in
-    `model.R: not symmetric`; n_x, ... and _shapes are read from the values at 0.
+    A, B, E, G, Q are callables of continuous time t (constant matrices are wrapped
+    automatically); C and R are callables of the measurement step index k. All evaluated
+    matrices are treated as immutable; a matrix given as an array is stored as a read-only copy
+    of it, so writing into model.C(0) raises and writing into the caller's array changes
+    nothing. A callable matrix is wrapped once (_Callable), which holds every later value to the
+    rules of its value at 0; it must return the same values for the same argument, and its
+    result must not be written to afterwards: the model keeps the last StepTerms that
+    r4skf.step_terms evaluated from it (kept_terms), so estimators that step it at the same k
+    share one evaluation. time_invariant is True when every matrix was given as an array; such a
+    model is evaluated once per instance. A dataclasses.replace copy starts without kept terms.
+    An error names the field, as in `model.R: not symmetric`; n_x, ... are read from the values
+    at 0.
     """
 
     A: MatrixLike
@@ -130,13 +154,13 @@ class SystemModel:
 
     def __post_init__(self):
         object.__setattr__(self, "dt", read_number(self.dt, "model.dt", "positive"))
+        values = []
         for name in _MATRICES:
-            object.__setattr__(self, name, _wrap(getattr(self, name), name))
-
-        A0, B0, E0, G0, Q0 = (read_only(getattr(self, name)(0.0), f"model.{name}") for name in "ABEGQ")
-        C0, R0 = (read_only(getattr(self, name)(0), f"model.{name}") for name in "CR")
-        for name, M in zip(_MATRICES, (A0, B0, E0, G0, Q0, C0, R0)):
-            check_matrix(name, M)
+            M, M0 = _wrap(getattr(self, name), name, self.dt)
+            object.__setattr__(self, name, M)
+            check_matrix(name, M0)
+            values.append(M0)
+        A0, B0, E0, G0, Q0, C0, R0 = values
 
         n_x = A0.shape[0]
         if A0.shape != (n_x, n_x):
@@ -164,7 +188,6 @@ class SystemModel:
         object.__setattr__(self, "n_d", n_d)
         object.__setattr__(self, "n_y", n_y)
         object.__setattr__(self, "n_w", n_w)
-        object.__setattr__(self, "_shapes", ((A0.shape, B0.shape, E0.shape), (C0.shape, R0.shape, Q0.shape, G0.shape)))
 
     @functools.cached_property
     def time_invariant(self) -> bool:
@@ -210,32 +233,29 @@ class DiscretizedModel:
     dt: float
 
 
-def later_shape_error(step: int, names: str, values, shapes) -> str:
-    """The text that refuses the first of values, model.<name> at step for the
-    one-letter names, whose shape is not the one in shapes, its shape at 0."""
-    name, M, shape = next(v for v in zip(names, values, shapes) if v[1].shape != v[2])
-    return f"model.{name}, step {step}: shape {M.shape}, but {shape} at 0"
+def kept_terms(model: SystemModel, t: float, evaluate=None, *args):
+    """The StepTerms kept on the model if for the step from t (kept at k dt == t, or for every step of a time-invariant
+    model), else evaluate(*args) kept in one assignment of an immutable pair (no thread sees a torn entry), or None."""
+    kept = model.__dict__.get("_step_terms")
+    if kept is not None and (kept[0] is None or kept[0] == t):
+        return kept[1]
+    if evaluate is not None:
+        kept = model.__dict__["_step_terms"] = (None if model.time_invariant else t, evaluate(*args))
+        return kept[1]
 
 
 def discretize(model: SystemModel, t: float) -> DiscretizedModel:
-    """First-order (Euler) discretization of the plant at step start time t.
-    The model keeps the last result, keyed by t, so a caller that
-    discretizes it at the t r4skf.step_terms just read shares that A_d; so
-    A_d, B_d and E_d are read-only. A new shape of A, B or E is a DimensionError."""
-    kept = model.__dict__.get("_discretized")
-    if kept is not None and kept[0] == t:
-        return kept[1]
-    dt, n_x = model.dt, model.n_x
-    A = np.asarray(model.A(t), dtype=float)
-    B = np.asarray(model.B(t), dtype=float)
-    E = np.asarray(model.E(t), dtype=float)
-    if (A.shape, B.shape, E.shape) != model._shapes[0]:
-        raise DimensionError(later_shape_error(round(t / dt) + 1, "ABE", (A, B, E), model._shapes[0]))
-    dm = DiscretizedModel(A_d=identity(n_x) + A * dt, B_d=B * dt, E_d=E * dt, dt=dt)
+    """First-order (Euler) discretization of the plant at step start time t:
+    the dm of the StepTerms kept on the model when they are for t (kept_terms),
+    so a stream observer that discretizes at the t r4skf.step_terms just read
+    evaluates no A(t), else a new one. A_d, B_d and E_d are read-only."""
+    kept = kept_terms(model, t)
+    if kept is not None:
+        return kept.dm
+    dt = model.dt
+    dm = DiscretizedModel(A_d=identity(model.n_x) + model.A(t) * dt, B_d=model.B(t) * dt, E_d=model.E(t) * dt, dt=dt)
     for M in (dm.A_d, dm.B_d, dm.E_d):
         M.flags.writeable = False
-    # one assignment of an immutable pair, as in r4skf.step_terms
-    model.__dict__["_discretized"] = (t, dm)
     return dm
 
 

@@ -34,7 +34,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import DimensionError, IllConditionedError, RankConditionError
-from .model import DiscretizedModel, SystemModel, discretize, identity, later_shape_error, pinv_and_rank
+from .model import DiscretizedModel, SystemModel, discretize, identity, kept_terms, pinv_and_rank
 
 RCOND_FLOOR = 1e-14
 DEFAULT_P0_SCALE = 10.0
@@ -314,35 +314,25 @@ def step_terms(model: SystemModel, k: int) -> StepTerms:
     """What one step reads from the model, for the step from t_k = k dt to
     measurement k + 1, with the rank-checked F_d = (C E_d)^+.
 
-    The model keeps the last StepTerms evaluated from it, keyed by k, or by
-    None, "every step", for a time-invariant model. So estimators that step
-    one model at the same k (r4skf.step, a2kf.a2kf_step, the runners of
+    The model keeps the last StepTerms evaluated from it (model.kept_terms,
+    keyed by t = k dt, or by None, "every step", for a time-invariant model).
+    So estimators that step one model at the same k (r4skf.step, a2kf.a2kf_step, the runners of
     sim.run_scenario) share one evaluation, and a time-invariant model is
     evaluated once per instance; a time-varying one once per step, every
     product of its StepTerms included. No SVD is formed while C E_d repeats
     the last value (unknown_input_gain). This holds as long as a callable
     matrix returns the same values for the same argument and its results are
     not written to. A_d, B_d, E_d and F_d are read-only; C, R, Q and G are
-    the arrays the model returned. A failed evaluation keeps no terms, so it
-    raises again on the next call."""
-    kept = model.__dict__.get("_step_terms")
-    if kept is not None and (kept[0] is None or kept[0] == k):
-        return kept[1]
-    terms = _evaluate(model, k)
-    # one assignment of an immutable pair: two threads may both build the
-    # terms, but neither sees a torn entry
-    model.__dict__["_step_terms"] = (None if model.time_invariant else k, terms)
-    return terms
+    the arrays the model's matrices returned, checked by them (SystemModel).
+    A failed evaluation keeps no terms, so it raises again on the next call."""
+    return kept_terms(model, k * model.dt, _evaluate, model, k)
 
 
 def _evaluate(model: SystemModel, k: int) -> StepTerms:
     t = k * model.dt
     dm = discretize(model, t)
-    C, R = np.asarray(model.C(k + 1), dtype=float), np.asarray(model.R(k + 1), dtype=float)
-    Q, G = np.asarray(model.Q(t), dtype=float), np.asarray(model.G(t), dtype=float)
-    if (C.shape, R.shape, Q.shape, G.shape) != model._shapes[1]:
-        raise DimensionError(later_shape_error(k + 1, "CRQG", (C, R, Q, G), model._shapes[1]))
-    return StepTerms(dm, C, R, Q, G, unknown_input_gain(C, dm.E_d))
+    C = model.C(k + 1)
+    return StepTerms(dm, C, model.R(k + 1), model.Q(t), model.G(t), unknown_input_gain(C, dm.E_d))
 
 
 def step(state: FilterState, u: np.ndarray, y: np.ndarray, model: SystemModel) -> Tuple[FilterState, StepReport]:

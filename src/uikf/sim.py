@@ -20,7 +20,7 @@ import numpy as np
 from . import a2kf, onestep, r4skf
 from .a2kf import A2KFConfig
 from .errors import ESTIMATOR_FAILURES, ConfigError
-from .model import SystemModel, _Constant, cov_factor, later_shape_error, moore_penrose_pinv, read_number, read_only
+from .model import SystemModel, _Constant, cov_factor, moore_penrose_pinv, read_number, read_only
 from .r4skf import matvec
 
 SIGNAL_KINDS = ("zero", "step", "windowed_sine", "custom")
@@ -99,8 +99,8 @@ class ScenarioConfig:
         for name in ("signals", "seeds", "estimators"):
             object.__setattr__(self, name, _sequence(getattr(self, name), name))
         object.__setattr__(self, "duration", read_number(self.duration, "scenario.duration", "positive"))
-        if not math.isfinite(self.duration / self.model.dt):       # n_steps would round an inf
-            raise ConfigError(f"scenario.duration: {self.duration} is more steps of dt = {self.model.dt} than a float counts")
+        if not self.duration / self.model.dt < np.iinfo(np.intp).max:       # an inf included
+            raise ConfigError(f"scenario.duration: {self.duration} is more steps of dt = {self.model.dt} than an array can index")
         if self.n_steps == 0:
             raise ConfigError(
                 f"scenario.duration: {self.duration} is shorter than one step (dt = {self.model.dt})"
@@ -208,20 +208,14 @@ def _at(model: SystemModel, name: str, args, f=None) -> np.ndarray:
     """The model's matrix `name` evaluated at each of args and stacked (f(M) with
     f given); a matrix given as an array is evaluated once and broadcasts over
     the steps. f runs again only when the value changes, and the evaluated
-    matrices are not kept. Step i + 1 reads args[i]: a value that is not finite,
-    whose shape differs from the value at 0 or that f refuses with a ValueError
-    is a ConfigError naming the matrix and that step."""
+    matrices are not kept. Step i + 1 reads args[i]: the matrix itself refuses a
+    value of another kind or shape than at 0 (SystemModel); a value that is not
+    finite or that f refuses with a ValueError is a ConfigError naming the
+    matrix and that step."""
     M = getattr(model, name)
     if isinstance(M, _Constant) or len(args) == 0:
-        M0 = np.asarray(M(0), dtype=float)
-        return M0 if f is None else f(M0)
-    shape = np.shape(M(0))
-    out = np.empty((len(args),) + shape)
-    for i, a in enumerate(args):
-        Mk = np.asarray(M(a), dtype=float)
-        if Mk.shape != shape:
-            raise ConfigError(later_shape_error(i + 1, name, (Mk,), (shape,)))
-        out[i] = Mk
+        return M(0) if f is None else f(M(0))
+    out = np.fromiter((M(a) for a in args), (float, M.shape), len(args))       # one value alive at a time
     finite = np.isfinite(out).all(axis=(-2, -1))
     if not finite.all():
         raise ConfigError(f"model.{name}, step {np.argmin(finite) + 1}: value is not finite")
@@ -354,8 +348,7 @@ def _onestep_runner(config):
 
 
 def _uio_runner(config):
-    L = config.uio_gain
-    L = np.asarray(moore_penrose_pinv(np.asarray(config.model.C(0), dtype=float)) if L is None else L, dtype=float)
+    L = moore_penrose_pinv(config.model.C(0)) if config.uio_gain is None else config.uio_gain
 
     # observer_step is the four-step recursion with the fixed gain L
     def step(x_hat, t, u, y):

@@ -356,12 +356,12 @@ def test_an_argument_of_the_wrong_shape_is_a_dimension_error_naming_it(name, cal
                          ids=list("ABEGQCR") + ["A vector"])
 def test_a_later_model_value_of_the_wrong_shape_is_refused_by_the_step_as_by_the_truth(name, bad):
     """A, B, E, G and Q are read at t = dt for step 2 and C and R at k = 1 for
-    step 1; r4skf.step refuses a changed shape with the text that the truth
+    step 1; r4skf.step refuses a changed shape with the error that the truth
     simulator refuses it with, instead of broadcasting it or failing in numpy."""
     cfg = benchmark_case(1, duration=0.05, seeds=(1,), estimators=("r4skf",))
     M0 = getattr(cfg.model, name)(0)
     model = replace(cfg.model, **{name: lambda arg: M0 if arg == 0 else bad(M0)})
-    with pytest.raises(ConfigError) as truth:
+    with pytest.raises(DimensionError) as truth:
         sim.run_scenario(replace(cfg, model=model))
     state, y = r4skf.initial_state(model, np.zeros(4)), np.zeros(3)
     with pytest.raises(DimensionError) as step:
@@ -369,3 +369,95 @@ def test_a_later_model_value_of_the_wrong_shape_is_refused_by_the_step_as_by_the
             state, _ = r4skf.step(state, np.zeros(2), y, model)
     assert str(step.value) == str(truth.value)
     assert str(step.value).startswith(f"model.{name}, step {1 if name in 'CR' else 2}: shape ")
+
+
+# a later value that read_only refuses; numpy used to read a bool as 1.0 or 0.0,
+# drop an imaginary part with a ComplexWarning, or fail on text in its own words
+NOT_NUMERIC = {
+    "bool": (lambda M0: M0 != 0, "bool values are not allowed"),
+    "complex": (lambda M0: M0 + 1j, "complex values are not allowed"),
+    "text": (lambda M0: "abc", "could not convert string to float: 'abc'"),
+}
+
+
+@pytest.mark.parametrize("kind", NOT_NUMERIC)
+@pytest.mark.parametrize("name", "ABEGQCR")
+def test_a_later_model_value_that_is_not_numeric_is_refused_with_one_text(name, kind):
+    """The matrix itself refuses the value, so the filter steps, run_scenario
+    and the truth simulator give one ConfigError naming the matrix and step."""
+    make, reason = NOT_NUMERIC[kind]
+    cfg = benchmark_case(1, duration=0.05, seeds=(1,), estimators=("r4skf", "a2kf"))
+    M0 = getattr(cfg.model, name)(0)
+    model = replace(cfg.model, **{name: lambda arg: M0 if arg == 0 else make(M0)})
+    u, y, x0 = np.zeros(2), np.zeros(3), np.zeros(4)
+
+    def steps(step, state):
+        for _ in range(2):
+            state, _ = step(state, u, y, model)
+
+    runs = [
+        lambda: steps(r4skf.step, r4skf.initial_state(model, x0)),
+        lambda: steps(a2kf.a2kf_step, a2kf.initial_state(model, x0)),
+        lambda: sim.run_scenario(replace(cfg, model=model)),
+        lambda: sim.simulate(model, x0, np.zeros((5, 2)), [np.random.default_rng(1)]),
+    ]
+    want = f"model.{name}, step {1 if name in 'CR' else 2}: not a numeric array ({reason})"
+    assert [python_message(run) for run in runs] == [want] * 4
+
+
+def test_a_callable_matrix_returns_a_float_array_of_its_shape_as_it_is_and_is_wrapped_once():
+    model = benchmark.benchmark_model()
+    values = [np.array(model.C(0)) for _ in range(3)]
+
+    def C(k):
+        return values[k]
+
+    varying = replace(model, C=C)
+    assert all(varying.C(k) is values[k] for k in range(3))
+    assert replace(varying, dt=0.02).C.fn is C                 # not the wrapper of a wrapper
+    ints = replace(model, C=lambda k: [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]])
+    assert ints.C(4).dtype == float and np.array_equal(ints.C(4), [[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1]])
+
+
+def test_a_step_numbers_the_t_matrices_with_the_dt_of_its_model():
+    model = benchmark.benchmark_model()
+    A0 = model.A(0.0)
+    bad = replace(model, A=lambda t: A0 if t < 0.035 else A0[:1])
+    for dt, step in ((0.01, 5), (0.005, 8)):
+        with pytest.raises(DimensionError, match=rf"^model\.A, step {step}: shape \(1, 4\), but \(4, 4\) at 0$"):
+            sim.simulate(replace(bad, dt=dt), np.zeros(4), np.zeros((10, 2)), [np.random.default_rng(1)])
+
+
+def from_second_call(fn, cut):
+    """fn, whose values from its second call on keep only their first `cut` entries."""
+    calls = []
+
+    def call(*args):
+        calls.append(1)
+        return fn(*args) if len(calls) == 1 else fn(*args)[:cut]
+    return call
+
+
+# a value of the wrong shape used to broadcast into a wrong estimate (f, F) or to
+# surface as a RankConditionError (h, H); a differenced Jacobian's function is
+# named; with F and H given, f is called once per RK4 stage and h at x* and x_pred
+CD_FAULTS = {
+    "f": ("f", lambda nl: dict(f=lambda x, u, t: nl.f(x, u, t)[:1])),
+    "F": ("F", lambda nl: dict(F=lambda x, u, t: nl.F(x, u, t)[:1, :1])),
+    "h": ("h", lambda nl: dict(h=lambda x: nl.h(x)[:1])),
+    "H": ("H", lambda nl: dict(H=lambda x: nl.H(x)[:1])),
+    "f differenced": ("f", lambda nl: dict(f=lambda x, u, t: nl.f(x, u, t)[:1], F=None)),
+    "h differenced": ("h", lambda nl: dict(h=lambda x: nl.h(x)[:1], H=None)),
+    "f at the second stage": ("f", lambda nl: dict(f=from_second_call(nl.f, 1))),
+    "h at x_pred": ("h", lambda nl: dict(h=from_second_call(nl.h, 2))),
+}
+
+
+@pytest.mark.parametrize("fault, method", [(fault, method) for fault in CD_FAULTS for method in ("euler", "rk4")
+                                           if (fault, method) != ("f at the second stage", "euler")])
+def test_a_model_function_value_of_the_wrong_shape_is_a_dimension_error_naming_it(fault, method):
+    name, change = CD_FAULTS[fault]
+    model, x0, u, y, state = _step_inputs()
+    nl = linear_nl_model(model)
+    with pytest.raises(DimensionError, match=rf"^model\.{name}: shape \("):
+        cdekf.cd_four_step(state, u, y, replace(nl, **change(nl)), method=method)

@@ -1,5 +1,5 @@
 """The memos that keep model values across steps: the StepTerms r4skf.step_terms
-keeps for the last k, the last result of model.discretize, keyed by t, and
+keeps for the last k, which model.discretize reads at their t, and
 the F_d = (C E_d)^+ that r4skf.unknown_input_gain keeps for the last C E_d,
 so one SVD serves every step that repeats it. These tests hold plants where
 exactly one matrix is a callable to the written-out references of
@@ -99,12 +99,24 @@ def test_run_scenario_equals_the_plant_with_every_matrix_a_callable(plant):
                 assert (a is None and b is None) or np.array_equal(a, b), (seed, est, f.name)
 
 
-def test_discretize_keeps_the_last_result_and_its_arrays_are_read_only():
+def test_discretize_reads_the_kept_step_terms_at_their_t_and_its_arrays_are_read_only():
+    """discretize keeps nothing of its own: at the t of the StepTerms kept on
+    the model it returns their dm, at any other t a new one, without
+    evaluating A at the kept t again."""
+    A_calls = []
     model = one_callable(benchmark_model(), "A")
+    model = replace(model, A=counted(model.A, A_calls))
     dm = discretize(model, 0.05)
-    assert discretize(model, 0.05) is dm and discretize(model, 0.06) is not dm
-    assert np.array_equal(discretize(model, 0.05).A_d, dm.A_d)
-    for M in (dm.A_d, dm.B_d, dm.E_d):
+    assert discretize(model, 0.05) is not dm and np.array_equal(discretize(model, 0.05).A_d, dm.A_d)
+    terms = r4skf.step_terms(model, 5)                  # for t = 5 dt = 0.05
+    del A_calls[:]
+    assert discretize(model, 0.05) is terms.dm and A_calls == []
+    assert discretize(model, 0.06) is not terms.dm and A_calls == [0.06]
+    assert np.array_equal(terms.dm.A_d, dm.A_d)
+    lti = benchmark_model()
+    terms = r4skf.step_terms(lti, 0)
+    assert discretize(lti, 0.0) is terms.dm and discretize(lti, 0.37) is terms.dm
+    for M in (dm.A_d, dm.B_d, dm.E_d, terms.dm.A_d):
         with pytest.raises(ValueError, match="read-only"):
             M[0, 0] = 1.0
 

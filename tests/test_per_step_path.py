@@ -260,7 +260,8 @@ def test_simulate_factors_constant_covariances_once(monkeypatch):
 
 def test_simulate_keeps_one_factor_per_matrix(monkeypatch):
     """A callable R(k) that returns a fresh array with the same values each
-    step is factored once, and only the last array is kept alive."""
+    step is factored once, and no returned array outlives its step: when R
+    is called, no earlier value is alive."""
     calls = count_calls(monkeypatch, sim, "cov_factor")
     model = benchmark_model()
     R0 = model.R(0)
@@ -277,7 +278,7 @@ def test_simulate_keeps_one_factor_per_matrix(monkeypatch):
     cfg = replace(benchmark_case(1, duration=0.5, seeds=(1,)), model=fresh)
     x, y = sim.simulate(fresh, cfg.x0_true, sim.sample_signals(cfg), [np.random.default_rng(1)])
     assert len(calls) == 2
-    assert most_alive[0] == 1
+    assert most_alive[0] == 0
     want = sim.simulate(model, cfg.x0_true, sim.sample_signals(cfg), [np.random.default_rng(1)])
     assert np.array_equal(x, want[0]) and np.array_equal(y, want[1])
 

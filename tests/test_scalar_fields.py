@@ -158,10 +158,11 @@ def test_an_a2kf_step_without_unknown_input():
     assert np.array_equal(state.x_hat, rstate.x_hat) and np.array_equal(report.gamma, rstate.gamma)
 
 
-def test_a_step_count_beyond_the_floats_is_a_config_error(capsys):
-    with pytest.raises(ConfigError, match=r"^scenario\.duration: 1\.0 is more steps of dt = 5e-324 than a float counts$"):
-        benchmark_case(1, dt=5e-324, duration=1.0)
-    rc, err = run_cli(capsys, ["reproduce", "--case", "1", "--seeds", "1", "--dt", "5e-324", "--duration", "1"])
+@pytest.mark.parametrize("dt", ["5e-324", "1e-300"], ids=["beyond the floats", "beyond an array index"])
+def test_a_step_count_no_array_can_index_is_a_config_error(capsys, dt):
+    with pytest.raises(ConfigError, match=rf"^scenario\.duration: 1\.0 is more steps of dt = {dt} than an array can index$"):
+        benchmark_case(1, dt=float(dt), duration=1.0)
+    rc, err = run_cli(capsys, ["reproduce", "--case", "1", "--seeds", "1", "--dt", dt, "--duration", "1"])
     assert rc == 1 and err.startswith("config error: scenario.duration: ") and err.count("\n") == 1
 
 

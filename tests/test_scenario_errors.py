@@ -16,7 +16,7 @@ from hypothesis import example, given, settings, strategies as st
 from uikf import checks, cli, r4skf
 from uikf.a2kf import A2KFConfig
 from uikf.benchmark import benchmark_case, benchmark_model
-from uikf.errors import ConfigError, IllConditionedError, RankConditionError
+from uikf.errors import ConfigError, DimensionError, IllConditionedError, RankConditionError
 from uikf.model import SystemModel
 from uikf.sim import ScenarioConfig, SignalSpec, run_scenario
 
@@ -310,28 +310,28 @@ def test_non_finite_matrix_in_yaml_exits_1(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "name, bad, where",
+    "name, bad, error, where",
     [
-        ("R", lambda R, k: R * np.nan if k >= 5 else R, "model.R, step 5: value is not finite"),
-        ("A", lambda A, t: A + np.inf if t > 0.025 else A, "model.A, step 4: value is not finite"),
-        ("C", lambda C, k: C[:2] if k == 3 else C, r"model.C, step 3: shape \(2, 4\), but \(3, 4\)"),
+        ("R", lambda R, k: R * np.nan if k >= 5 else R, ConfigError, "model.R, step 5: value is not finite"),
+        ("A", lambda A, t: A + np.inf if t > 0.025 else A, ConfigError, "model.A, step 4: value is not finite"),
+        ("C", lambda C, k: C[:2] if k == 3 else C, DimensionError, r"model.C, step 3: shape \(2, 4\), but \(3, 4\)"),
         # finite and of the right shape, but not a covariance
-        ("R", lambda R, k: -R if k >= 5 else R, "model.R, step 5: Matrix is not positive definite"),
-        ("Q", lambda Q, t: -Q if t >= 0.05 else Q, r"model.Q, step 6: not positive semi-definite \(eigenvalue -1e-06\)"),
+        ("R", lambda R, k: -R if k >= 5 else R, ConfigError, "model.R, step 5: Matrix is not positive definite"),
+        ("Q", lambda Q, t: -Q if t >= 0.05 else Q, ConfigError, r"model.Q, step 6: not positive semi-definite \(eigenvalue -1e-06\)"),
         # a factorization reads one triangle only, so these pass it
-        ("R", lambda R, k: R + np.triu(np.full_like(R, 1e-3), 1) if k >= 5 else R, "model.R, step 5: not symmetric"),
-        ("Q", lambda Q, t: Q + np.triu(np.full_like(Q, 1e-3), 1) if t >= 0.05 else Q, "model.Q, step 6: not symmetric"),
+        ("R", lambda R, k: R + np.triu(np.full_like(R, 1e-3), 1) if k >= 5 else R, ConfigError, "model.R, step 5: not symmetric"),
+        ("Q", lambda Q, t: Q + np.triu(np.full_like(Q, 1e-3), 1) if t >= 0.05 else Q, ConfigError, "model.Q, step 6: not symmetric"),
         # off by 9 % of R = 1e-7 I, below an absolute tolerance of 1e-8
-        ("R", lambda R, k: R + np.triu(np.full_like(R, 9e-9), 1) if k >= 5 else R, "model.R, step 5: not symmetric"),
+        ("R", lambda R, k: R + np.triu(np.full_like(R, 9e-9), 1) if k >= 5 else R, ConfigError, "model.R, step 5: not symmetric"),
     ],
 )
-def test_a_bad_later_model_value_names_matrix_and_step_before_any_filter_runs(monkeypatch, name, bad, where):
+def test_a_bad_later_model_value_names_matrix_and_step_before_any_filter_runs(monkeypatch, name, bad, error, where):
     gains = []
     monkeypatch.setattr(r4skf, "gain_and_covariance", lambda *args, **kw: gains.append(1))
     cfg = benchmark_case(1, duration=0.5, seeds=(1, 2))
     M0 = getattr(cfg.model, name)(0)
     model = replace(cfg.model, **{name: lambda arg: bad(M0, arg)})
-    with pytest.raises(ConfigError, match=where):
+    with pytest.raises(error, match=where):
         run_scenario(replace(cfg, model=model))
     assert gains == []
 

@@ -45,10 +45,10 @@ def test_the_truth_evaluates_C_once_per_step_for_all_seeds(n_seeds):
     calls.clear()
     rngs = [np.random.default_rng(s) for s in cfg.seeds]
     sim.simulate(cfg.model, cfg.x0_true, sim.sample_signals(cfg), rngs)
-    assert len(calls) == cfg.n_steps + 1               # C(0) for the shape, then steps 1..K
+    assert len(calls) == cfg.n_steps                   # steps 1..K; the shape is the model's, read at 0
     calls.clear()
     sim.run_scenario(cfg)                                # r4skf and a2kf read C(k + 1) once per step
-    assert len(calls) == 2 * cfg.n_steps + 1
+    assert len(calls) == 2 * cfg.n_steps
 
 
 @pytest.mark.parametrize("seeds", [(0, 3), (3, 0)])
