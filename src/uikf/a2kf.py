@@ -28,7 +28,7 @@ from . import r4skf
 from .errors import ConfigError
 from .r4skf import StepTerms, matvec
 # discretize stays importable from this module as part of its namespace
-from .model import DiscretizedModel, SystemModel, discretize, identity, moore_penrose_pinv, read_number  # noqa: F401
+from .model import DiscretizedModel, SystemModel, discretize, eigvalsh, identity, moore_penrose_pinv, read_number  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -180,10 +180,10 @@ def _project_Qd(Cgamma, CGQGC, M, R, qd_floor) -> np.ndarray:
     if Qd.ndim > 2:
         triggered = (diag < 0).any(axis=-1)
         if n_d > 1 and not triggered.all():
-            triggered = triggered | (np.linalg.eigvalsh(Qd)[..., 0] < 0)
+            triggered = triggered | (eigvalsh(Qd)[..., 0] < 0)
         if triggered.any():
             Qd = np.where(triggered[..., None, None] & (eye == 0.0), 0.0, Qd)
-    elif (diag < 0).any() or n_d > 1 and np.linalg.eigvalsh(Qd)[0] < 0:
+    elif (diag < 0).any() or n_d > 1 and eigvalsh(Qd)[0] < 0:
         Qd = np.where(eye == 0.0, 0.0, Qd)
     lift = np.maximum(qd_floor - diag, 0.0)
     return Qd + lift[..., None] * eye

@@ -9,6 +9,9 @@ where d is an unmeasured exogenous input (disturbance or actuator fault)
 with no assumed dynamics. Estimating d through the outputs requires the
 structural condition rank(C E) = rank(E) = n_d, which r4skf.unknown_input_gain
 checks on every step as rank(C E_d) = n_d.
+
+eigvalsh and solve are the per-step path's eigenvalues and solves: numpy's
+LAPACK gufuncs under numpy's error rule, without np.linalg's per-call dispatch.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Tuple, Union
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import ConfigError, DimensionError
 
@@ -273,6 +277,31 @@ def pinv_and_rank(M: np.ndarray) -> Tuple[np.ndarray, int]:
         return (Vt.T * (1.0 / s)) @ U.T, s.size
     r = int(np.count_nonzero(s > RANK_TOL * s[0]))
     return (Vt[:r].T * (1.0 / s[:r])) @ U[:, :r].T, r
+
+
+def _not_converged(err, flag):
+    raise LinAlgError("Eigenvalues did not converge")
+
+
+def _singular(err, flag):
+    raise LinAlgError("Singular matrix")
+
+
+# numpy's error rule: a LAPACK failure flag is a LinAlgError, every other floating-point flag of the gufunc is
+# ignored. np.linalg's dispatch (array conversion, type and square checks, result wrapping) is left out, so on the
+# real float64 square (..., n, n) matrices uikf passes, results and errors are np.linalg's, bitwise (kalman_gain,
+# a2kf._project_Qd, onestep.one_step_estimate). np.linalg.svd (pinv_and_rank, onestep) and cov_factor's cholesky
+# and eigh stay np.linalg calls: numpy's svd picks among several gufuncs from its arguments.
+def eigvalsh(S: np.ndarray) -> np.ndarray:
+    """The eigenvalues of each symmetric S (read from its lower triangle) in ascending order, as np.linalg.eigvalsh."""
+    with np.errstate(call=_not_converged, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        return _umath_linalg.eigvalsh_lo(S, signature="d->d")
+
+
+def solve(S: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """X with S X = B for a B of (..., n, m), by LU, as np.linalg.solve; a singular S is a LinAlgError."""
+    with np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        return _umath_linalg.solve(S, B, signature="dd->d")
 
 
 def moore_penrose_pinv(M: np.ndarray) -> np.ndarray:

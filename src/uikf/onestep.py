@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import IllConditionedError
 from . import r4skf, sim
-from .model import SystemModel
+from .model import SystemModel, solve
 
 COND_LIMIT = 1e12
 
@@ -38,7 +38,7 @@ def one_step_estimate(y: np.ndarray, C: np.ndarray) -> np.ndarray:
     s = np.linalg.svd(C, compute_uv=False)  # raises on a NaN in C; cond(C) = s[0] / s[-1], taken on floats (no warning)
     if s.size and (s[-1] == 0.0 or not float(s[0]) / float(s[-1]) < COND_LIMIT):
         raise IllConditionedError("C is not numerically invertible")
-    return np.linalg.solve(C, y[..., None])[..., 0]
+    return solve(C, y[..., None])[..., 0]
 
 
 def white_input_stream(model: SystemModel, steps: int, seed: int) -> np.ndarray:

@@ -21,7 +21,10 @@ estimator step reads from the model, the a2kf's included.
 The state half, kalman_gain and joseph_update also take stacks with leading
 axes, e.g. one row per Monte-Carlo seed. Every product in a stack is the
 same BLAS call (gemv, gemm, syrk) as for a single problem, so each row is
-bitwise equal to the unstacked result; see matvec.
+bitwise equal to the unstacked result; see matvec. kalman_gain's eigvalsh and
+solve are model.eigvalsh and model.solve: numpy's LAPACK gufuncs under numpy's
+error rule, without np.linalg's per-call dispatch, one LAPACK call per matrix
+of a stack.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from typing import Tuple
 import numpy as np
 
 from .errors import DimensionError, IllConditionedError, RankConditionError
-from .model import DiscretizedModel, SystemModel, discretize, identity, kept_terms, pinv_and_rank
+from .model import DiscretizedModel, SystemModel, discretize, eigvalsh, identity, kept_terms, pinv_and_rank, solve
 
 RCOND_FLOOR = 1e-14
 DEFAULT_P0_SCALE = 10.0
@@ -255,7 +258,7 @@ def kalman_gain(P_pred: np.ndarray, C: np.ndarray, R: np.ndarray) -> Tuple[np.nd
     # the |eigenvalues| of the symmetric S are its singular values: the |w| test is 1 / cond(S) > RCOND_FLOOR
     # without an SVD. eigvalsh sorts w ascending: w[0] > RCOND_FLOOR * w[-1] (numpy scalars for one S) holds
     # only when every w is positive, where it is the |w| test; any other S takes the |w| test
-    w = np.linalg.eigvalsh(S)
+    w = eigvalsh(S)
     ok = w[0] > RCOND_FLOOR * w[-1] if S.ndim == 2 else (w[..., 0] > RCOND_FLOOR * w[..., -1]).all()
     if not ok:
         w = np.abs(w)
@@ -268,7 +271,7 @@ def kalman_gain(P_pred: np.ndarray, C: np.ndarray, R: np.ndarray) -> Tuple[np.nd
                 exc = IllConditionedError("innovation covariance C P C^T + R is numerically singular")
             exc.index = i
             raise exc
-    return np.linalg.solve(S, CP).swapaxes(-1, -2), S
+    return solve(S, CP).swapaxes(-1, -2), S
 
 
 def joseph_update(P_pred: np.ndarray, L: np.ndarray, C: np.ndarray, R: np.ndarray) -> np.ndarray:

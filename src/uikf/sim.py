@@ -20,7 +20,7 @@ import numpy as np
 from . import a2kf, onestep, r4skf
 from .a2kf import A2KFConfig
 from .errors import ESTIMATOR_FAILURES, ConfigError
-from .model import SystemModel, _Constant, cov_factor, moore_penrose_pinv, read_number, read_only
+from .model import SystemModel, _Callable, _Constant, cov_factor, moore_penrose_pinv, read_number, read_only
 from .r4skf import matvec
 
 SIGNAL_KINDS = ("zero", "step", "windowed_sine", "custom")
@@ -99,8 +99,13 @@ class ScenarioConfig:
         for name in ("signals", "seeds", "estimators"):
             object.__setattr__(self, name, _sequence(getattr(self, name), name))
         object.__setattr__(self, "duration", read_number(self.duration, "scenario.duration", "positive"))
-        if not self.duration / self.model.dt < np.iinfo(np.intp).max:       # an inf included
-            raise ConfigError(f"scenario.duration: {self.duration} is more steps of dt = {self.model.dt} than an array can index")
+        # numpy sizes an array only when its bytes fit an intp: the steps times the widest per-step row of one seed
+        # (its state, input, noise, measurement or estimate, the time, a value of a callable matrix); an inf included
+        m = self.model
+        matrices = [getattr(m, name) for name in "ABEGQCR"]
+        row = 8 * max(1, m.n_x, m.n_u, m.n_d, m.n_w + m.n_y, *(math.prod(M.shape) for M in matrices if isinstance(M, _Callable)))
+        if not self.duration / m.dt * row < np.iinfo(np.intp).max:
+            raise ConfigError(f"scenario.duration: {self.duration} is more steps of dt = {m.dt} than an array of {row} bytes per step can hold")
         if self.n_steps == 0:
             raise ConfigError(
                 f"scenario.duration: {self.duration} is shorter than one step (dt = {self.model.dt})"

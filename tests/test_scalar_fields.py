@@ -160,10 +160,32 @@ def test_an_a2kf_step_without_unknown_input():
 
 @pytest.mark.parametrize("dt", ["5e-324", "1e-300"], ids=["beyond the floats", "beyond an array index"])
 def test_a_step_count_no_array_can_index_is_a_config_error(capsys, dt):
-    with pytest.raises(ConfigError, match=rf"^scenario\.duration: 1\.0 is more steps of dt = {dt} than an array can index$"):
+    with pytest.raises(ConfigError, match=rf"^scenario\.duration: 1\.0 is more steps of dt = {dt} than an array of 56 bytes per step can hold$"):
         benchmark_case(1, dt=float(dt), duration=1.0)
     rc, err = run_cli(capsys, ["reproduce", "--case", "1", "--seeds", "1", "--dt", dt, "--duration", "1"])
     assert rc == 1 and err.startswith("config error: scenario.duration: ") and err.count("\n") == 1
+
+
+def test_a_step_count_whose_arrays_numpy_cannot_size_is_a_config_error(capsys):
+    """4e18 steps can be indexed, but 4e18 rows of 56 bytes (the truth's 4 process and 3 measurement
+    noise draws per step) are more bytes than numpy sizes; numpy said "array is too big", naming no field."""
+    rc, err = run_cli(capsys, ["reproduce", "--case", "1", "--dt", "0.01", "--duration", "4e16"])
+    assert (rc, err) == (1, "config error: scenario.duration: 4e+16 is more steps of dt = 0.01 than an array of 56 bytes per step can hold\n")
+
+
+def test_the_row_is_per_seed_and_a_callable_matrix_widens_it():
+    case = benchmark_case(1, duration=1e15)         # 1e17 steps of 56 bytes: numpy can size them, for any seed count
+    assert len(case.seeds) == 20
+    A = case.model.A(0.0)
+    with pytest.raises(ConfigError, match=r"^scenario\.duration: 1000000000000000\.0 is more steps of dt = 0\.01 than an array of 128 bytes per step can hold$"):
+        replace(case, model=replace(case.model, A=lambda t: A))         # each A(t) of the truth is a row of 16 floats
+
+
+def test_a_run_numpy_can_size_but_not_allocate_is_a_memory_config_error(capsys):
+    """1e17 steps of 56 bytes pass the bound; the first array of the run, the sampled signals, is more than any
+    address space holds, so numpy's MemoryError is raised at once, before any step runs."""
+    rc, err = run_cli(capsys, ["reproduce", "--case", "1", "--seeds", "1", "--duration", "1e15"])
+    assert (rc, err) == (1, "config error: Unable to allocate 1.39 EiB for an array with shape (100000000000000000, 2) and data type float64\n")
 
 
 def test_a_run_too_large_for_memory_is_a_config_error(capsys, monkeypatch):
