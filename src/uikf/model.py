@@ -10,8 +10,10 @@ with no assumed dynamics. Estimating d through the outputs requires the
 structural condition rank(C E) = rank(E) = n_d, which r4skf.unknown_input_gain
 checks on every step as rank(C E_d) = n_d.
 
-eigvalsh and solve are the per-step path's eigenvalues and solves: numpy's
-LAPACK gufuncs under numpy's error rule, without np.linalg's per-call dispatch.
+eigvalsh, solve, svd and singular_values are the per-step path's LAPACK calls:
+numpy's gufuncs under numpy's error rule, without np.linalg's per-call dispatch.
+A matrix is read through a closure: a constant's returns its array, a
+callable's checks each later value against the value at 0.
 """
 
 from __future__ import annotations
@@ -37,14 +39,12 @@ _MATRICES = ("A", "B", "E", "G", "Q", "C", "R")
 _FLOAT = np.dtype(float)
 
 
-class _Constant:
-    """A matrix given as an array, called like a matrix of time or step index."""
-
-    def __init__(self, arr: np.ndarray):
-        self.arr = arr
-
-    def __call__(self, _arg) -> np.ndarray:
-        return self.arr
+def _constant(arr: np.ndarray):
+    """A matrix given as an array, read like a matrix of time or step index: the array itself, also its .arr."""
+    def read(_arg) -> np.ndarray:
+        return arr
+    read.arr = arr
+    return read
 
 
 def read_only(M, field: str) -> np.ndarray:
@@ -76,34 +76,33 @@ def read_number(value, field: str, rule: str = "finite") -> float:
     raise ConfigError(f"{field}: must be {text}, got {value!r}")
 
 
-class _Callable:
-    """A matrix given as a callable of t (A, B, E, G, Q) or k (C, R). A float ndarray of its shape at 0
-    is returned as it is; any other value is read by read_only and of another shape a DimensionError,
+def _checked(fn, name: str, shape: Tuple[int, ...], dt: float):
+    """A matrix given as a callable (its .fn) of t (A, B, E, G, Q) or k (C, R). A float ndarray of its shape at 0 (its
+    .shape) is returned as it is; any other value is read by read_only and of another shape a DimensionError,
     each naming the matrix and the step: k for C and R, round(t / dt) + 1 for the others."""
-
-    def __init__(self, fn, name: str, shape: Tuple[int, ...], dt: float):
-        self.fn, self.name, self.shape, self.dt = fn, name, shape, dt
-
-    def __call__(self, arg) -> np.ndarray:
-        M = self.fn(arg)
-        if type(M) is np.ndarray and M.dtype is _FLOAT and M.shape == self.shape:
+    def read(arg) -> np.ndarray:
+        M = fn(arg)
+        if type(M) is np.ndarray and M.dtype is _FLOAT and M.shape == shape:
             return M
-        where = f"model.{self.name}, step {arg if self.name in 'CR' else round(arg / self.dt) + 1}"
+        where = f"model.{name}, step {arg if name in 'CR' else round(arg / dt) + 1}"
         M = read_only(M, where)
-        if M.shape != self.shape:
-            raise DimensionError(f"{where}: shape {M.shape}, but {self.shape} at 0")
+        if M.shape != shape:
+            raise DimensionError(f"{where}: shape {M.shape}, but {shape} at 0")
         return M
+    read.fn, read.shape = fn, shape
+    return read
 
 
 def _wrap(M, name: str, dt: float):
-    """(M as a callable, its value at 0): a constant as a read_only copy, a callable as a _Callable
-    of its shape at 0, wrapped afresh from the user's callable in a replace copy."""
-    M = M.fn if isinstance(M, _Callable) else M
-    if isinstance(M, _Constant) or not callable(M):
-        M = M if callable(M) else _Constant(read_only(M, f"model.{name}"))
+    """(M as a callable, its value at 0): a constant as a read_only copy, a callable checked against
+    its shape at 0; of a replace copy, a constant's reader is kept and a callable checked afresh."""
+    ours = getattr(M, "__module__", None) == __name__       # a reader of this module, not the user's callable
+    M = M.fn if ours and hasattr(M, "fn") else M
+    if ours and hasattr(M, "arr") or not callable(M):
+        M = M if callable(M) else _constant(read_only(M, f"model.{name}"))
         return M, M.arr
     M0 = read_only(M(0 if name in "CR" else 0.0), f"model.{name}")
-    return _Callable(M, name, M0.shape, dt), M0
+    return _checked(M, name, M0.shape, dt), M0
 
 
 # The field rules that SystemModel and cdekf.NonlinearModel share; an error
@@ -132,7 +131,7 @@ class SystemModel:
     automatically); C and R are callables of the measurement step index k. All evaluated
     matrices are treated as immutable; a matrix given as an array is stored as a read-only copy
     of it, so writing into model.C(0) raises and writing into the caller's array changes
-    nothing. A callable matrix is wrapped once (_Callable), which holds every later value to the
+    nothing. A callable matrix is wrapped once (_checked), which holds every later value to the
     rules of its value at 0; it must return the same values for the same argument, and its
     result must not be written to afterwards: the model keeps the last StepTerms that
     r4skf.step_terms evaluated from it (kept_terms), so estimators that step it at the same k
@@ -193,9 +192,13 @@ class SystemModel:
         object.__setattr__(self, "n_y", n_y)
         object.__setattr__(self, "n_w", n_w)
 
+    def __reduce__(self):           # a reader does not pickle: rebuilt from the arrays and callables it reads
+        readers = (getattr(self, name) for name in "ABEGCQR")        # in the order of __init__
+        return SystemModel, tuple(M.arr if hasattr(M, "arr") else M.fn for M in readers) + (self.dt,)
+
     @functools.cached_property
     def time_invariant(self) -> bool:
-        return all(isinstance(getattr(self, name), _Constant) for name in _MATRICES)
+        return all(hasattr(getattr(self, name), "arr") for name in _MATRICES)
 
 
 @functools.cache
@@ -270,7 +273,7 @@ def pinv_and_rank(M: np.ndarray) -> Tuple[np.ndarray, int]:
     sorts them in descending order, so the kept ones are the first r: all of them, unsliced, when the last is.
     """
     M = np.asarray(M, dtype=float)
-    U, s, Vt = np.linalg.svd(M, full_matrices=False)
+    U, s, Vt = svd(M)
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((M.shape[1], M.shape[0])), 0
     if s[-1] > RANK_TOL * s[0]:
@@ -279,29 +282,40 @@ def pinv_and_rank(M: np.ndarray) -> Tuple[np.ndarray, int]:
     return (Vt[:r].T * (1.0 / s[:r])) @ U[:, :r].T, r
 
 
-def _not_converged(err, flag):
-    raise LinAlgError("Eigenvalues did not converge")
+def _lapack_rule(text: str):
+    """numpy's error rule of a LAPACK gufunc, as a decorator: a failure flag is LinAlgError(text), every other
+    floating-point flag is ignored. Each call sets the rule in its own context (numpy >= 2), so threads do not share it."""
+    def fail(err, flag):
+        raise LinAlgError(text)
+    return np.errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore")
 
 
-def _singular(err, flag):
-    raise LinAlgError("Singular matrix")
-
-
-# numpy's error rule: a LAPACK failure flag is a LinAlgError, every other floating-point flag of the gufunc is
-# ignored. np.linalg's dispatch (array conversion, type and square checks, result wrapping) is left out, so on the
-# real float64 square (..., n, n) matrices uikf passes, results and errors are np.linalg's, bitwise (kalman_gain,
-# a2kf._project_Qd, onestep.one_step_estimate). np.linalg.svd (pinv_and_rank, onestep) and cov_factor's cholesky
-# and eigh stay np.linalg calls: numpy's svd picks among several gufuncs from its arguments.
+# The per-step path's LAPACK calls: numpy's gufuncs under numpy's error rule, without np.linalg's dispatch (array
+# conversion, type and shape checks, result wrapping). On the real float64 (..., m, n) matrices uikf passes, results
+# and errors are np.linalg's, bitwise (kalman_gain, a2kf._project_Qd, pinv_and_rank, onestep.one_step_estimate).
+# cov_factor's cholesky and eigh stay np.linalg calls: they run once per changed Q or R value, not once per step.
+@_lapack_rule("Eigenvalues did not converge")
 def eigvalsh(S: np.ndarray) -> np.ndarray:
     """The eigenvalues of each symmetric S (read from its lower triangle) in ascending order, as np.linalg.eigvalsh."""
-    with np.errstate(call=_not_converged, invalid="call", over="ignore", divide="ignore", under="ignore"):
-        return _umath_linalg.eigvalsh_lo(S, signature="d->d")
+    return _umath_linalg.eigvalsh_lo(S, signature="d->d")
 
 
+@_lapack_rule("Singular matrix")
 def solve(S: np.ndarray, B: np.ndarray) -> np.ndarray:
     """X with S X = B for a B of (..., n, m), by LU, as np.linalg.solve; a singular S is a LinAlgError."""
-    with np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
-        return _umath_linalg.solve(S, B, signature="dd->d")
+    return _umath_linalg.solve(S, B, signature="dd->d")
+
+
+@_lapack_rule("SVD did not converge")
+def svd(M: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(U, s, Vt) of each M, reduced, s in descending order, as np.linalg.svd with full_matrices=False."""
+    return _umath_linalg.svd_s(M, signature="d->ddd")
+
+
+@_lapack_rule("SVD did not converge")
+def singular_values(M: np.ndarray) -> np.ndarray:
+    """The singular values of each M in descending order, as np.linalg.svd with compute_uv=False."""
+    return _umath_linalg.svd(M, signature="d->d")
 
 
 def moore_penrose_pinv(M: np.ndarray) -> np.ndarray:

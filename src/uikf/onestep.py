@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import IllConditionedError
 from . import r4skf, sim
-from .model import SystemModel, solve
+from .model import SystemModel, singular_values, solve
 
 COND_LIMIT = 1e12
 
@@ -27,15 +27,15 @@ def is_square(model: SystemModel) -> bool:
 
 def one_step_estimate(y: np.ndarray, C: np.ndarray) -> np.ndarray:
     """x̂ = C^{-1} y by linear solve (no explicit inverse); y may carry leading
-    axes (one row per seed), each row solved by its own LAPACK call. C must be one square
-    matrix, refused unless its 2-norm condition number is below COND_LIMIT, as np.linalg.cond
+    axes (one row per seed), each row solved by its own LAPACK call (model.solve). C must be one square matrix,
+    refused unless its 2-norm condition number (model.singular_values) is below COND_LIMIT, as np.linalg.cond
     decides it: at a zero s[-1] (inf) and on the NaN ratio of an inf in C. An empty C gives an empty x̂."""
     C, y = np.asarray(C, dtype=float), np.asarray(y, dtype=float)
     if y.shape[-1:] != C.shape[:1]:
         raise r4skf.shape_error("y", y, C.shape[:1])
     if C.shape != 2 * C.shape[:1]:
         raise r4skf.shape_error("C", C, 2 * C.shape[:1])
-    s = np.linalg.svd(C, compute_uv=False)  # raises on a NaN in C; cond(C) = s[0] / s[-1], taken on floats (no warning)
+    s = singular_values(C)  # raises on a NaN in C; cond(C) = s[0] / s[-1], taken on floats (no warning)
     if s.size and (s[-1] == 0.0 or not float(s[0]) / float(s[-1]) < COND_LIMIT):
         raise IllConditionedError("C is not numerically invertible")
     return solve(C, y[..., None])[..., 0]

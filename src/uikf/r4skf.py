@@ -22,9 +22,9 @@ The state half, kalman_gain and joseph_update also take stacks with leading
 axes, e.g. one row per Monte-Carlo seed. Every product in a stack is the
 same BLAS call (gemv, gemm, syrk) as for a single problem, so each row is
 bitwise equal to the unstacked result; see matvec. kalman_gain's eigvalsh and
-solve are model.eigvalsh and model.solve: numpy's LAPACK gufuncs under numpy's
-error rule, without np.linalg's per-call dispatch, one LAPACK call per matrix
-of a stack.
+solve are model.eigvalsh and model.solve, and the (C E_d)^+ of unknown_input_gain
+is pinv_and_rank's model.svd: numpy's LAPACK gufuncs under numpy's error rule,
+without np.linalg's per-call dispatch, one LAPACK call per matrix of a stack.
 """
 
 from __future__ import annotations

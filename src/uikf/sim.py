@@ -20,7 +20,7 @@ import numpy as np
 from . import a2kf, onestep, r4skf
 from .a2kf import A2KFConfig
 from .errors import ESTIMATOR_FAILURES, ConfigError
-from .model import SystemModel, _Callable, _Constant, cov_factor, moore_penrose_pinv, read_number, read_only
+from .model import SystemModel, cov_factor, moore_penrose_pinv, read_number, read_only
 from .r4skf import matvec
 
 SIGNAL_KINDS = ("zero", "step", "windowed_sine", "custom")
@@ -103,7 +103,7 @@ class ScenarioConfig:
         # (its state, input, noise, measurement or estimate, the time, a value of a callable matrix); an inf included
         m = self.model
         matrices = [getattr(m, name) for name in "ABEGQCR"]
-        row = 8 * max(1, m.n_x, m.n_u, m.n_d, m.n_w + m.n_y, *(math.prod(M.shape) for M in matrices if isinstance(M, _Callable)))
+        row = 8 * max(1, m.n_x, m.n_u, m.n_d, m.n_w + m.n_y, *(math.prod(M.shape) for M in matrices if hasattr(M, "fn")))
         if not self.duration / m.dt * row < np.iinfo(np.intp).max:
             raise ConfigError(f"scenario.duration: {self.duration} is more steps of dt = {m.dt} than an array of {row} bytes per step can hold")
         if self.n_steps == 0:
@@ -218,7 +218,7 @@ def _at(model: SystemModel, name: str, args, f=None) -> np.ndarray:
     finite or that f refuses with a ValueError is a ConfigError naming the
     matrix and that step."""
     M = getattr(model, name)
-    if isinstance(M, _Constant) or len(args) == 0:
+    if hasattr(M, "arr") or len(args) == 0:
         return M(0) if f is None else f(M(0))
     out = np.fromiter((M(a) for a in args), (float, M.shape), len(args))       # one value alive at a time
     finite = np.isfinite(out).all(axis=(-2, -1))

@@ -428,6 +428,20 @@ def test_a_step_numbers_the_t_matrices_with_the_dt_of_its_model():
             sim.simulate(replace(bad, dt=dt), np.zeros(4), np.zeros((10, 2)), [np.random.default_rng(1)])
 
 
+def test_a_replace_copy_reads_the_users_callable_with_its_own_dt():
+    model = benchmark.benchmark_model()
+    A0 = model.A(0.0)
+
+    def A(t):
+        return A0 if t < 0.035 else A0[:1]
+    bad = replace(model, A=A)
+    copy = replace(bad, dt=0.005)
+    assert copy.A.fn is A and bad.A.fn is A
+    for m, step in ((bad, 5), (copy, 8), (bad, 5)):            # the original keeps its own dt
+        with pytest.raises(DimensionError, match=rf"^model\.A, step {step}: shape \(1, 4\), but \(4, 4\) at 0$"):
+            m.A(0.035)
+
+
 def from_second_call(fn, cut):
     """fn, whose values from its second call on keep only their first `cut` entries."""
     calls = []

@@ -264,7 +264,7 @@ def test_an_unknown_estimator_is_named_as_given(name):
         replace(CASE, estimators=("r4skf", name))
 
 
-@pytest.mark.parametrize("value, got", [(CASE.model.C, "_Constant"), (None, "NoneType"), ("x", "str")])
+@pytest.mark.parametrize("value, got", [(CASE.model.C, "function"), (None, "NoneType"), ("x", "str")])
 def test_a_config_built_in_python_refuses_a_model_that_is_not_a_system_model(value, got):
     with pytest.raises(ConfigError, match=rf"^scenario\.model: must be a SystemModel, got {got}$"):
         replace(CASE, model=value)

@@ -5,6 +5,7 @@ two to the same outputs bit for bit.
 """
 
 import itertools
+import pickle
 from dataclasses import fields, replace
 
 import numpy as np
@@ -54,6 +55,48 @@ def test_any_callable_makes_a_time_varying_model(name):
     kwargs = {n: getattr(model, n)(0) for n in MATRICES}
     kwargs[name] = lambda _arg: M
     assert not SystemModel(dt=model.dt, **kwargs).time_invariant
+
+
+@pytest.mark.parametrize("varying", [False, True])
+def test_a_replace_copy_keeps_whether_the_model_is_time_invariant(varying):
+    model = benchmark_model()
+    if varying:
+        model = replace(model, C=lambda _k, C=model.C(0): C)
+    assert model.time_invariant is not varying
+    for copy in (replace(model), replace(model, dt=0.02), replace(model, R=2.0 * model.R(0))):
+        assert copy.time_invariant is not varying
+
+
+def test_a_constant_reads_as_its_one_read_only_array():
+    model = benchmark_model()
+    C = model.C(0)
+    assert model.C(5) is C and model.C.arr is C and not C.flags.writeable
+    assert replace(model, dt=0.02).C(3) is C                 # a replace copy keeps the constant's reader
+
+
+def test_a_users_callable_with_an_arr_or_fn_attribute_is_read_as_a_callable():
+    model = benchmark_model()
+    C0 = model.C(0)
+
+    def C(_k):
+        return C0
+    C.arr = C.fn = "not a matrix"
+    varying = replace(model, C=C)
+    assert not varying.time_invariant and varying.C.fn is C and varying.C(2) is C0
+
+
+def measured_states(k):
+    """C(k) of the benchmark plant, a callable that pickles by its name."""
+    return benchmark_model().C(0) * (1.0 + 0.1 * k)
+
+
+@pytest.mark.parametrize("varying", [False, True])
+def test_a_model_pickles_as_the_arrays_and_callables_it_was_built_from(varying):
+    model = replace(benchmark_model(), C=measured_states) if varying else benchmark_model()
+    copy = pickle.loads(pickle.dumps(model))
+    assert copy.time_invariant is not varying and copy.dt == model.dt
+    assert all(np.array_equal(getattr(copy, n)(2), getattr(model, n)(2)) for n in MATRICES)
+    assert copy.C.fn is measured_states if varying else not copy.C(0).flags.writeable
 
 
 def test_a_model_loaded_from_yaml_is_time_invariant(tmp_path):
