@@ -5,11 +5,11 @@ covariance Q^d and appended to the state. A standard Kalman filter runs on
 the augmented system while Q^d is re-estimated every step from a short
 window of innovations: the excess innovation covariance (what process and
 measurement noise cannot explain) is mapped back through (C E_d)^+ and
-kept symmetric PSD by one projection (estimate_Qd).
+kept symmetric PSD by one projection (_project_Qd).
 
 A step reads the model only through r4skf's StepTerms, as every estimator
-does; so a C E_d of rank below n_d is refused. augment assembles the
-continuous-time blocks for inspection; no step calls it.
+does; so a C E_d of rank below n_d is refused. No step calls augment or
+estimate_Qd (_project_Qd on model matrices, a name perfbench traces).
 
 advance, innovation_covariance and the Q^d projection also run on states
 stacked along leading axes (one row per seed): x_a (S, n_a), P_a

@@ -1,7 +1,8 @@
 """Executable property checks: the theorem-level guarantees of the filters
-as pass/fail diagnostics. Used by the `check` CLI subcommand and reused by
-the test suite.
-"""
+as pass/fail diagnostics, used by the `check` CLI subcommand and the tests.
+Every check and the stability report step the estimators in _filter
+(r4skf.step) or _observer (uio.observer_step), which raise a failure again
+with the same type and "r4skf, step <k>: " or "uio, step <k>: " prepended."""
 
 from __future__ import annotations
 
@@ -45,21 +46,39 @@ def square_test_model() -> SystemModel:
     )
 
 
+def _filter(model: SystemModel, ys: np.ndarray, x0: np.ndarray):
+    """r4skf.step over ys with u = 0 from x̂ = x0: yields each step's state and report."""
+    state, u = r4skf.initial_state(model, x0), np.zeros(model.n_u)
+    for k, y in enumerate(ys, 1):
+        try:
+            state, rep = r4skf.step(state, u, y, model)
+        except ESTIMATOR_FAILURES as exc:
+            raise type(exc)(f"r4skf, step {k}: {exc}") from exc
+        yield state, rep
+
+
+def _observer(model: SystemModel, ys: np.ndarray, x0: np.ndarray, gains) -> np.ndarray:
+    """x̂ of uio.observer_step over ys with u = 0 from x0, on the dm and C of
+    r4skf.step_terms(model, k) and the gain gains[k]."""
+    state, u, x_hat = uio.initial_observer_state(x0, model.n_d), np.zeros(model.n_u), np.empty((len(ys), model.n_x))
+    for k in range(len(ys)):
+        t = r4skf.step_terms(model, k)
+        try:
+            state = uio.observer_step(state, ys[k], u, t.dm, t.C, gains[k])
+        except ESTIMATOR_FAILURES as exc:
+            raise type(exc)(f"uio, step {k + 1}: {exc}") from exc
+        x_hat[k] = state.x_hat
+    return x_hat
+
+
 def check_gain_irrelevance() -> List[CheckResult]:
     """Square case: the measurement update gain has no effect on the final
     estimate, which always equals C^{-1} y, even under large initial error."""
     model = square_test_model()
     ys = onestep.white_input_stream(model, 500, seed=0)
-    u = np.zeros(model.n_u)
-    s_opt = r4skf.initial_state(model, 100.0 * np.ones(model.n_x))
-    s_zero = uio.initial_observer_state(100.0 * np.ones(model.n_x), model.n_d)
-    K0 = np.zeros((model.n_x, model.n_y))
-    x_opt, x_zero = np.empty((2, len(ys), model.n_x))
-    for k in range(len(ys)):
-        s_opt, _ = r4skf.step(s_opt, u, ys[k], model)
-        t = r4skf.step_terms(model, k)
-        s_zero = uio.observer_step(s_zero, ys[k], u, t.dm, t.C, K0)
-        x_opt[k], x_zero[k] = s_opt.x_hat, s_zero.x_hat
+    x0 = 100.0 * np.ones(model.n_x)
+    x_opt = np.fromiter((s.x_hat for s, _ in _filter(model, ys, x0)), (float, model.n_x), len(ys))
+    x_zero = _observer(model, ys, x0, [np.zeros((model.n_x, model.n_y))] * len(ys))
     ref = onestep.one_step_estimate(ys, r4skf.step_terms(model, 0).C)
     dev_gain = float(onestep.row_norms(x_opt - x_zero).max())
     dev_onestep = float(onestep.row_norms(x_opt - ref).max())
@@ -73,12 +92,10 @@ def check_dual_form() -> List[CheckResult]:
     """Eq-form update x̂ = x̂⁻ + K(y - C x̂⁻) equals x* + L gamma*."""
     model = benchmark_model()
     rng = np.random.default_rng(3)
-    state = r4skf.initial_state(model, rng.standard_normal(model.n_x))
-    u = np.zeros(model.n_u)
+    x0 = rng.standard_normal(model.n_x)
     ys = rng.standard_normal((100, model.n_y))
     x_hat, alt = np.empty((2, len(ys), model.n_x))
-    for k in range(len(ys)):
-        state, rep = r4skf.step(state, u, ys[k], model)
+    for k, (state, rep) in enumerate(_filter(model, ys, x0)):
         x_hat[k], alt[k] = state.x_hat, rep.x_star + rep.L @ state.gamma
     worst = float((onestep.row_norms(x_hat - alt) / (1.0 + onestep.row_norms(x_hat))).max())
     return [CheckResult("dual_form_update_equality", worst <= 1e-12, worst, 1e-12)]
@@ -93,37 +110,22 @@ def check_observer_equivalence() -> List[CheckResult]:
     """Square case with L = C^{-1}: observer equals one-step estimate.
     General case: the observer handed the filter's gain K of each step
     equals the filter."""
-    results = []
-
     model = square_test_model()
     ys = onestep.white_input_stream(model, 300, seed=2)
-    u = np.zeros(model.n_u)
     C = r4skf.step_terms(model, 0).C
-    Linv = np.linalg.inv(C)
-    obs = uio.initial_observer_state(np.ones(model.n_x), model.n_d)
-    x_obs = np.empty((len(ys), model.n_x))
-    for k in range(len(ys)):
-        t = r4skf.step_terms(model, k)
-        obs = uio.observer_step(obs, ys[k], u, t.dm, t.C, Linv)
-        x_obs[k] = obs.x_hat
-    worst = float(np.abs(x_obs - onestep.one_step_estimate(ys, C)).max())
-    results.append(CheckResult("observer_square_case_vs_one_step", worst <= 1e-12, worst, 1e-12))
+    x_obs = _observer(model, ys, np.ones(model.n_x), [np.linalg.inv(C)] * len(ys))
+    worst_square = float(np.abs(x_obs - onestep.one_step_estimate(ys, C)).max())
 
     model = benchmark_model()
-    rng = np.random.default_rng(2)
-    obs = uio.initial_observer_state(np.zeros(model.n_x), model.n_d)
-    filt = r4skf.initial_state(model, np.zeros(model.n_x))
-    u = np.zeros(model.n_u)
-    ys = 0.01 * rng.standard_normal((300, model.n_y))
-    x_obs, x_filt = np.empty((2, len(ys), model.n_x))
-    for k in range(len(ys)):
-        t = r4skf.step_terms(model, k)
-        filt, rep = r4skf.step(filt, u, ys[k], model)
-        obs = uio.observer_step(obs, ys[k], u, t.dm, t.C, rep.K)
-        x_obs[k], x_filt[k] = obs.x_hat, filt.x_hat
-    worst = float(np.abs(x_obs - x_filt).max())
-    results.append(CheckResult("observer_general_vs_filter_fixed_gain", worst <= 1e-10, worst, 1e-10))
-    return results
+    ys = 0.01 * np.random.default_rng(2).standard_normal((300, model.n_y))
+    x_filt, Ks = np.empty((len(ys), model.n_x)), [None] * len(ys)
+    for k, (filt, rep) in enumerate(_filter(model, ys, np.zeros(model.n_x))):
+        x_filt[k], Ks[k] = filt.x_hat, rep.K
+    worst = float(np.abs(_observer(model, ys, np.zeros(model.n_x), Ks) - x_filt).max())
+    return [
+        CheckResult("observer_square_case_vs_one_step", worst_square <= 1e-12, worst_square, 1e-12),
+        CheckResult("observer_general_vs_filter_fixed_gain", worst <= 1e-10, worst, 1e-10),
+    ]
 
 
 def check_qd_reconstruction() -> List[CheckResult]:
@@ -141,30 +143,18 @@ def check_qd_reconstruction() -> List[CheckResult]:
 
 
 def run_property_checks() -> List[CheckResult]:
-    results: List[CheckResult] = []
-    results += check_gain_irrelevance()
-    results += check_dual_form()
-    results += check_onestep_equivalence()
-    results += check_observer_equivalence()
-    results += check_qd_reconstruction()
-    return results
+    return (check_gain_irrelevance() + check_dual_form() + check_onestep_equivalence()
+            + check_observer_equivalence() + check_qd_reconstruction())
 
 
 def stability_report(model: SystemModel) -> Dict[str, float]:
     """Spectral radii of the predictor and filter error-dynamics matrices
-    after 1000 filter steps, near steady state, on y = 0: the gain never reads
-    y. A filter failure, an overflow, invalid value or division by zero
-    included, is raised again with the same type and a message that names
-    r4skf and the step."""
-    state = r4skf.initial_state(model, np.zeros(model.n_x))
-    u, y = np.zeros(model.n_u), np.zeros(model.n_y)
-    try:
-        with np.errstate(over="raise", invalid="raise", divide="raise"):
-            for k in range(1000):
-                state, rep = r4skf.step(state, u, y, model)
-            A_bar, A_tilde = rep.A_bar, rep.A_tilde
-    except ESTIMATOR_FAILURES as exc:
-        raise type(exc)(f"r4skf, step {k + 1}: {exc}") from exc
+    after 1000 filter steps, near steady state, on y = 0 (the gain never reads
+    y); an overflow, invalid value or division by zero is a filter failure."""
+    with np.errstate(over="raise", invalid="raise", divide="raise"):
+        for _, rep in _filter(model, np.zeros((1000, model.n_y)), np.zeros(model.n_x)):
+            pass
+        A_bar, A_tilde = rep.A_bar, rep.A_tilde
     return {
         "rho_A_bar": float(np.max(np.abs(np.linalg.eigvals(A_bar)))),
         "rho_A_tilde": float(np.max(np.abs(np.linalg.eigvals(A_tilde)))),

@@ -482,8 +482,9 @@ def write_timeseries_csv(path, result: ScenarioResult, estimator: str, seed: Opt
 
 def write_summary_csv(path, results: Dict[str, ScenarioResult]):
     """Summary table: one row per (case, estimator), per-channel RMSEs."""
-    first = next(iter(results.values()))
-    model = first.config.model
+    if not results:
+        raise ValueError("results: no scenario result to summarize")
+    model = next(iter(results.values())).config.model
     header = (
         ["case", "estimator"]
         + [f"x{i + 1}" for i in range(model.n_x)]

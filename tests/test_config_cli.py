@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 import yaml
 
-from uikf import cli, config
+from uikf import checks, cli, config, r4skf, uio
 from uikf.benchmark import benchmark_case
-from uikf.errors import ConfigError
+from uikf.errors import ConfigError, IllConditionedError
 
 MINIMAL_DOC = {
     "schema": 1,
@@ -412,4 +412,49 @@ class TestFloatingPointFailure:
     def test_check_stability_names_the_step_of_a_singular_innovation_covariance(self, capsys):
         rc, err = self.run_quietly(capsys, ["check", "stability", "--dt", "1e10"])
         assert rc == 2
-        assert re.match(r"estimator failure: benchmark: r4skf, step \d+: innovation covariance .* numerically singular$", err)
+        assert err == ("estimator failure: benchmark: r4skf, step 2: "
+                       "innovation covariance C P C^T + R is numerically singular\n")
+
+
+class TestNamedStepFailure:
+    """A failure of a property check's filter or observer exits 2 with one
+    line naming the estimator and the 1-based step of that check's run."""
+
+    @staticmethod
+    def fail_on_call(monkeypatch, module, name, n, exc):
+        real, calls = getattr(module, name), [0]
+
+        def failing(*args):
+            calls[0] += 1
+            if calls[0] == n:
+                raise exc
+            return real(*args)
+
+        monkeypatch.setattr(module, name, failing)
+
+    # calls of each estimator before a check: gain irrelevance steps the filter
+    # 500 times and then the observer 500 times; the dual form steps the filter
+    # 100 times, one-step equivalence 500 times, the observer's square case the
+    # observer 300 times, and its general case the filter and then the observer
+    # 300 times each
+    @pytest.mark.parametrize("module, name, call, estimator", [
+        (r4skf, "step", 3, "r4skf"),
+        (r4skf, "step", 503, "r4skf"),
+        (r4skf, "step", 1103, "r4skf"),
+        (uio, "observer_step", 3, "uio"),
+        (uio, "observer_step", 503, "uio"),
+        (uio, "observer_step", 803, "uio"),
+    ])
+    def test_check_properties_names_the_estimator_and_step(self, monkeypatch, capsys, module, name, call, estimator):
+        self.fail_on_call(monkeypatch, module, name, call, IllConditionedError("S is singular"))
+        assert cli.main(["check", "properties"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"estimator failure: {estimator}, step 3: S is singular\n"
+
+    @pytest.mark.parametrize("module, name, estimator", [(r4skf, "step", "r4skf"), (uio, "observer_step", "uio")])
+    def test_a_named_failure_keeps_its_type(self, monkeypatch, module, name, estimator):
+        self.fail_on_call(monkeypatch, module, name, 1, FloatingPointError("overflow encountered in matmul"))
+        with pytest.raises(FloatingPointError, match=rf"^{estimator}, step 1: overflow encountered in matmul$") as info:
+            checks.run_property_checks()
+        assert type(info.value.__cause__) is FloatingPointError

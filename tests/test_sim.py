@@ -254,6 +254,12 @@ class TestCsvOutput:
         assert len(lines) == 3
         assert lines[1].startswith("case1,r4skf")
 
+    def test_summary_of_no_results_is_refused_before_a_file_is_opened(self, tmp_path):
+        path = tmp_path / "summary.csv"
+        with pytest.raises(ValueError, match=r"^results: "):
+            sim.write_summary_csv(path, {})
+        assert not path.exists()
+
     def test_six_significant_digits(self, tmp_path):
         cfg = small_config()
         res = sim.run_scenario(cfg)
