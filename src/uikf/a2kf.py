@@ -128,7 +128,7 @@ def innovation_covariance(innov_window) -> np.ndarray:
     if G.size == 0:
         raise ValueError("innovation window is empty")
     # G^T G on a swapped view of G is one syrk per window
-    return G.swapaxes(-1, -2) @ G / G.shape[-2]
+    return (np.ndarray.dot if G.ndim == 2 else np.matmul)(G.swapaxes(-1, -2), G) / G.shape[-2]
 
 
 def _process_noise(terms: StepTerms, Qd_hat: np.ndarray) -> np.ndarray:
@@ -170,7 +170,9 @@ def _project_Qd(Cgamma, CGQGC, M, R, qd_floor) -> np.ndarray:
     """estimate_Qd on precomputed model terms, CGQGC = C G Q G^T C^T dt and
     M = (C E_d)^+, with the diagonal clamped at qd_floor. Cgamma may be a stack
     (..., n_y, n_y); the diagonal fallback is decided per matrix, on numpy scalars for one."""
-    Qd = M @ (Cgamma - CGQGC - R) @ M.T
+    D = Cgamma - CGQGC - R
+    mul = np.ndarray.dot if D.ndim == M.ndim == 2 else np.matmul
+    Qd = mul(mul(M, D), M.T)
     Qd = 0.5 * (Qd + Qd.swapaxes(-1, -2))
     n_d = Qd.shape[-1]
     diag = Qd.diagonal(0, -2, -1)      # the diagonal fallback below keeps it
@@ -226,7 +228,8 @@ def advance(
     if window.shape != window_shape:
         raise r4skf.shape_error("innov_window", window, window_shape)
     x_pred = matvec(A_da, state.x_a) + matvec(B_da, u)
-    P_pred = A_da @ state.P_a @ A_da.T + _process_noise(terms, state.Qd_hat)
+    mul = np.ndarray.dot if state.P_a.ndim == 2 else np.matmul
+    P_pred = mul(mul(A_da, state.P_a), A_da.T) + _process_noise(terms, state.Qd_hat)
     K, _ = r4skf.kalman_gain(P_pred, C_a, terms.R)
     gamma = y - matvec(C_a, x_pred)
     x_new = x_pred + matvec(K, gamma)

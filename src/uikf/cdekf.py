@@ -112,17 +112,12 @@ class NonlinearModel:
 
 
 def propagate_state(
-    x: np.ndarray,
-    u: np.ndarray,
-    d_hat: np.ndarray,
-    model: NonlinearModel,
-    method: str = "rk4",
-    t: float = 0.0,
+    x: np.ndarray, u: np.ndarray, d_hat: np.ndarray, model: NonlinearModel, method: str = "rk4", t: float = 0.0
 ) -> np.ndarray:
     """Integrate dx/dt = f(x,u,t) + E d̂ over one sample period; d̂ and u
     are held piecewise constant. An f value of another shape than x is a
     DimensionError naming model.f."""
-    Ed, dt = model.E @ d_hat, model.dt
+    Ed, dt = model.E.dot(d_hat), model.dt
 
     def rhs(xx, tt):
         return _checked("model.f", model.f(xx, u, tt), x.shape) + Ed
@@ -152,11 +147,7 @@ def propagate_covariance(
 
 
 def cd_four_step(
-    state: FilterState,
-    u: np.ndarray,
-    y: np.ndarray,
-    model: NonlinearModel,
-    method: str = "euler",
+    state: FilterState, u: np.ndarray, y: np.ndarray, model: NonlinearModel, method: str = "euler"
 ) -> Tuple[FilterState, StepReport]:
     """Four-step recursion on the linearized plant: A_d = I + F dt,
     E_d = E dt, C = H at the prediction point."""
@@ -186,11 +177,11 @@ def cd_four_step(
     gamma = y - _checked("model.h", model.h(x_star), y.shape)
     C = model.jac_h(x_star)
     terms = r4skf.StepTerms(dm, C, R, Q, G, r4skf.unknown_input_gain(C, dm.E_d))
-    d_hat = terms.F_d @ gamma
-    x_pred = x_star + dm.E_d @ d_hat
+    d_hat = terms.F_d.dot(gamma)
+    x_pred = x_star + dm.E_d.dot(d_hat)
 
     _, K, L, P_post, Pd = r4skf.gain_and_covariance(state.P, terms)
-    x_hat = x_pred + K @ (y - _checked("model.h", model.h(x_pred), y.shape))
+    x_hat = x_pred + K.dot(y - _checked("model.h", model.h(x_pred), y.shape))
 
     new_state = FilterState(x_hat=x_hat, P=P_post, d_hat=d_hat, Pd=Pd, gamma=gamma, k=state.k + 1)
     report = StepReport(x_star=x_star, x_pred=x_pred, d_hat=d_hat, F_d=terms.F_d, K=K, L=L, dm=dm, C=C)

@@ -148,13 +148,16 @@ def run_property_checks() -> List[CheckResult]:
 
 
 def stability_report(model: SystemModel) -> Dict[str, float]:
-    """Spectral radii of the predictor and filter error-dynamics matrices
-    after 1000 filter steps, near steady state, on y = 0 (the gain never reads
-    y); an overflow, invalid value or division by zero is a filter failure."""
+    """Spectral radii of the predictor and filter error-dynamics matrices after 1000 filter steps, near steady
+    state, on y = 0 (the gain never reads y); an overflow, invalid value or division by zero is a filter failure,
+    in those matrices too, named as the last step."""
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        for _, rep in _filter(model, np.zeros((1000, model.n_y)), np.zeros(model.n_x)):
+        for k, (_, rep) in enumerate(_filter(model, np.zeros((1000, model.n_y)), np.zeros(model.n_x)), 1):
             pass
-        A_bar, A_tilde = rep.A_bar, rep.A_tilde
+        try:
+            A_bar, A_tilde = r4skf.stability_matrices(rep.dm, rep.C, rep.F_d, rep.K)
+        except ESTIMATOR_FAILURES as exc:
+            raise type(exc)(f"r4skf, step {k}: {exc}") from exc
     return {
         "rho_A_bar": float(np.max(np.abs(np.linalg.eigvals(A_bar)))),
         "rho_A_tilde": float(np.max(np.abs(np.linalg.eigvals(A_tilde)))),

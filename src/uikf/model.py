@@ -26,6 +26,7 @@ from dataclasses import dataclass, field
 from typing import Callable, Tuple, Union
 
 import numpy as np
+from numpy._core.umath import _extobj_contextvar, _make_extobj
 from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import ConfigError, DimensionError
@@ -77,12 +78,13 @@ def read_number(value, field: str, rule: str = "finite") -> float:
 
 
 def _checked(fn, name: str, shape: Tuple[int, ...], dt: float):
-    """A matrix given as a callable (its .fn) of t (A, B, E, G, Q) or k (C, R). A float ndarray of its shape at 0 (its
-    .shape) is returned as it is; any other value is read by read_only and of another shape a DimensionError,
-    each naming the matrix and the step: k for C and R, round(t / dt) + 1 for the others."""
+    """A matrix given as a callable (its .fn) of t (A, B, E, G, Q) or k (C, R). A C- or F-contiguous float ndarray of
+    its shape at 0 (its .shape) is returned as it is; any other value is read by read_only, a contiguous copy BLAS takes
+    in place (a stack's matmul would round a strided view otherwise than one problem's dot), and of another shape a
+    DimensionError, each naming the matrix and the step: k for C and R, round(t / dt) + 1 for the others."""
     def read(arg) -> np.ndarray:
         M = fn(arg)
-        if type(M) is np.ndarray and M.dtype is _FLOAT and M.shape == shape:
+        if type(M) is np.ndarray and M.dtype is _FLOAT and M.shape == shape and M.flags.forc:
             return M
         where = f"model.{name}, step {arg if name in 'CR' else round(arg / dt) + 1}"
         M = read_only(M, where)
@@ -277,17 +279,30 @@ def pinv_and_rank(M: np.ndarray) -> Tuple[np.ndarray, int]:
     if s.size == 0 or s[0] == 0.0:
         return np.zeros((M.shape[1], M.shape[0])), 0
     if s[-1] > RANK_TOL * s[0]:
-        return (Vt.T * (1.0 / s)) @ U.T, s.size
+        return (Vt.T * (1.0 / s)).dot(U.T), s.size
     r = int(np.count_nonzero(s > RANK_TOL * s[0]))
-    return (Vt[:r].T * (1.0 / s[:r])) @ U[:, :r].T, r
+    return (Vt[:r].T * (1.0 / s[:r])).dot(U[:, :r].T), r
 
 
+@functools.cache
 def _lapack_rule(text: str):
     """numpy's error rule of a LAPACK gufunc, as a decorator: a failure flag is LinAlgError(text), every other
-    floating-point flag is ignored. Each call sets the rule in its own context (numpy >= 2), so threads do not share it."""
+    floating-point flag is ignored. The rule is built once; each call sets it in its own context and resets it after
+    (numpy >= 2), as np.errstate's decorator does without rebuilding it, so threads do not share it."""
     def fail(err, flag):
         raise LinAlgError(text)
-    return np.errstate(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore")
+    rule = _make_extobj(call=fail, invalid="call", over="ignore", divide="ignore", under="ignore")
+
+    def decorate(gufunc_call):
+        @functools.wraps(gufunc_call)
+        def under_rule(*args):
+            token = _extobj_contextvar.set(rule)
+            try:
+                return gufunc_call(*args)
+            finally:
+                _extobj_contextvar.reset(token)
+        return under_rule
+    return decorate
 
 
 # The per-step path's LAPACK calls: numpy's gufuncs under numpy's error rule, without np.linalg's dispatch (array

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import IllConditionedError
+from .errors import ESTIMATOR_FAILURES, IllConditionedError
 from . import r4skf, sim
 from .model import SystemModel, singular_values, solve
 
@@ -61,17 +61,19 @@ def equivalence_check(model: SystemModel, steps: int, seed: int, x0_hat=None) ->
     random measurement stream; return the max per-step scaled deviation
     max_k ||x̂_filter - C^{-1} y|| / (1 + ||C^{-1} y||). The loop steps only the filter;
     C^{-1} y is then solved once per run of steps that share one `step_terms(model, k).C`
-    object (once for a time-invariant model), and the deviation is one pass over the stream."""
+    object (once for a time-invariant model), and the deviation is one pass over the stream. A filter
+    failure is raised again with the same type and "r4skf, step <k>: " prepended, as in checks._filter."""
     if not is_square(model):
         raise ValueError("equivalence_check requires n_x = n_y = n_d")
     ys = white_input_stream(model, steps, seed)
-    state = r4skf.initial_state(
-        model, np.zeros(model.n_x) if x0_hat is None else np.asarray(x0_hat, dtype=float)
-    )
+    state = r4skf.initial_state(model, np.zeros(model.n_x) if x0_hat is None else np.asarray(x0_hat, dtype=float))
     u = np.zeros(model.n_u)
     (x_hat, ref), Cs, start = np.empty((2, steps, model.n_x)), [None] * steps, 0
     for k in range(steps):
-        state, _ = r4skf.step(state, u, ys[k], model)
+        try:
+            state, _ = r4skf.step(state, u, ys[k], model)
+        except ESTIMATOR_FAILURES as exc:
+            raise type(exc)(f"r4skf, step {k + 1}: {exc}") from exc
         x_hat[k], Cs[k] = state.x_hat, r4skf.step_terms(model, k).C
     for k in range(1, steps + 1):
         if k == steps or Cs[k] is not Cs[start]:

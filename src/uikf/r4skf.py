@@ -19,9 +19,10 @@ K = P C^T S^{-1} and Pd = F_d S F_d^T. advance runs both on the StepTerms
 of a step; step = advance(step_terms). StepTerms is what every
 estimator step reads from the model, the a2kf's included.
 The state half, kalman_gain and joseph_update also take stacks with leading
-axes, e.g. one row per Monte-Carlo seed. Every product in a stack is the
-same BLAS call (gemv, gemm, syrk) as for a single problem, so each row is
-bitwise equal to the unstacked result; see matvec. kalman_gain's eigvalsh and
+axes, e.g. one row per Monte-Carlo seed. Every product in a stack (matmul) is the
+same BLAS call (gemv, gemm, syrk) as ndarray.dot makes for one problem without
+matmul's dispatch, so each row is bitwise equal to the unstacked result; see matvec.
+dot never sees a stack: a kernel that takes either picks its product once per call. kalman_gain's eigvalsh and
 solve are model.eigvalsh and model.solve, and the (C E_d)^+ of unknown_input_gain
 is pinv_and_rank's model.svd: numpy's LAPACK gufuncs under numpy's error rule,
 without np.linalg's per-call dispatch, one LAPACK call per matrix of a stack.
@@ -109,9 +110,9 @@ def shape_error(name: str, M: np.ndarray, shape: Tuple[int, ...]) -> DimensionEr
 
 def matvec(M: np.ndarray, x: np.ndarray) -> np.ndarray:
     """M x over the leading axes of x (and of M): one gemv per row, as for a
-    single vector. X @ M.T would be one gemm over all rows, which rounds
-    differently."""
-    return M @ x if x.ndim == 1 else (M @ x[..., None])[..., 0]
+    single vector, which ndarray.dot takes for one matrix. X @ M.T would be one
+    gemm over all rows, which rounds differently."""
+    return (M.dot(x) if M.ndim == 2 else M @ x) if x.ndim == 1 else (M @ x[..., None])[..., 0]
 
 
 def predict_no_input(x_hat: np.ndarray, u: np.ndarray, dm: DiscretizedModel) -> np.ndarray:
@@ -130,7 +131,7 @@ def unknown_input_gain(C: np.ndarray, E_d: np.ndarray) -> np.ndarray:
     filter and an observer that step at the same k, or any steps of a
     constant C E_d, form one SVD; the kept F_d is read-only. A C E_d that
     fails the check (NaN included) raises and is never kept."""
-    CE = C @ E_d
+    CE = C.dot(E_d)
     return _gain(CE.shape, CE.dtype, CE.tobytes())
 
 
@@ -185,12 +186,12 @@ def four_step(x_hat, u, y, dm: DiscretizedModel, C: np.ndarray, F_d: np.ndarray,
 
 def process_noise(G: np.ndarray, Q: np.ndarray, dt: float) -> np.ndarray:
     """G Q G^T dt, the discrete process-noise covariance (one factor of dt)."""
-    return G @ Q @ G.T * dt
+    return G.dot(Q).dot(G.T) * dt
 
 
 def output_noise(C: np.ndarray, G: np.ndarray, Q: np.ndarray, dt: float) -> np.ndarray:
     """C G Q G^T C^T dt, the process noise seen at the output."""
-    return C @ G @ Q @ G.T @ C.T * dt
+    return C.dot(G).dot(Q).dot(G.T).dot(C.T) * dt
 
 
 @dataclass
@@ -239,10 +240,10 @@ def gain_and_covariance(P_prev: np.ndarray, terms: StepTerms) -> Tuple[np.ndarra
     of P_pred with L and Pd from the S that K is solved with, on the
     StepTerms of the step: (P_pred, K, L, P_post, Pd).
     """
-    C, R = terms.C, terms.R
-    P_pred = terms.dm.A_d @ P_prev @ terms.dm.A_d.T + terms.GQG
+    C, R, A_d = terms.C, terms.R, terms.dm.A_d
+    P_pred = A_d.dot(P_prev).dot(A_d.T) + terms.GQG
     K, S = kalman_gain(P_pred, C, R)
-    L = K + (identity(P_pred.shape[-1]) - K @ C) @ terms.dm.E_d @ terms.F_d
+    L = K + (identity(P_pred.shape[-1]) - K.dot(C)).dot(terms.dm.E_d).dot(terms.F_d)
     return P_pred, K, L, joseph_update(P_pred, L, C, R), unknown_input_error_cov(S, terms.F_d)
 
 
@@ -252,8 +253,9 @@ def kalman_gain(P_pred: np.ndarray, C: np.ndarray, R: np.ndarray) -> Tuple[np.nd
     On a stack of P the error raised for the first refused S carries its
     flat position in the stack as ``index``; one P decides as its row of a stack would, index 0.
     """
-    CP = C @ P_pred
-    S = CP @ C.T + R
+    mul = np.ndarray.dot if P_pred.ndim == C.ndim == 2 else np.matmul
+    CP = mul(C, P_pred)
+    S = mul(CP, C.T) + R
     S = 0.5 * (S + S.swapaxes(-1, -2))
     # the |eigenvalues| of the symmetric S are its singular values: the |w| test is 1 / cond(S) > RCOND_FLOOR
     # without an SVD. eigvalsh sorts w ascending: w[0] > RCOND_FLOOR * w[-1] (numpy scalars for one S) holds
@@ -276,8 +278,9 @@ def kalman_gain(P_pred: np.ndarray, C: np.ndarray, R: np.ndarray) -> Tuple[np.nd
 
 def joseph_update(P_pred: np.ndarray, L: np.ndarray, C: np.ndarray, R: np.ndarray) -> np.ndarray:
     """Joseph-form update (I - L C) P (I - L C)^T + L R L^T, symmetric PSD for any gain L."""
-    ImLC = identity(P_pred.shape[-1]) - L @ C
-    P_post = ImLC @ P_pred @ ImLC.swapaxes(-1, -2) + L @ R @ L.swapaxes(-1, -2)
+    mul = np.ndarray.dot if P_pred.ndim == L.ndim == C.ndim == R.ndim == 2 else np.matmul
+    ImLC = identity(P_pred.shape[-1]) - mul(L, C)
+    P_post = mul(mul(ImLC, P_pred), ImLC.swapaxes(-1, -2)) + mul(mul(L, R), L.swapaxes(-1, -2))
     return 0.5 * (P_post + P_post.swapaxes(-1, -2))
 
 
@@ -288,9 +291,7 @@ def update(x_pred: np.ndarray, y: np.ndarray, K: np.ndarray, C: np.ndarray) -> n
     return x_pred + matvec(K, y - matvec(C, x_pred))
 
 
-def stability_matrices(
-    dm: DiscretizedModel, C: np.ndarray, F_d: np.ndarray, K: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
+def stability_matrices(dm: DiscretizedModel, C: np.ndarray, F_d: np.ndarray, K: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Error-dynamics matrices (A_bar, A_tilde) of the predictor and the full
     filter: e⁻_k = Ā e_{k-1} + noise and e_k = Ã e_{k-1} + noise.
 
@@ -298,8 +299,8 @@ def stability_matrices(
     spectral radius of Ā (resp. Ã) stays below one.
     """
     n_x = dm.A_d.shape[0]
-    A_bar = (identity(n_x) - dm.E_d @ F_d @ C) @ dm.A_d
-    return A_bar, (identity(n_x) - K @ C) @ A_bar
+    A_bar = (identity(n_x) - dm.E_d.dot(F_d).dot(C)).dot(dm.A_d)
+    return A_bar, (identity(n_x) - K.dot(C)).dot(A_bar)
 
 
 def unknown_input_error_cov(S: np.ndarray, F_d: np.ndarray) -> np.ndarray:
@@ -309,7 +310,7 @@ def unknown_input_error_cov(S: np.ndarray, F_d: np.ndarray) -> np.ndarray:
     In quiescence (P small) this reduces to F_d (C G Q G^T C^T dt + R) F_d^T;
     since F_d scales like 1/dt, measurement noise is magnified by 1/dt^2.
     """
-    Pd = F_d @ S @ F_d.T
+    Pd = F_d.dot(S).dot(F_d.T)
     return 0.5 * (Pd + Pd.T)
 
 

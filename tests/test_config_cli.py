@@ -440,6 +440,7 @@ class TestNamedStepFailure:
     @pytest.mark.parametrize("module, name, call, estimator", [
         (r4skf, "step", 3, "r4skf"),
         (r4skf, "step", 503, "r4skf"),
+        (r4skf, "step", 603, "r4skf"),
         (r4skf, "step", 1103, "r4skf"),
         (uio, "observer_step", 3, "uio"),
         (uio, "observer_step", 503, "uio"),
@@ -451,6 +452,13 @@ class TestNamedStepFailure:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"estimator failure: {estimator}, step 3: S is singular\n"
+
+    def test_check_stability_names_a_failure_of_the_last_stability_matrices(self, monkeypatch, capsys):
+        self.fail_on_call(monkeypatch, r4skf, "stability_matrices", 1, FloatingPointError("overflow encountered in dot"))
+        assert cli.main(["check", "stability"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == "estimator failure: benchmark: r4skf, step 1000: overflow encountered in dot\n"
 
     @pytest.mark.parametrize("module, name, estimator", [(r4skf, "step", "r4skf"), (uio, "observer_step", "uio")])
     def test_a_named_failure_keeps_its_type(self, monkeypatch, module, name, estimator):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 import yaml
 
-from uikf import a2kf, cdekf, cli, r4skf, sim
+from uikf import a2kf, cdekf, checks, cli, r4skf, sim
 from uikf.benchmark import benchmark_case, benchmark_model
 from uikf.cdekf import NonlinearModel
 from uikf.errors import ConfigError, IllConditionedError
@@ -184,6 +184,13 @@ def test_steps_compute_stability_matrices_only_when_read(monkeypatch):
     assert len(calls) == 0
     _ = (rep.A_bar, cd_rep.A_tilde)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("model", [benchmark_model(), checks.square_test_model()], ids=["benchmark", "square"])
+def test_a_stability_report_forms_its_stability_matrices_once(monkeypatch, model):
+    calls = count_calls(monkeypatch, r4skf, "stability_matrices")
+    checks.stability_report(model)
+    assert len(calls) == 1
 
 
 def random_spd(rng, n, cond):
