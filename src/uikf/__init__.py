@@ -4,9 +4,9 @@ for the square case, an unknown-input observer, and an adaptive augmented
 Kalman filter, plus a simulation and benchmarking harness.
 """
 
-from .a2kf import A2KFConfig, A2KFState, a2kf_step, augment, estimate_Qd, innovation_covariance
+from .a2kf import A2KFConfig, A2KFState, a2kf_step, innovation_covariance
 from .benchmark import benchmark_case, benchmark_model
-from .cdekf import NonlinearModel, cd_four_step, propagate_covariance, propagate_state
+from .cdekf import NonlinearModel, cd_four_step, propagate_state
 from .errors import ConfigError, DimensionError, IllConditionedError, RankConditionError
 from .model import DiscretizedModel, SystemModel, discretize, moore_penrose_pinv
 from .onestep import equivalence_check, one_step_estimate
@@ -33,19 +33,16 @@ __all__ = [
     "StepReport",
     "SystemModel",
     "a2kf_step",
-    "augment",
     "benchmark_case",
     "benchmark_model",
     "cd_four_step",
     "discretize",
     "equivalence_check",
-    "estimate_Qd",
     "generate_truth",
     "innovation_covariance",
     "moore_penrose_pinv",
     "observer_step",
     "one_step_estimate",
-    "propagate_covariance",
     "propagate_state",
     "rmse",
     "run_scenario",

@@ -1,8 +1,8 @@
 """Executable property checks: the theorem-level guarantees of the filters
 as pass/fail diagnostics, used by the `check` CLI subcommand and the tests.
-Every check and the stability report step the estimators in _filter
-(r4skf.step) or _observer (uio.observer_step), which raise a failure again
-with the same type and "r4skf, step <k>: " or "uio, step <k>: " prepended."""
+Every check and the stability report step the filter through r4skf.stream, as
+onestep.equivalence_check does, or the observer through _observer (uio.observer_step),
+which raise a failure again with its type and "r4skf, step <k>: " or "uio, step <k>: " prepended."""
 
 from __future__ import annotations
 
@@ -46,17 +46,6 @@ def square_test_model() -> SystemModel:
     )
 
 
-def _filter(model: SystemModel, ys: np.ndarray, x0: np.ndarray):
-    """r4skf.step over ys with u = 0 from x̂ = x0: yields each step's state and report."""
-    state, u = r4skf.initial_state(model, x0), np.zeros(model.n_u)
-    for k, y in enumerate(ys, 1):
-        try:
-            state, rep = r4skf.step(state, u, y, model)
-        except ESTIMATOR_FAILURES as exc:
-            raise type(exc)(f"r4skf, step {k}: {exc}") from exc
-        yield state, rep
-
-
 def _observer(model: SystemModel, ys: np.ndarray, x0: np.ndarray, gains) -> np.ndarray:
     """x̂ of uio.observer_step over ys with u = 0 from x0, on the dm and C of
     r4skf.step_terms(model, k) and the gain gains[k]."""
@@ -77,7 +66,7 @@ def check_gain_irrelevance() -> List[CheckResult]:
     model = square_test_model()
     ys = onestep.white_input_stream(model, 500, seed=0)
     x0 = 100.0 * np.ones(model.n_x)
-    x_opt = np.fromiter((s.x_hat for s, _ in _filter(model, ys, x0)), (float, model.n_x), len(ys))
+    x_opt = np.fromiter((s.x_hat for s, _ in r4skf.stream(model, ys, x0)), (float, model.n_x), len(ys))
     x_zero = _observer(model, ys, x0, [np.zeros((model.n_x, model.n_y))] * len(ys))
     ref = onestep.one_step_estimate(ys, r4skf.step_terms(model, 0).C)
     dev_gain = float(onestep.row_norms(x_opt - x_zero).max())
@@ -95,7 +84,7 @@ def check_dual_form() -> List[CheckResult]:
     x0 = rng.standard_normal(model.n_x)
     ys = rng.standard_normal((100, model.n_y))
     x_hat, alt = np.empty((2, len(ys), model.n_x))
-    for k, (state, rep) in enumerate(_filter(model, ys, x0)):
+    for k, (state, rep) in enumerate(r4skf.stream(model, ys, x0)):
         x_hat[k], alt[k] = state.x_hat, rep.x_star + rep.L @ state.gamma
     worst = float((onestep.row_norms(x_hat - alt) / (1.0 + onestep.row_norms(x_hat))).max())
     return [CheckResult("dual_form_update_equality", worst <= 1e-12, worst, 1e-12)]
@@ -119,7 +108,7 @@ def check_observer_equivalence() -> List[CheckResult]:
     model = benchmark_model()
     ys = 0.01 * np.random.default_rng(2).standard_normal((300, model.n_y))
     x_filt, Ks = np.empty((len(ys), model.n_x)), [None] * len(ys)
-    for k, (filt, rep) in enumerate(_filter(model, ys, np.zeros(model.n_x))):
+    for k, (filt, rep) in enumerate(r4skf.stream(model, ys, np.zeros(model.n_x))):
         x_filt[k], Ks[k] = filt.x_hat, rep.K
     worst = float(np.abs(_observer(model, ys, np.zeros(model.n_x), Ks) - x_filt).max())
     return [
@@ -152,7 +141,7 @@ def stability_report(model: SystemModel) -> Dict[str, float]:
     state, on y = 0 (the gain never reads y); an overflow, invalid value or division by zero is a filter failure,
     in those matrices too, named as the last step."""
     with np.errstate(over="raise", invalid="raise", divide="raise"):
-        for k, (_, rep) in enumerate(_filter(model, np.zeros((1000, model.n_y)), np.zeros(model.n_x)), 1):
+        for k, (_, rep) in enumerate(r4skf.stream(model, np.zeros((1000, model.n_y)), np.zeros(model.n_x)), 1):
             pass
         try:
             A_bar, A_tilde = r4skf.stability_matrices(rep.dm, rep.C, rep.F_d, rep.K)

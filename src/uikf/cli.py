@@ -11,8 +11,9 @@ Subcommands:
 
 Exit codes: 0 success; 1 config violation or bad command line; 2 estimator or
 property failure; 3 I/O failure. Each failure is one stderr line (FAILURES),
-never a traceback or argparse's usage text. Default output directory comes
-from $UIKF_OUT.
+never a traceback or argparse's usage text; a check suite that runs but fails
+prints "failed properties: <names>" or "unstable filters: <models>" after its
+stdout report. Default output directory comes from $UIKF_OUT.
 """
 
 from __future__ import annotations
@@ -95,15 +96,19 @@ def cmd_simulate(args) -> int:
     return _run(load_scenario(args.config), args, "scenario")
 
 
+def _verdict(label: str, failed) -> int:
+    """EXIT_OK, or one stderr line "<label>: <names>" and EXIT_ESTIMATOR for a suite with failures."""
+    if failed:
+        print(f"{label}: " + ", ".join(failed), file=sys.stderr)
+        return EXIT_ESTIMATOR
+    return EXIT_OK
+
+
 def cmd_properties(args) -> int:
     results = checks.run_property_checks()
     for r in results:
         print(r.line())
-    failed = [r.name for r in results if not r.passed]
-    if failed:
-        print("failed properties: " + ", ".join(failed), file=sys.stderr)
-        return EXIT_ESTIMATOR
-    return EXIT_OK
+    return _verdict("failed properties", [r.name for r in results if not r.passed])
 
 
 def cmd_stability(args) -> int:
@@ -111,18 +116,16 @@ def cmd_stability(args) -> int:
     if args.config is not None:
         models["user"] = load_scenario(args.config).model
     models["square"] = checks.square_test_model()
-    ok = True
+    unstable = []
     for name, model in models.items():
         try:
             rep = checks.stability_report(model)
         except ESTIMATOR_FAILURES as exc:   # the same failure, naming the model
             raise type(exc)(f"{name}: {exc}") from exc
-        print(
-            f"{name}: rho(A_bar)={rep['rho_A_bar']:.6g} rho(A_tilde)={rep['rho_A_tilde']:.6g}"
-        )
+        print(f"{name}: rho(A_bar)={rep['rho_A_bar']:.6g} rho(A_tilde)={rep['rho_A_tilde']:.6g}")
         if rep["rho_A_tilde"] >= 1.0:
-            ok = False
-    return EXIT_OK if ok else EXIT_ESTIMATOR
+            unstable.append(name)
+    return _verdict("unstable filters", unstable)
 
 
 class _Parser(argparse.ArgumentParser):

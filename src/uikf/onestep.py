@@ -6,14 +6,15 @@ whole recursion reduces to x̂ = C^{-1} y. The estimator is always stable and
 forgets initial condition errors after the first measurement. Its exact
 error covariance C^{-1} R C^{-T} is the r4skf's own P: with
 Π = I - C E_d F_d = 0 the combined gain is L = E_d F_d = C^{-1}, and the
-Joseph update reduces to L R L^T.
+Joseph update reduces to L R L^T. equivalence_check compares the two,
+stepping the filter through r4skf.stream as the property checks do.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ESTIMATOR_FAILURES, IllConditionedError
+from .errors import IllConditionedError
 from . import r4skf, sim
 from .model import SystemModel, singular_values, solve
 
@@ -59,22 +60,16 @@ def row_norms(D: np.ndarray) -> np.ndarray:
 def equivalence_check(model: SystemModel, steps: int, seed: int, x0_hat=None) -> float:
     """Run the full four-step filter and the one-step estimate on the same
     random measurement stream; return the max per-step scaled deviation
-    max_k ||x̂_filter - C^{-1} y|| / (1 + ||C^{-1} y||). The loop steps only the filter;
-    C^{-1} y is then solved once per run of steps that share one `step_terms(model, k).C`
-    object (once for a time-invariant model), and the deviation is one pass over the stream. A filter
-    failure is raised again with the same type and "r4skf, step <k>: " prepended, as in checks._filter."""
+    max_k ||x̂_filter - C^{-1} y|| / (1 + ||C^{-1} y||). The filter steps in r4skf.stream, which names
+    a failure "r4skf, step <k>: ", as for the property checks; C^{-1} y is then solved once per run of
+    steps whose reports share one C object (once for a time-invariant model), and the deviation is one
+    pass over the stream."""
     if not is_square(model):
         raise ValueError("equivalence_check requires n_x = n_y = n_d")
     ys = white_input_stream(model, steps, seed)
-    state = r4skf.initial_state(model, np.zeros(model.n_x) if x0_hat is None else np.asarray(x0_hat, dtype=float))
-    u = np.zeros(model.n_u)
     (x_hat, ref), Cs, start = np.empty((2, steps, model.n_x)), [None] * steps, 0
-    for k in range(steps):
-        try:
-            state, _ = r4skf.step(state, u, ys[k], model)
-        except ESTIMATOR_FAILURES as exc:
-            raise type(exc)(f"r4skf, step {k + 1}: {exc}") from exc
-        x_hat[k], Cs[k] = state.x_hat, r4skf.step_terms(model, k).C
+    for k, (state, rep) in enumerate(r4skf.stream(model, ys, np.zeros(model.n_x) if x0_hat is None else x0_hat)):
+        x_hat[k], Cs[k] = state.x_hat, rep.C
     for k in range(1, steps + 1):
         if k == steps or Cs[k] is not Cs[start]:
             ref[start:k], start = one_step_estimate(ys[start:k], Cs[start]), k

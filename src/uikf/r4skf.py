@@ -16,8 +16,10 @@ four_step (steps 1-2 / 1-4 with a given gain, e.g. the observer's fixed L)
 and the covariance half gain_and_covariance, which cdekf runs on the
 StepTerms of its linearization; its one innovation covariance S gives both
 K = P C^T S^{-1} and Pd = F_d S F_d^T. advance runs both on the StepTerms
-of a step; step = advance(step_terms). StepTerms is what every
-estimator step reads from the model, the a2kf's included.
+of a step; step = advance(step_terms); stream is the one loop of step outside
+sim.run_scenario, for the property checks, the stability report and
+onestep.equivalence_check. StepTerms is what every estimator step reads from
+the model, the a2kf's included.
 The state half, kalman_gain and joseph_update also take stacks with leading
 axes, e.g. one row per Monte-Carlo seed. Every product in a stack (matmul) is the
 same BLAS call (gemv, gemm, syrk) as ndarray.dot makes for one problem without
@@ -37,7 +39,7 @@ from typing import Tuple
 
 import numpy as np
 
-from .errors import DimensionError, IllConditionedError, RankConditionError
+from .errors import ESTIMATOR_FAILURES, DimensionError, IllConditionedError, RankConditionError
 from .model import DiscretizedModel, SystemModel, discretize, eigvalsh, identity, kept_terms, pinv_and_rank, solve
 
 RCOND_FLOOR = 1e-14
@@ -222,7 +224,7 @@ class StepTerms:
     @cached_property
     def augmented(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The a2kf's discrete blocks of [x; d]: [[A_d, E_d], [0, I]], [B_d; 0]
-        and [C 0]. One property, as the first read of each takes a lock."""
+        and [C 0]. One property: the first read of each is cached_property's Python __get__ (locked before 3.12)."""
         n_y, n_x = self.C.shape
         n_a = n_x + self.F_d.shape[0]
         A_da = np.array(identity(n_a))
@@ -347,6 +349,18 @@ def step(state: FilterState, u: np.ndarray, y: np.ndarray, model: SystemModel) -
     estimate NaN from then on.
     """
     return advance(state, u, y, step_terms(model, state.k))
+
+
+def stream(model: SystemModel, ys: np.ndarray, x0: np.ndarray):
+    """step over ys with u = 0 from initial_state(model, x0): yields each step's state and report.
+    A failure is raised again with the same type and "r4skf, step <k>: " prepended."""
+    state, u = initial_state(model, x0), np.zeros(model.n_u)
+    for k, y in enumerate(ys, 1):
+        try:
+            state, rep = step(state, u, y, model)
+        except ESTIMATOR_FAILURES as exc:
+            raise type(exc)(f"r4skf, step {k}: {exc}") from exc
+        yield state, rep
 
 
 def advance(state: FilterState, u, y, terms: StepTerms) -> Tuple[FilterState, StepReport]:

@@ -4,7 +4,9 @@ deviation are formed once over the whole stream. The reference loops below
 form both at every step; every CheckResult and every equivalence_check value
 must equal theirs bitwise."""
 
+import ast
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -200,3 +202,23 @@ def test_a_nan_deviation_is_not_skipped(monkeypatch):
     assert np.isnan(onestep.equivalence_check(square_test_model(), 20, seed=1))
     result, = checks.check_onestep_equivalence()
     assert np.isnan(result.value) and not result.passed
+
+
+def calls_of_r4skf_step(name, tree):
+    """The calls of r4skf.step in the module name: r4skf.step(...), or step(...) in r4skf or where
+    the module binds step by `from .r4skf import step` (sim's runners define step functions of their own)."""
+    bound = name == "r4skf" or any(isinstance(node, ast.ImportFrom) and node.module == "r4skf"
+                                   and "step" in {a.name for a in node.names} for node in ast.walk(tree))
+    return [node for node in ast.walk(tree) if isinstance(node, ast.Call) and (
+        isinstance(node.func, ast.Attribute) and node.func.attr == "step"
+        and isinstance(node.func.value, ast.Name) and node.func.value.id == "r4skf"
+        or bound and isinstance(node.func, ast.Name) and node.func.id == "step")]
+
+
+def test_only_r4skf_steps_its_filter_outside_run_scenario():
+    """Every other module steps the filter through r4skf.stream (or sim's runners
+    through r4skf.advance), so one loop names a failure by its step."""
+    trees = {path.stem: ast.parse(path.read_text()) for path in Path(r4skf.__file__).parent.glob("*.py")}
+    assert {name for name, tree in trees.items() if calls_of_r4skf_step(name, tree)} == {"r4skf"}
+    assert not [node for node in ast.walk(trees["onestep"]) if isinstance(node, ast.Try)]
+

@@ -282,6 +282,25 @@ class TestCliCheck:
         assert cli.main(["check", "stability", "--config", path]) == 0
         assert "user" in capsys.readouterr().out
 
+    def test_stability_of_an_unstable_user_filter_exits_2_naming_the_model(self, tmp_path, capsys):
+        # n_y = n_d = 1, so the gain has no effect; with the input along E = [1, -2] taken out
+        # of the one output, the unseen x2 grows by 1 + 2 dt per step: rho(A_tilde) = 1.02
+        doc = deep_update(MINIMAL_DOC, ("model", "E"), [[1.0], [-2.0]])
+        doc = deep_update(doc, ("model", "C"), [[1.0, 0.0]])
+        path = write_doc(tmp_path, deep_update(doc, ("model", "R"), [[1.0e-7]]))
+        assert cli.main(["check", "stability", "--config", path]) == 2
+        out, err = capsys.readouterr()
+        assert re.search(r"^user: rho\(A_bar\)=1\.02 rho\(A_tilde\)=1\.02$", out, re.M)
+        assert len(out.splitlines()) == 3 and err == "unstable filters: user\n"
+
+    def test_a_failing_property_exits_2_naming_it(self, monkeypatch, capsys):
+        failing = checks.CheckResult("qd_spd_round_trip", False, 1.0, 1e-10)
+        monkeypatch.setattr(checks, "check_qd_reconstruction", lambda: [failing])
+        assert cli.main(["check", "properties"]) == 2
+        out, err = capsys.readouterr()
+        assert out.splitlines()[-1] == "FAIL  qd_spd_round_trip: value=1 threshold=1e-10"
+        assert out.count("FAIL") == 1 and err == "failed properties: qd_spd_round_trip\n"
+
 
 class TestRejectedScenarios:
     def test_a2kf_window_below_one(self):

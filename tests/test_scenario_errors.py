@@ -211,6 +211,15 @@ def test_a_non_finite_signal_value_exits_1_naming_the_field(tmp_path, capsys, si
     assert err.startswith(f"config error: scenario.signals[0].{field}: ") and err.count("\n") == 1
 
 
+def test_a_yaml_model_of_mismatched_dimensions_exits_1_naming_the_matrix(tmp_path, capsys):
+    doc = copy.deepcopy(DOC)
+    doc["model"]["C"] = [[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]
+    path = tmp_path / "scenario.yaml"
+    path.write_text(yaml.safe_dump(doc))
+    assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 1
+    assert capsys.readouterr().err == "config error: model.C: must have 2 columns, got (2, 3)\n"
+
+
 @pytest.mark.parametrize("field", ["t_on", "t_off", "amplitude", "f0"])
 def test_a_signal_spec_built_in_python_refuses_a_non_finite_value(field):
     with pytest.raises(ConfigError, match=rf"^{field}: must be a finite number, got nan$"):
@@ -237,6 +246,14 @@ CASE = benchmark_case(1, duration=0.5, seeds=(1, 2))
         (lambda: replace(CASE.model, C=lambda k: np.ones(4)), r"^model\.C: must be a 2-D matrix, got shape \(4,\)$"),
         # off by 9 % of R = 1e-7 I, below an absolute tolerance of 1e-8
         (lambda: replace(CASE.model, R=1e-7 * np.array([[1.0, 0.09, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, 1.0]])), r"^model\.R: not symmetric$"),
+        # the benchmark plant: n_x = 4, n_u = 2, n_d = 2, n_y = 3, n_w = 4
+        (lambda: replace(CASE.model, A=np.zeros((4, 5))), r"^model\.A: must be square, got \(4, 5\)$"),
+        (lambda: replace(CASE.model, B=np.zeros((5, 2))), r"^model\.B: must have 4 rows, got \(5, 2\)$"),
+        (lambda: replace(CASE.model, E=np.zeros((3, 2))), r"^model\.E: must have 4 rows, got \(3, 2\)$"),
+        (lambda: replace(CASE.model, G=np.eye(5)), r"^model\.G: must have 4 rows, got \(5, 5\)$"),
+        (lambda: replace(CASE.model, C=np.zeros((3, 5))), r"^model\.C: must have 4 columns, got \(3, 5\)$"),
+        (lambda: replace(CASE.model, Q=np.eye(3)), r"^model\.Q: must be 4x4, got \(3, 3\)$"),
+        (lambda: replace(CASE.model, R=np.eye(2)), r"^model\.R: must be 3x3, got \(2, 2\)$"),
     ],
 )
 def test_a_config_built_in_python_refuses_a_bad_value_naming_the_field(build, message):
