@@ -15,7 +15,10 @@ Each half of a step has one implementation here: the state half extract /
 four_step (steps 1-2 / 1-4 with a given gain, e.g. the observer's fixed L)
 and the covariance half gain_and_covariance, which cdekf runs on the
 StepTerms of its linearization; its one innovation covariance S gives both
-K = P C^T S^{-1} and Pd = F_d S F_d^T. advance runs both on the StepTerms
+K = P C^T S^{-1} and Pd = F_d S F_d^T. Once a step's P_post is bitwise its
+P_prev, gain_and_covariance keeps its outputs, read-only, on the StepTerms
+and returns them to the next call from that P_post: a time-invariant
+recursion forms no gain past its fixed point. advance runs both on the StepTerms
 of a step; step = advance(step_terms); stream is the one loop of step outside
 sim.run_scenario, for the property checks, the stability report and
 onestep.equivalence_check. StepTerms is what every estimator step reads from
@@ -62,7 +65,7 @@ class FilterState:
 class StepReport:
     """Intermediate quantities of one filter step, for diagnostics. The
     error-dynamics matrices Ā and Ã are computed from dm, C, F_d and K
-    only when they are read."""
+    when the first of them is read, both by one stability_matrices call."""
 
     x_star: np.ndarray
     x_pred: np.ndarray
@@ -73,13 +76,17 @@ class StepReport:
     dm: DiscretizedModel
     C: np.ndarray
 
+    @cached_property
+    def _stability(self) -> Tuple[np.ndarray, np.ndarray]:
+        return stability_matrices(self.dm, self.C, self.F_d, self.K)
+
     @property
     def A_bar(self) -> np.ndarray:
-        return stability_matrices(self.dm, self.C, self.F_d, self.K)[0]
+        return self._stability[0]
 
     @property
     def A_tilde(self) -> np.ndarray:
-        return stability_matrices(self.dm, self.C, self.F_d, self.K)[1]
+        return self._stability[1]
 
 
 def initial_state(model: SystemModel, x0_hat, P0=None, Pd0=None) -> FilterState:
@@ -212,6 +219,7 @@ class StepTerms:
     Q: np.ndarray
     G: np.ndarray                     # the continuous-time noise matrix
     F_d: np.ndarray                   # (C E_d)^+
+    fixed_point = None                # (P_pred, K, L, P_post, Pd), see gain_and_covariance
 
     @cached_property
     def GQG(self) -> np.ndarray:
@@ -241,12 +249,31 @@ def gain_and_covariance(P_prev: np.ndarray, terms: StepTerms) -> Tuple[np.ndarra
     dt), Kalman gain K, combined gain L = K + (I - K C) E_d F_d, Joseph update
     of P_pred with L and Pd from the S that K is solved with, on the
     StepTerms of the step: (P_pred, K, L, P_post, Pd).
+
+    A step at its fixed point, whose P_post has the bytes of its C-contiguous
+    P_prev and whose five outputs are all finite, keeps them on the StepTerms
+    (terms.fixed_point, one assignment), read-only. A later call whose P_prev
+    is that very P_post returns them as they are: it would compute the same
+    bytes again. Any other P_prev, a value-equal copy included, is computed.
+    So a time-invariant recursion, whose StepTerms are kept on the model,
+    stops forming the gain once it reaches its fixed point; StepTerms built
+    for one step (a time-varying model, cdekf) never reuse theirs.
     """
+    kept = terms.fixed_point
+    if kept is not None and kept[3] is P_prev:
+        return kept
     C, R, A_d = terms.C, terms.R, terms.dm.A_d
     P_pred = A_d.dot(P_prev).dot(A_d.T) + terms.GQG
     K, S = kalman_gain(P_pred, C, R)
     L = K + (identity(P_pred.shape[-1]) - K.dot(C)).dot(terms.dm.E_d).dot(terms.F_d)
-    return P_pred, K, L, joseph_update(P_pred, L, C, R), unknown_input_error_cov(S, terms.F_d)
+    P_post = joseph_update(P_pred, L, C, R)
+    out = P_pred, K, L, P_post, unknown_input_error_cov(S, terms.F_d)
+    if (P_post.tobytes() == P_prev.tobytes() and P_prev.flags.c_contiguous
+            and np.isfinite(np.concatenate([M.ravel() for M in out])).all()):
+        for M in out:
+            M.flags.writeable = False
+        terms.fixed_point = out
+    return out
 
 
 def kalman_gain(P_pred: np.ndarray, C: np.ndarray, R: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:

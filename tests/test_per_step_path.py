@@ -186,6 +186,18 @@ def test_steps_compute_stability_matrices_only_when_read(monkeypatch):
     assert len(calls) == 2
 
 
+def test_a_report_forms_its_stability_matrices_once(monkeypatch):
+    calls = count_calls(monkeypatch, r4skf, "stability_matrices")
+    model = benchmark_model()
+    u, y = np.zeros(model.n_u), np.array([0.3, -0.2, 0.1])
+    state = r4skf.initial_state(model, np.ones(model.n_x))
+    _, rep = r4skf.step(state, u, y, model)
+    _, cd_rep = cdekf.cd_four_step(state, u, y, linear_nl_model(model))
+    for report in (rep, cd_rep):
+        _ = (report.A_bar, report.A_tilde, report.A_tilde, report.A_bar)
+    assert len(calls) == 2              # one per report
+
+
 @pytest.mark.parametrize("model", [benchmark_model(), checks.square_test_model()], ids=["benchmark", "square"])
 def test_a_stability_report_forms_its_stability_matrices_once(monkeypatch, model):
     calls = count_calls(monkeypatch, r4skf, "stability_matrices")
