@@ -57,8 +57,11 @@ class AugmentedModel:
     Q_a: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass
 class A2KFState:
+    """Augmented filter state after step k: a plain per-step record that
+    callers replace with the next step's and do not mutate."""
+
     x_a: np.ndarray                   # [x; d]
     P_a: np.ndarray
     innov_window: np.ndarray          # (N, n_y), the last N innovations, oldest first
@@ -75,8 +78,11 @@ class A2KFState:
         return self.x_a[..., :self.x_a.shape[-1] - self.Qd_hat.shape[-1]]
 
 
-@dataclass(frozen=True)
+@dataclass
 class A2KFStepReport:
+    """Intermediate quantities of one a2kf step: a plain per-step record
+    that callers replace and do not mutate."""
+
     gamma: np.ndarray
     K: np.ndarray
     Qd_used: np.ndarray

@@ -37,6 +37,9 @@ from .model import SystemModel
 from .sim import ScenarioConfig, SignalSpec
 
 SCHEMA_VERSION = 1
+# libyaml's parser where PyYAML was built with it; both loaders use SafeLoader's
+# constructor and resolver, so they build the same objects
+LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 
 def _mapping(value, field: str, keys, required=()) -> Dict[str, Any]:
@@ -115,8 +118,8 @@ def parse_scenario(doc: Dict[str, Any]) -> ScenarioConfig:
 
 def load_scenario(path) -> ScenarioConfig:
     try:
-        with open(path) as fh:
-            doc = yaml.safe_load(fh)
+        with open(path, "rb") as fh:     # PyYAML decodes the bytes: UTF-8, or UTF-16 with its BOM
+            doc = yaml.load(fh, Loader=LOADER)
     except OSError as exc:              # a file that cannot be read is a config error
         raise ConfigError(str(exc)) from exc
     except yaml.YAMLError as exc:       # its message spans several lines

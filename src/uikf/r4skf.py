@@ -49,9 +49,10 @@ RCOND_FLOOR = 1e-14
 DEFAULT_P0_SCALE = 10.0
 
 
-@dataclass(frozen=True)
+@dataclass
 class FilterState:
-    """Recursion state after processing measurement k."""
+    """Recursion state after processing measurement k: a plain per-step
+    record that callers replace with the next step's and do not mutate."""
 
     x_hat: np.ndarray   # x̂_{k|k}
     P: np.ndarray       # state error covariance
@@ -61,9 +62,10 @@ class FilterState:
     k: int
 
 
-@dataclass(frozen=True)
+@dataclass
 class StepReport:
-    """Intermediate quantities of one filter step, for diagnostics. The
+    """Intermediate quantities of one filter step, for diagnostics: a plain
+    per-step record that callers replace and do not mutate. The
     error-dynamics matrices Ā and Ã are computed from dm, C, F_d and K
     when the first of them is read, both by one stability_matrices call."""
 

@@ -30,8 +30,11 @@ from . import r4skf
 from .model import DiscretizedModel
 
 
-@dataclass(frozen=True)
+@dataclass
 class ObserverState:
+    """Observer state after one step: a plain per-step record that callers
+    replace with the next step's and do not mutate."""
+
     w: np.ndarray
     z: np.ndarray
     x_hat: np.ndarray

@@ -1,6 +1,7 @@
 import re
+import textwrap
 import warnings
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 
 import numpy as np
 import pytest
@@ -73,6 +74,24 @@ def write_doc(tmp_path, doc, name="scenario.yaml"):
     path = tmp_path / name
     path.write_text(yaml.safe_dump(doc))
     return str(path)
+
+
+DOCSTRING_YAML = textwrap.dedent(config.__doc__.split("Example document:", 1)[1])
+MALFORMED_YAML = "schema: 1\nmodel: [1, 2\n"
+
+
+def config_values(value):
+    """value with every dataclass a dict of its fields, every model matrix read
+    at t = 0 and k = 0 and every array a list, so that == compares loaded configs."""
+    if callable(value):
+        return config_values(value(0))
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return [config_values(v) for v in value]
+    if is_dataclass(value):
+        return {f.name: config_values(getattr(value, f.name)) for f in fields(value)}
+    return value
 
 
 class TestConfigParsing:
@@ -163,6 +182,31 @@ class TestConfigParsing:
         cfg = config.parse_scenario(doc)
         assert (cfg.a2kf_config.window, cfg.a2kf_config.qd_floor, cfg.a2kf_config.qd_init) == (5, 1e-10, 1e-5)
 
+    @pytest.mark.parametrize("encoding", ["utf-16", "utf-16-le", "utf-16-be", "utf-8-sig"])
+    def test_a_utf16_or_bom_document_loads_as_its_utf8_copy(self, tmp_path, encoding):
+        # "utf-16-le" and "utf-16-be" write no BOM of their own, so one is written first
+        text = ("\ufeff" if encoding.startswith("utf-16-") else "") + DOCSTRING_YAML
+        (tmp_path / "utf8.yaml").write_text(DOCSTRING_YAML, encoding="utf-8")
+        (tmp_path / "other.yaml").write_text(text, encoding=encoding)
+        assert (tmp_path / "other.yaml").read_bytes() != (tmp_path / "utf8.yaml").read_bytes()
+        plain = config.load_scenario(str(tmp_path / "utf8.yaml"))
+        assert config_values(config.load_scenario(str(tmp_path / "other.yaml"))) == config_values(plain)
+        assert config_values(plain)["model"]["A"] == [[0.0, 1.0], [0.0, 0.0]]
+
+    def test_the_pure_python_loader_builds_the_same_config_and_errors(self, tmp_path, monkeypatch):
+        (tmp_path / "doc.yaml").write_text(DOCSTRING_YAML)
+        (tmp_path / "bad.yaml").write_text(MALFORMED_YAML)
+        loaded, errors = [], []
+        for loader in (config.LOADER, yaml.SafeLoader):
+            monkeypatch.setattr(config, "LOADER", loader)
+            loaded.append(config_values(config.load_scenario(str(tmp_path / "doc.yaml"))))
+            with pytest.raises(ConfigError) as info:
+                config.load_scenario(str(tmp_path / "bad.yaml"))
+            errors.append(str(info.value))
+        assert loaded[0] == loaded[1]
+        for error in errors:
+            assert error.startswith("document: not valid YAML (") and "\n" not in error
+
     @pytest.mark.parametrize("key, value", [("negative_check", "pre"), ("rescale_by_dt", True)])
     def test_a_former_qd_switch_is_an_unknown_key(self, key, value):
         doc = deep_update(MINIMAL_DOC, ("a2kf",), {key: value})
@@ -231,11 +275,13 @@ class TestCliSimulate:
         assert "config error" in capsys.readouterr().err
 
     def test_malformed_yaml_exits_1_with_one_line(self, tmp_path, capsys):
-        path = tmp_path / "scenario.yaml"
-        path.write_text("schema: 1\nmodel: [1, 2\n")
-        assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith("config error: document: not valid YAML (") and err.count("\n") == 1
+        # an unclosed list, and bytes that are not UTF-8 (a Latin-1 é)
+        for text in (MALFORMED_YAML.encode(), "schema: 1\n# café\n".encode("latin-1")):
+            path = tmp_path / "scenario.yaml"
+            path.write_bytes(text)
+            assert cli.main(["simulate", "--config", str(path), "--out", str(tmp_path)]) == 1
+            err = capsys.readouterr().err
+            assert err.startswith("config error: document: not valid YAML (") and err.count("\n") == 1
 
     def test_missing_file_exits_1(self, tmp_path, capsys):
         rc = cli.main(["simulate", "--config", str(tmp_path / "none.yaml"),
